@@ -3,10 +3,7 @@
 //! Measures WM-/AWM-Sketch update throughput at the paper's 8 KB Figure-7
 //! configuration on an RCV1-like stream, for the retained naive three-pass
 //! path (`update_naive`), the fused single-hash pipeline (`update` /
-//! `update_batch`), the vectorized kernel pipeline (`WM_simd`/`AWM_simd`:
-//! the same fused `update` with the host-default SIMD backend — the
-//! naive/fused rows are pinned to the scalar backend so the pair isolates
-//! the kernel speedup), the sharded pipeline (`ShardedLearner` at 1, 2,
+//! `update_batch`), the sharded pipeline (`ShardedLearner` at 1, 2,
 //! 4, and 8 shards, merge included), and the end-to-end serve ingest
 //! paths (`serve_ingest`: a loopback `wmsketch-serve` node — v6: its
 //! default WM model behind a 2-shard **deferred-heap** pool on the
@@ -43,6 +40,10 @@
 //! rate, p99 revival latency, and a bit-identity spot check against an
 //! all-hot reference node — see `wmsketch_bench::fleet`).
 //!
+//! v9 drops the `WM_simd`/`AWM_simd` rows, their speedup ratios, and the
+//! `config.cpu_features` probe: the update path has a single scalar
+//! implementation, so there is no second backend to compare.
+//!
 //! Usage: `update_throughput_json [OUTPUT_PATH]`
 //! (default output: `BENCH_update_throughput.json` in the working
 //! directory; see `crates/bench/README.md` for the schema).
@@ -53,7 +54,6 @@ use wmsketch_core::{
     WmSketch, WmSketchConfig,
 };
 use wmsketch_datagen::SyntheticClassification;
-use wmsketch_hashing::simd;
 use wmsketch_learn::{Label, SparseVector};
 
 const BUDGET: usize = 8 * 1024;
@@ -96,65 +96,6 @@ struct Measurement {
     /// the timed passes. `None` for in-process rows (no service
     /// boundary) and for the telemetry-off twin (nothing records).
     latency_ns: Option<(u64, u64, u64)>,
-}
-
-/// Times two variants of the same pipeline with **interleaved** passes —
-/// one pass of `a`, one pass of `b`, repeating until both have at least
-/// [`MEASURE_SECS`] of timed work. On a busy 1-CPU host, sequential
-/// measurement lets slow drift (noisy neighbors, thermals) bias whichever
-/// variant runs later; alternating passes exposes both variants to the
-/// same drift so their *ratio* is unbiased. Used for the fused-vs-simd
-/// pairs, whose ratio is the quantity the speedup block reports.
-fn measure_ab<L>(
-    a: (&str, Option<wmsketch_hashing::Backend>),
-    b: (&str, Option<wmsketch_hashing::Backend>),
-    data: &[(SparseVector, Label)],
-    make: impl Fn() -> L,
-    mut pass: impl FnMut(&mut L, &[(SparseVector, Label)]),
-) -> (Measurement, Measurement) {
-    let mut one_pass = |backend: Option<wmsketch_hashing::Backend>| {
-        // `force_backend(None)` pins the calibrated default — the pin is
-        // what keeps a stray override from leaking in either direction.
-        let _pin = simd::force_backend(backend);
-        let mut learner = make();
-        let start = Instant::now();
-        pass(&mut learner, data);
-        start.elapsed().as_secs_f64()
-    };
-    for _ in 0..WARMUP_PASSES {
-        let _ = one_pass(a.1);
-        let _ = one_pass(b.1);
-    }
-    let (mut elapsed_a, mut elapsed_b) = (0.0f64, 0.0f64);
-    let (mut best_a, mut best_b) = (f64::INFINITY, f64::INFINITY);
-    let (mut timed_a, mut timed_b) = (0u64, 0u64);
-    while elapsed_a < MEASURE_SECS || elapsed_b < MEASURE_SECS {
-        let t = one_pass(a.1);
-        elapsed_a += t;
-        best_a = best_a.min(t);
-        timed_a += data.len() as u64;
-        let t = one_pass(b.1);
-        elapsed_b += t;
-        best_b = best_b.min(t);
-        timed_b += data.len() as u64;
-    }
-    // The paired rows report the *fastest* pass rather than the mean:
-    // preemption on a shared host only ever adds time, so the minimum is
-    // the noise-robust estimator of true per-update cost, and the pair's
-    // ratio is what the speedup block reports.
-    let finish = |name: &str, best: f64, timed: u64| {
-        let ns_per_update = best * 1e9 / data.len() as f64;
-        Measurement {
-            name: name.to_string(),
-            shards: 1,
-            connections: None,
-            ns_per_update,
-            updates_per_sec: 1e9 / ns_per_update,
-            updates_timed: timed,
-            latency_ns: None,
-        }
-    };
-    (finish(a.0, best_a, timed_a), finish(b.0, best_b, timed_b))
 }
 
 /// Times whole passes over the stream, rebuilding the learner each pass so
@@ -302,9 +243,10 @@ fn measure_serve_ingest(
 }
 
 /// The `serve_ingest` row and its telemetry-off twin, measured as
-/// **interleaved** A/B passes over the same node (the `measure_ab`
-/// discipline, for the same reason: the pair's *ratio* is the reported
-/// `telemetry_overhead`, so both variants must see the same drift).
+/// **interleaved** A/B passes over the same node: one pass of each,
+/// repeating, because the pair's *ratio* is the reported
+/// `telemetry_overhead` and alternating passes exposes both variants to
+/// the same drift (noisy neighbors, thermals) on a busy host.
 /// The node lives in this process, so the per-pass toggle is
 /// `wmsketch_telemetry::set_enabled`; the switch is restored to its
 /// prior state before returning. Returns `(on, off, overhead)` with
@@ -535,62 +477,41 @@ fn main() {
         nnz_total as f64 / data.len() as f64,
     );
 
-    let avx2 = simd::avx2_supported();
-    let coord_backend = simd::active_backend();
-    let hash_backend = simd::active_hash_backend();
-
     let mut results = Vec::new();
-    {
-        // The naive and fused rows are pinned to the scalar kernel
-        // backend: they are the historical baselines (v3 and earlier were
-        // measured before the kernel layer existed), and pinning them
-        // makes `WM_simd` vs `WM_fused` isolate exactly the vectorized
-        // kernels.
-        let _scalar = simd::force_backend(Some(simd::Backend::Scalar));
-        results.push(measure(
-            "WM_naive",
-            1,
-            &data,
-            || WmSketch::new(wm_cfg),
-            |m, d| {
-                for (x, y) in d {
-                    m.update_naive(x, *y);
-                }
-            },
-        ));
-        results.push(measure(
-            "WM_fused_batch",
-            1,
-            &data,
-            || WmSketch::new(wm_cfg),
-            |m, d| {
-                m.update_batch(d);
-            },
-        ));
-    }
-    // WM_fused (scalar kernels) vs WM_simd (the calibrated host-default
-    // backend — identical code on hosts where calibration or missing AVX2
-    // resolves to scalar; compare config.cpu_features when reading
-    // cross-host files). Interleaved so the pair's ratio is drift-free.
-    {
-        let (fused, vectored) = measure_ab(
-            ("WM_fused", Some(simd::Backend::Scalar)),
-            ("WM_simd", None),
-            &data,
-            || WmSketch::new(wm_cfg),
-            |m, d| {
-                for (x, y) in d {
-                    m.update(x, *y);
-                }
-            },
-        );
-        // Keep the historical row order: WM_fused before WM_fused_batch.
-        results.insert(1, fused);
-        results.push(vectored);
-    }
+    results.push(measure(
+        "WM_naive",
+        1,
+        &data,
+        || WmSketch::new(wm_cfg),
+        |m, d| {
+            for (x, y) in d {
+                m.update_naive(x, *y);
+            }
+        },
+    ));
+    results.push(measure(
+        "WM_fused",
+        1,
+        &data,
+        || WmSketch::new(wm_cfg),
+        |m, d| {
+            for (x, y) in d {
+                m.update(x, *y);
+            }
+        },
+    ));
+    results.push(measure(
+        "WM_fused_batch",
+        1,
+        &data,
+        || WmSketch::new(wm_cfg),
+        |m, d| {
+            m.update_batch(d);
+        },
+    ));
     // Sharded pipeline: one update_batch over the whole stream plus the
     // final merge into the queryable root — merge cost is inside the
-    // timed region. Runs the host-default backend, like production.
+    // timed region.
     for shards in SHARD_COUNTS {
         results.push(measure(
             &format!("WM_sharded_{shards}"),
@@ -603,45 +524,37 @@ fn main() {
             },
         ));
     }
-    {
-        let _scalar = simd::force_backend(Some(simd::Backend::Scalar));
-        results.push(measure(
-            "AWM_naive",
-            1,
-            &data,
-            || AwmSketch::new(awm_cfg),
-            |m, d| {
-                for (x, y) in d {
-                    m.update_naive(x, *y);
-                }
-            },
-        ));
-        results.push(measure(
-            "AWM_fused_batch",
-            1,
-            &data,
-            || AwmSketch::new(awm_cfg),
-            |m, d| {
-                m.update_batch(d);
-            },
-        ));
-    }
-    {
-        let (fused, vectored) = measure_ab(
-            ("AWM_fused", Some(simd::Backend::Scalar)),
-            ("AWM_simd", None),
-            &data,
-            || AwmSketch::new(awm_cfg),
-            |m, d| {
-                for (x, y) in d {
-                    m.update(x, *y);
-                }
-            },
-        );
-        let at = results.len() - 1;
-        results.insert(at, fused);
-        results.push(vectored);
-    }
+    results.push(measure(
+        "AWM_naive",
+        1,
+        &data,
+        || AwmSketch::new(awm_cfg),
+        |m, d| {
+            for (x, y) in d {
+                m.update_naive(x, *y);
+            }
+        },
+    ));
+    results.push(measure(
+        "AWM_fused",
+        1,
+        &data,
+        || AwmSketch::new(awm_cfg),
+        |m, d| {
+            for (x, y) in d {
+                m.update(x, *y);
+            }
+        },
+    ));
+    results.push(measure(
+        "AWM_fused_batch",
+        1,
+        &data,
+        || AwmSketch::new(awm_cfg),
+        |m, d| {
+            m.update_batch(d);
+        },
+    ));
     results.push(measure(
         "AWM_sharded_4",
         4,
@@ -712,10 +625,6 @@ fn main() {
     };
     let wm_speedup = get("WM_naive") / get("WM_fused");
     let awm_speedup = get("AWM_naive") / get("AWM_fused");
-    // Kernel-layer speedup: the same fused pipeline, scalar backend vs the
-    // host-default (SIMD) backend.
-    let wm_simd_speedup = get("WM_fused") / get("WM_simd");
-    let awm_simd_speedup = get("AWM_fused") / get("AWM_simd");
     let awm_sharded_speedup = get("AWM_fused") / get("AWM_sharded_4");
     // The served WM path vs the in-process fused pipeline. v6 serves the
     // deferred-heap shard pool over the pipelined event backend, so this
@@ -737,18 +646,9 @@ fn main() {
 
     let mut json = String::new();
     json.push_str("{\n");
-    json.push_str("  \"schema\": \"wmsketch-update-throughput/v8\",\n");
+    json.push_str("  \"schema\": \"wmsketch-update-throughput/v9\",\n");
     json.push_str("  \"config\": {\n");
     json.push_str(&format!("    \"budget_bytes\": {BUDGET},\n"));
-    // v4: record the host's relevant CPU features and the backend each
-    // calibrated kernel class dispatched to, so cross-host result files
-    // are comparable (a scalar-backend WM_simd row is just WM_fused
-    // again).
-    json.push_str(&format!(
-        "    \"cpu_features\": {{\"avx2\": {avx2}, \"coord_backend\": \"{}\", \"hash_backend\": \"{}\"}},\n",
-        coord_backend.name(),
-        hash_backend.name()
-    ));
     json.push_str(&format!(
         "    \"wm\": {{\"width\": {}, \"depth\": {}, \"heap_capacity\": {}}},\n",
         wm_cfg.width, wm_cfg.depth, wm_cfg.heap_capacity
@@ -801,9 +701,6 @@ fn main() {
         "    \"wm_fused_over_naive\": {wm_speedup:.2},\n    \"awm_fused_over_naive\": {awm_speedup:.2},\n"
     ));
     json.push_str(&format!(
-        "    \"wm_simd_over_fused\": {wm_simd_speedup:.2},\n    \"awm_simd_over_fused\": {awm_simd_speedup:.2},\n"
-    ));
-    json.push_str(&format!(
         "    \"wm_sharded_over_fused\": {{{}}},\n",
         wm_curve
             .iter()
@@ -847,11 +744,6 @@ fn main() {
         );
     }
     eprintln!("WM fused over naive: {wm_speedup:.2}x; AWM: {awm_speedup:.2}x");
-    eprintln!(
-        "WM simd over fused: {wm_simd_speedup:.2}x; AWM: {awm_simd_speedup:.2}x (coord backend {}, hash backend {}, avx2 {avx2})",
-        coord_backend.name(),
-        hash_backend.name()
-    );
     for (s, x) in &wm_curve {
         eprintln!("WM sharded x{s} over fused: {x:.2}x");
     }

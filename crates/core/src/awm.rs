@@ -721,11 +721,10 @@ impl OnlineLearner for AwmSketch {
     /// never hashed at all (as in the reference path); the rare features
     /// whose membership changes mid-update — an eviction displacing a
     /// margin-time-active feature — are planned lazily at their turn.
-    /// The gather/scatter walks run through the runtime-dispatched kernels
-    /// in `wmsketch_hashing::simd`, and depth-1 sketches (the paper's best
-    /// AWM shape) skip the median machinery via [`slot_value_depth1`].
-    /// Arithmetic order matches [`AwmSketch::update_naive`] operation for
-    /// operation, so the resulting state is bit-identical.
+    /// Depth-1 sketches (the paper's best AWM shape) skip the median
+    /// machinery via [`slot_value_depth1`]. Arithmetic order matches
+    /// [`AwmSketch::update_naive`] operation for operation, so the
+    /// resulting state is bit-identical.
     fn update(&mut self, x: &SparseVector, y: Label) {
         debug_check_label(y);
         self.t += 1;

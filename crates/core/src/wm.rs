@@ -713,11 +713,9 @@ impl OnlineLearner for WmSketch {
     /// ([`RowHashers::fill_plan`]) and replays the cached coordinates for
     /// all three traversals the seed path paid separate hashing for: the
     /// margin dot-product, the gradient scatter, and the post-scatter
-    /// median re-estimation feeding the passive top-K heap. The
-    /// gather/scatter walks run through the runtime-dispatched kernels in
-    /// `wmsketch_hashing::simd`, and depth-1 sketches take a fast path
-    /// that skips the median machinery (a 1-row "median" is the
-    /// sign-corrected cell). Arithmetic order matches
+    /// median re-estimation feeding the passive top-K heap. Depth-1
+    /// sketches take a fast path that skips the median machinery (a 1-row
+    /// "median" is the sign-corrected cell). Arithmetic order matches
     /// [`WmSketch::update_naive`] operation for operation, so the
     /// resulting sketch state is bit-identical.
     fn update(&mut self, x: &SparseVector, y: Label) {

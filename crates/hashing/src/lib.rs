@@ -16,42 +16,18 @@
 //! Everything here is deterministic given a seed, which keeps every
 //! experiment in this repository reproducible.
 //!
-//! # SIMD kernel dispatch policy
+//! # Plan walks
 //!
 //! The update hot paths (margin gathers, gradient scatters, median-buffer
-//! fills, batch plan hashing) run through the kernels in [`simd`], which
-//! resolve a backend **once per kernel call** in this order:
-//!
-//! 1. a process-local override installed with [`simd::force_backend`]
-//!    (differential tests and the throughput bench pin backends this way);
-//! 2. the `WMSKETCH_FORCE_SCALAR` environment variable — any value other
-//!    than `0`/empty forces the scalar backend for the whole process, the
-//!    escape hatch for exercising the fallback on AVX2 hosts — and its
-//!    counterpart `WMSKETCH_FORCE_AVX2`, which skips calibration and pins
-//!    AVX2 where supported;
-//! 3. runtime CPU detection **plus a one-shot profitability
-//!    calibration** per kernel class ([`simd::active_backend`] for the
-//!    coordinate kernels, [`simd::active_hash_backend`] for batch plan
-//!    hashing): on hosts that report AVX2, each class times a short
-//!    deterministic micro-trial of both implementations and adopts AVX2
-//!    only if it clearly beats scalar. "Has AVX2" does not imply "AVX2
-//!    gathers are fast" — several server microarchitectures run
-//!    gather-style access microcoded at a ~2× loss, and on those the
-//!    calibrated default stays scalar (`active_backend()` reports which
-//!    won; the throughput bench records it as `cpu_features`).
-//!
-//! Every backend is **bit-identical** by contract: order-sensitive
-//! reductions stay in scalar element order, scatters preserve scalar
-//! read-modify-write order under offset collisions (per-group conflict
-//! check with a scalar spill), and per-element arithmetic uses the exact
-//! scalar expression shapes (no FMA contraction). Polynomial-family row
-//! hashing always runs scalar (its `2^61 − 1` field arithmetic needs
-//! 64×64 multiplies AVX2 lacks); tabulation hashing batches four keys per
-//! table gather in [`RowHashers::fill_plan`]. Sketches whose depth is 1
-//! additionally skip the median machinery entirely (a 1-row "median" is
-//! just `sign · cell`); that fast path lives with the consumers in
+//! fills) are plain scalar loops over a [`CoordPlan`]'s cached
+//! coordinates, run in row order with one multiply and one add per cell
+//! (never an FMA), so every plan walk is bit-identical to the naive
+//! per-row traversal it replaces. Sketches whose depth is 1 additionally
+//! skip the median machinery entirely (a 1-row "median" is just
+//! `sign · cell`); that fast path lives with the consumers in
 //! `wmsketch-sketch` and `wmsketch-core`.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod codec;
@@ -60,7 +36,6 @@ pub mod mix;
 pub mod murmur3;
 pub mod poly;
 pub mod row_hasher;
-pub mod simd;
 pub mod tabulation;
 
 pub use codec::{CodecError, Reader, SnapshotCodec, Writer};
@@ -69,5 +44,4 @@ pub use mix::{fast_range, splitmix64, SplitMix64};
 pub use murmur3::murmur3_32;
 pub use poly::PolyHash;
 pub use row_hasher::{BucketSign, CoordPlan, HashFamilyKind, RowHasher, RowHashers};
-pub use simd::Backend;
 pub use tabulation::TabulationHash;

@@ -18,7 +18,6 @@
 
 use crate::mix::{fast_range, SplitMix64};
 use crate::poly::PolyHash;
-use crate::simd;
 use crate::tabulation::TabulationHash;
 
 /// Which hash family backs a sketch's rows.
@@ -48,10 +47,12 @@ pub struct BucketSign {
 
 /// Splits a raw 64-bit hash into the paper's `(h_j, σ_j)` pair. Bit 63 is
 /// the sign; the low 63 bits choose the bucket. Using disjoint bits keeps
-/// `h` and `σ` independent of each other.
+/// `h` and `σ` independent of each other. Bit 63 is copied straight into
+/// the sign bit of `1.0`, so callers that multiply by the sign never
+/// branch on a hash bit.
 #[inline]
 fn split_bucket_sign(h: u64, width: u64) -> BucketSign {
-    let sign = if h >> 63 == 0 { 1.0 } else { -1.0 };
+    let sign = f64::from_bits(1.0f64.to_bits() | (h & (1 << 63)));
     let bucket = fast_range(h << 1, width) as u32;
     BucketSign { bucket, sign }
 }
@@ -308,31 +309,7 @@ impl RowHashers {
 
     /// Rebuilds `plan` to cover `keys`, hashing each key exactly once per
     /// row. The family dispatch happens once per call, not per key.
-    ///
-    /// Tabulation-hashed rows batch the hash mixing four keys at a time
-    /// through [`TabulationHash::hash_x4_avx2`] when the
-    /// [`simd::active_hash_backend`] is AVX2 (the per-chunk lookup tables
-    /// are shared across keys, so the mixing is embarrassingly parallel);
-    /// polynomial rows always run the scalar path (their `2^61 − 1`
-    /// field arithmetic needs 64×64 multiplies AVX2 does not have). Both
-    /// paths produce bit-identical plans — see
-    /// [`RowHashers::fill_plan_scalar`].
     pub fn fill_plan(&self, plan: &mut CoordPlan, keys: &[u32]) {
-        #[cfg(target_arch = "x86_64")]
-        if simd::active_hash_backend() == simd::Backend::Avx2 && keys.len() >= 4 {
-            if let Rows::Tab(rows) = &self.rows {
-                // SAFETY: Backend::Avx2 is only resolved on hosts that
-                // report AVX2 at runtime (the dispatch invariant).
-                unsafe { self.fill_plan_tab_avx2(rows, plan, keys) };
-                return;
-            }
-        }
-        self.fill_plan_scalar(plan, keys);
-    }
-
-    /// The scalar reference implementation of [`RowHashers::fill_plan`];
-    /// always available, used directly by differential tests.
-    pub fn fill_plan_scalar(&self, plan: &mut CoordPlan, keys: &[u32]) {
         plan.reset(self.rows.len(), keys.len());
         let width = self.width as usize;
         let w = u64::from(self.width);
@@ -348,63 +325,6 @@ impl RowHashers {
                         p.hash(k).wrapping_mul(POLY_SPREAD)
                     });
                 }
-            }
-        }
-    }
-
-    /// AVX2 batch plan fill for tabulation rows: four keys per group, one
-    /// [`TabulationHash::hash_x4_avx2`] per `(group, row)` pair, with the
-    /// bucket/sign split and the strided slot-major stores done in scalar
-    /// (they are cheap next to the table mixing). The plan contents are
-    /// bit-identical to [`RowHashers::fill_plan_scalar`] — tabulation
-    /// hashing is pure integer mixing and the split is shared code.
-    ///
-    /// # Safety
-    /// The caller must ensure the host supports AVX2.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn fill_plan_tab_avx2(
-        &self,
-        rows: &[TabulationHash],
-        plan: &mut CoordPlan,
-        keys: &[u32],
-    ) {
-        let depth = rows.len();
-        let width = self.width as usize;
-        let w = u64::from(self.width);
-        plan.depth = depth;
-        plan.nnz = keys.len();
-        plan.offsets.clear();
-        plan.signs.clear();
-        plan.offsets.resize(depth * keys.len(), 0);
-        plan.signs.resize(depth * keys.len(), 0.0);
-        let groups = keys.len() / 4;
-        for g in 0..groups {
-            let base = g * 4;
-            let k4 = [
-                u64::from(keys[base]),
-                u64::from(keys[base + 1]),
-                u64::from(keys[base + 2]),
-                u64::from(keys[base + 3]),
-            ];
-            for (j, t) in rows.iter().enumerate() {
-                // SAFETY: AVX2 availability is this function's own safety
-                // contract, upheld by the dispatch in `fill_plan`.
-                let h4 = unsafe { t.hash_x4_avx2(k4) };
-                for (lane, h) in h4.into_iter().enumerate() {
-                    let bs = split_bucket_sign(h, w);
-                    let at = (base + lane) * depth + j;
-                    plan.offsets[at] = (j * width + bs.bucket as usize) as u32;
-                    plan.signs[at] = bs.sign;
-                }
-            }
-        }
-        for (slot, &key) in keys.iter().enumerate().skip(groups * 4) {
-            for (j, t) in rows.iter().enumerate() {
-                let bs = split_bucket_sign(t.hash(u64::from(key)), w);
-                let at = slot * depth + j;
-                plan.offsets[at] = (j * width + bs.bucket as usize) as u32;
-                plan.signs[at] = bs.sign;
             }
         }
     }
@@ -542,22 +462,25 @@ impl CoordPlan {
 
     /// The sign-corrected dot of slot `slot` against a cell array:
     /// `Σ_j signs[j] · cells[offsets[j]]`, accumulated in row order —
-    /// bit-identical to the naive per-row traversal (the
-    /// [`simd::gather_dot`] kernel vectorizes only the loads and
-    /// multiplies; the reduction stays in row order).
+    /// bit-identical to the naive per-row traversal.
     #[inline]
     #[must_use]
     pub fn slot_projection(&self, slot: usize, cells: &[f64]) -> f64 {
         let (offsets, signs) = self.coords(slot);
-        simd::gather_dot(cells, offsets, signs)
+        let mut acc = 0.0;
+        for (&o, &s) in offsets.iter().zip(signs) {
+            acc += s * cells[o as usize];
+        }
+        acc
     }
 
-    /// Adds `signs[j] · delta` to each of slot `slot`'s cells, through
-    /// the runtime-dispatched [`simd::scatter_add`] kernel.
+    /// Adds `signs[j] · delta` to each of slot `slot`'s cells.
     #[inline]
     pub fn slot_scatter(&self, slot: usize, cells: &mut [f64], delta: f64) {
         let (offsets, signs) = self.coords(slot);
-        simd::scatter_add(cells, offsets, signs, delta);
+        for (&o, &s) in offsets.iter().zip(signs) {
+            cells[o as usize] += s * delta;
+        }
     }
 
     /// Fills the plan-owned scratch with slot `slot`'s sign-corrected
@@ -574,13 +497,10 @@ impl CoordPlan {
         let hi = lo + self.depth;
         self.scratch.clear();
         self.scratch.resize(self.depth, 0.0);
-        simd::gather_scaled(
-            cells,
-            &self.offsets[lo..hi],
-            &self.signs[lo..hi],
-            scale,
-            &mut self.scratch,
-        );
+        let coords = self.offsets[lo..hi].iter().zip(&self.signs[lo..hi]);
+        for ((&o, &s), v) in coords.zip(&mut self.scratch) {
+            *v = scale * s * cells[o as usize];
+        }
         &mut self.scratch
     }
 
@@ -606,14 +526,12 @@ impl CoordPlan {
         let hi = lo + self.depth;
         self.scratch.clear();
         self.scratch.resize(self.depth, 0.0);
-        simd::scatter_add_values(
-            cells,
-            &self.offsets[lo..hi],
-            &self.signs[lo..hi],
-            delta,
-            scale,
-            &mut self.scratch,
-        );
+        let coords = self.offsets[lo..hi].iter().zip(&self.signs[lo..hi]);
+        for ((&o, &s), v) in coords.zip(&mut self.scratch) {
+            let cell = &mut cells[o as usize];
+            *cell += s * delta;
+            *v = scale * s * *cell;
+        }
         &mut self.scratch
     }
 }

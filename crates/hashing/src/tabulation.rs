@@ -61,65 +61,6 @@ impl TabulationHash {
         }
         h
     }
-
-    /// Hashes four keys at once with scalar table lookups — the reference
-    /// for [`TabulationHash::hash_x4_avx2`] and the fallback the batch
-    /// planner uses on non-AVX2 hosts.
-    #[inline]
-    #[must_use]
-    pub fn hash_x4_scalar(&self, keys: [u64; 4]) -> [u64; 4] {
-        keys.map(|k| self.hash(k))
-    }
-
-    /// Hashes four keys at once with AVX2 table gathers: per byte chunk,
-    /// one `vpgatherqq` fetches all four keys' table entries (the chunk's
-    /// 256-entry table is shared across keys, which is what makes the
-    /// mixing embarrassingly parallel across keys). Bit-identical to four
-    /// [`TabulationHash::hash`] calls — the kernel is pure integer
-    /// shifts, gathers, and XORs.
-    ///
-    /// # Safety
-    /// The caller must ensure the host supports AVX2 (e.g. via
-    /// `wmsketch_hashing::simd::active_backend()` resolving to
-    /// `Backend::Avx2`, which implies a positive runtime feature check).
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    #[must_use]
-    pub unsafe fn hash_x4_avx2(&self, keys: [u64; 4]) -> [u64; 4] {
-        use std::arch::x86_64::{
-            __m256i, _mm256_and_si256, _mm256_i64gather_epi64, _mm256_loadu_si256,
-            _mm256_set1_epi64x, _mm256_setzero_si256, _mm256_srli_epi64, _mm256_storeu_si256,
-            _mm256_xor_si256,
-        };
-        // SAFETY: `keys` is 32 bytes; loadu has no alignment requirement.
-        let k = _mm256_loadu_si256(keys.as_ptr().cast::<__m256i>());
-        let byte_mask = _mm256_set1_epi64x(0xFF);
-        let mut h = _mm256_setzero_si256();
-        // The shift amount must be a const, so the chunk loop is unrolled
-        // with a const-generic helper.
-        macro_rules! chunk {
-            ($c:literal) => {{
-                let idx = _mm256_and_si256(_mm256_srli_epi64::<{ $c * 8 }>(k), byte_mask);
-                // SAFETY: each index is masked to 0..=255, within the
-                // chunk's 256-entry table.
-                let entries =
-                    _mm256_i64gather_epi64::<8>(self.tables[$c].as_ptr().cast::<i64>(), idx);
-                h = _mm256_xor_si256(h, entries);
-            }};
-        }
-        chunk!(0);
-        chunk!(1);
-        chunk!(2);
-        chunk!(3);
-        chunk!(4);
-        chunk!(5);
-        chunk!(6);
-        chunk!(7);
-        let mut out = [0u64; 4];
-        // SAFETY: `out` is 32 bytes; storeu has no alignment requirement.
-        _mm256_storeu_si256(out.as_mut_ptr().cast::<__m256i>(), h);
-        out
-    }
 }
 
 #[cfg(test)]
@@ -152,32 +93,6 @@ mod tests {
         }
         // With 100k keys into 2^64 outputs, collisions should be absent.
         assert_eq!(seen.len(), 100_000);
-    }
-
-    #[test]
-    fn hash_x4_matches_four_scalar_hashes() {
-        let h = TabulationHash::new(77);
-        for base in (0..4000u64).step_by(4) {
-            let keys = [
-                base,
-                base + 1,
-                base.wrapping_mul(2654435761),
-                u64::MAX - base,
-            ];
-            let want = [
-                h.hash(keys[0]),
-                h.hash(keys[1]),
-                h.hash(keys[2]),
-                h.hash(keys[3]),
-            ];
-            assert_eq!(h.hash_x4_scalar(keys), want);
-            #[cfg(target_arch = "x86_64")]
-            if std::arch::is_x86_feature_detected!("avx2") {
-                // SAFETY: AVX2 support was just verified at runtime.
-                let got = unsafe { h.hash_x4_avx2(keys) };
-                assert_eq!(got, want, "keys {keys:?}");
-            }
-        }
     }
 
     #[test]

@@ -7,22 +7,27 @@ use wmsketch_hashing::FastHashMap;
 /// A binary min-heap over `(key, priority)` pairs with `O(log n)`
 /// insert / pop-min / change-priority / remove-by-key and `O(1)` lookup.
 ///
-/// Ties are broken arbitrarily. Priorities must not be NaN.
+/// Entries are ordered by `(priority asc, key desc)`: among equal
+/// priorities the **largest** key is the minimum. The order is total over
+/// distinct keys, so which entry is the minimum depends only on the
+/// current contents, never on insertion history — a heap rebuilt in any
+/// order pops exactly what the original would. Priorities must not be
+/// NaN.
 #[derive(Debug, Clone)]
-pub struct IndexedHeap<K: Copy + Eq + Hash> {
+pub struct IndexedHeap<K: Copy + Ord + Hash> {
     /// Heap-ordered array of (key, priority).
     slots: Vec<(K, f64)>,
     /// key → index into `slots`.
     pos: FastHashMap<K, usize>,
 }
 
-impl<K: Copy + Eq + Hash> Default for IndexedHeap<K> {
+impl<K: Copy + Ord + Hash> Default for IndexedHeap<K> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<K: Copy + Eq + Hash> IndexedHeap<K> {
+impl<K: Copy + Ord + Hash> IndexedHeap<K> {
     /// Creates an empty heap.
     #[must_use]
     pub fn new() -> Self {
@@ -139,10 +144,18 @@ impl<K: Copy + Eq + Hash> IndexedHeap<K> {
         }
     }
 
+    /// Whether slot `a` orders strictly before slot `b` under
+    /// `(priority asc, key desc)`.
+    #[inline]
+    fn less(&self, a: usize, b: usize) -> bool {
+        let ((ka, pa), (kb, pb)) = (self.slots[a], self.slots[b]);
+        pa < pb || (pa == pb && ka > kb)
+    }
+
     fn sift_up(&mut self, mut i: usize) {
         while i > 0 {
             let parent = (i - 1) / 2;
-            if self.slots[i].1 < self.slots[parent].1 {
+            if self.less(i, parent) {
                 self.swap_slots(i, parent);
                 i = parent;
             } else {
@@ -157,10 +170,10 @@ impl<K: Copy + Eq + Hash> IndexedHeap<K> {
             let l = 2 * i + 1;
             let r = l + 1;
             let mut smallest = i;
-            if l < n && self.slots[l].1 < self.slots[smallest].1 {
+            if l < n && self.less(l, smallest) {
                 smallest = l;
             }
-            if r < n && self.slots[r].1 < self.slots[smallest].1 {
+            if r < n && self.less(r, smallest) {
                 smallest = r;
             }
             if smallest == i {
@@ -183,11 +196,10 @@ impl<K: Copy + Eq + Hash> IndexedHeap<K> {
     /// on `debug_assertions`.
     pub fn assert_invariants(&self) {
         assert_eq!(self.slots.len(), self.pos.len());
-        for (i, &(k, p)) in self.slots.iter().enumerate() {
-            assert_eq!(self.pos[&k], i, "position map out of sync");
+        for (i, (k, _)) in self.slots.iter().enumerate() {
+            assert_eq!(self.pos[k], i, "position map out of sync");
             if i > 0 {
-                let parent = (i - 1) / 2;
-                assert!(self.slots[parent].1 <= p, "heap order violated at {i}");
+                assert!(!self.less(i, (i - 1) / 2), "heap order violated at {i}");
             }
         }
     }
@@ -280,7 +292,9 @@ mod tests {
             let k = rng.random_range(0..100u32);
             match rng.random_range(0..4u32) {
                 0 | 1 => {
-                    let p = rng.random_range(-100.0..100.0);
+                    // Few distinct priorities, so ties at the minimum are
+                    // common and the tie order is exercised.
+                    let p = f64::from(rng.random_range(0..16u32)) - 8.0;
                     h.insert(k, p);
                     model.insert(k, p);
                 }
@@ -289,11 +303,13 @@ mod tests {
                 }
                 _ => {
                     if let Some((mk, mp)) = h.pop_min() {
-                        let &min_model = model
-                            .values()
-                            .min_by(|a, b| a.partial_cmp(b).unwrap())
+                        // The reference minimum under (priority asc, key
+                        // desc): the key is pinned, not just the priority.
+                        let (&want_k, &want_p) = model
+                            .iter()
+                            .min_by(|a, b| a.1.partial_cmp(b.1).unwrap().then(b.0.cmp(a.0)))
                             .unwrap();
-                        assert_eq!(mp, min_model);
+                        assert_eq!((mk, mp), (want_k, want_p));
                         model.remove(&mk);
                     } else {
                         assert!(model.is_empty());

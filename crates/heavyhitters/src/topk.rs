@@ -34,9 +34,15 @@ pub enum Offer {
 /// weights exactly.
 ///
 /// Internally a min-heap ordered by |weight|, so the entry cheapest to
-/// displace is always at the root. Weight ordering is invariant under a
-/// positive global scale factor, so learners using the lazy-regularization
-/// scale trick (paper §5.1) can store pre-scale weights here directly.
+/// displace is always at the root. Ties in |weight| go to the **largest**
+/// feature: the root is always the entry [`TopKWeights::top_k`] and
+/// [`TopKWeights::from_heaviest`] rank last under `(|weight| desc,
+/// feature asc)`. Eviction therefore depends only on the tracked
+/// contents, never on insertion history, so a tracker rebuilt by
+/// [`TopKWeights::decode_from`] keeps evicting exactly what the original
+/// would. Weight ordering is invariant under a positive global scale
+/// factor, so learners using the lazy-regularization scale trick (paper
+/// §5.1) can store pre-scale weights here directly.
 #[derive(Debug, Clone)]
 pub struct TopKWeights {
     heap: IndexedHeap<u32>,
@@ -226,8 +232,9 @@ impl TopKWeights {
     }
 
     /// Decodes a tracker written by [`TopKWeights::encode_into`]. Entries
-    /// are re-offered in the stored (feature-ascending) order, so decoding
-    /// is deterministic regardless of the encoder's insertion history.
+    /// are re-offered in the stored (feature-ascending) order; because the
+    /// heap's tie order is history-independent, the decoded tracker
+    /// behaves identically to the encoder's under every later offer.
     ///
     /// The stored capacity must equal `expected_capacity` (decoding
     /// validates model state against its config *before* allocating, so a

@@ -394,10 +394,13 @@
 //!   before executing: the spill record is decoded and restored through
 //!   the bit-exact recovery path, so a spilled-and-revived model
 //!   answers estimates, predictions, top-K, and SNAPSHOT **byte for
-//!   byte** as if it had never been evicted. Revival is single-flight —
-//!   concurrent requests for the same cold model perform exactly one
-//!   disk read (the entry's slot lock serializes them) — and a corrupt
-//!   spill record yields a typed error on access, counted in
+//!   byte** as if it had never been evicted — and keeps training
+//!   byte-for-byte like a never-evicted twin, because the top-K heaps
+//!   break |weight| ties by feature rather than by insertion history, so
+//!   a decoded model evicts exactly what the original would. Revival is
+//!   single-flight — concurrent requests for the same cold model perform
+//!   exactly one disk read (the entry's slot lock serializes them) — and
+//!   a corrupt spill record yields a typed error on access, counted in
 //!   `governor_revival_failures_total`, never a panic; RESET rebuilds
 //!   the model from its template.
 //! * **Recovery.** On restart the governed node re-registers every spec

@@ -4,6 +4,7 @@
 //! startup recovery.
 
 use wmsketch_core::{AwmSketch, AwmSketchConfig, OnlineLearner, SnapshotCodec, WmSketchConfig};
+use wmsketch_datagen::SyntheticClassification;
 use wmsketch_learn::{Label, SparseVector};
 use wmsketch_serve::{ServeBackend, ServeClient, ServeConfig, ServeError, ServerHandle, WmServer};
 
@@ -69,14 +70,18 @@ fn stem(name: &str) -> String {
 }
 
 /// Spilled-and-revived models answer estimates, predictions, top-K, and
-/// whole snapshots bit-identically to a never-evicted local twin — on
-/// both backends.
+/// whole snapshots bit-identically to a never-evicted local twin, and keep
+/// training identically to it afterwards — on both backends.
 #[test]
 fn eviction_then_revival_is_bit_identical() {
+    // A 32-entry active set: large enough that rcv1-like training leaves
+    // several entries tied at the minimum |weight|, where a revived model
+    // must evict exactly what its twin does.
+    let cfg = AwmSketchConfig::new(32, 256).lambda(1e-5).seed(5);
     for backend in [ServeBackend::Threaded, ServeBackend::Event] {
         let (server, dir) = governed("bitident", TIGHT_BUDGET, backend);
         let mut client = ServeClient::connect(server.addr()).unwrap();
-        let template = AwmSketch::new(awm_cfg()).to_snapshot_bytes();
+        let template = AwmSketch::new(cfg).to_snapshot_bytes();
 
         // Create and train more unsharded models than the budget holds;
         // admission pressure spills the colder ones as we go.
@@ -87,13 +92,14 @@ fn eviction_then_revival_is_bit_identical() {
                 .create_model(&format!("m{salt}"), &template, 0)
                 .unwrap();
             client.set_model(id).unwrap();
-            let data = stream_for(salt, 300);
-            client.update_batch(&data).unwrap();
-            let mut local = AwmSketch::new(awm_cfg());
-            for (x, y) in &data {
+            let data = SyntheticClassification::rcv1_like(u64::from(salt)).take(600);
+            let (data, more) = data.split_at(300);
+            client.update_batch(data).unwrap();
+            let mut local = AwmSketch::new(cfg);
+            for (x, y) in data {
                 local.update(x, *y);
             }
-            locals.push((id, salt, local));
+            locals.push((id, salt, local, more.to_vec()));
         }
 
         let stats = client.stats().unwrap();
@@ -114,10 +120,11 @@ fn eviction_then_revival_is_bit_identical() {
 
         // Revisit every model (reviving the spilled ones) and demand the
         // exact local twin: same estimates, same top-K, same snapshot
-        // bytes.
-        for (id, salt, local) in &locals {
+        // bytes — then train further and demand the same bytes again, so
+        // a revival preserves the model's future, not only its answers.
+        for (id, salt, local, more) in &mut locals {
             client.set_model(*id).unwrap();
-            let f = 3 + salt;
+            let f = 3 + *salt;
             assert_eq!(
                 client.estimate(f).unwrap(),
                 wmsketch_learn::WeightEstimator::estimate(local, f),
@@ -139,6 +146,18 @@ fn eviction_then_revival_is_bit_identical() {
                 local.to_snapshot_bytes(),
                 "{backend:?}: snapshot bytes diverged after spill+revival"
             );
+            // Step by step: a tie broken differently at the active set's
+            // minimum can re-converge a few updates later.
+            for (t, (x, y)) in more.iter().enumerate() {
+                client
+                    .update_batch(std::slice::from_ref(&(x.clone(), *y)))
+                    .unwrap();
+                local.update(x, *y);
+                assert!(
+                    client.snapshot().unwrap() == local.to_snapshot_bytes(),
+                    "{backend:?}: model {salt} diverged {t} updates after revival"
+                );
+            }
         }
         let stats = client.stats().unwrap();
         assert!(stats.revivals_total > 0, "{backend:?}: nothing was revived");

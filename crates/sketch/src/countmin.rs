@@ -183,12 +183,9 @@ impl CountMinSketch {
 
     /// Point estimate (minimum over rows); always ≥ the true count.
     ///
-    /// Deliberately *not* routed through the `wmsketch_hashing::simd`
-    /// kernel layer: an order-sensitive `<` fold cannot use lane-parallel
-    /// `minpd` without changing which of two equal (`±0.0`) cells wins,
-    /// so staging offsets just to re-fold them would cost a second pass
-    /// for zero vectorization — the interleaved hash-and-fold walk is the
-    /// fastest correct form.
+    /// An interleaved hash-and-fold walk: no offsets are staged, and the
+    /// order-sensitive `<` fold keeps which of two equal (`±0.0`) cells
+    /// wins fixed.
     #[inline]
     #[must_use]
     pub fn estimate(&self, key: u64) -> f64 {

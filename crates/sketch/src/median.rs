@@ -14,7 +14,7 @@
 //! [`median_inplace`] dispatches between them by length; golden tests pin
 //! the two paths to identical results across odd and even depths.
 
-use wmsketch_hashing::{simd, RowHashers};
+use wmsketch_hashing::RowHashers;
 
 /// Largest slice length routed through the sorting network; deeper inputs
 /// fall back to introselect. 16 covers every per-row median the paper's
@@ -169,10 +169,8 @@ const STACK_DEPTH: usize = 64;
 /// Depth 1 — the paper's best AWM shape — skips the buffer and median
 /// machinery entirely: a 1-row "median" is just the sign-corrected cell,
 /// canonicalized exactly as [`median_inplace`] would (`+ 0.0`). Deeper
-/// sketches hash the key's coordinates into stack buffers and run the
-/// value fill through the runtime-dispatched
-/// [`wmsketch_hashing::simd::gather_scaled`] kernel; both paths are
-/// bit-identical to the pre-kernel interleaved loop.
+/// sketches fill a stack buffer with `scale · σ_j · cell` in row order as
+/// the key's coordinates are hashed, then take its median.
 #[must_use]
 pub fn signed_median_estimate(hashers: &RowHashers, cells: &[f64], key: u64, scale: f64) -> f64 {
     let depth = hashers.depth() as usize;
@@ -181,33 +179,19 @@ pub fn signed_median_estimate(hashers: &RowHashers, cells: &[f64], key: u64, sca
         // + 0.0 canonicalizes -0.0 to +0.0, matching median_inplace.
         return scale * bs.sign * cells[bs.bucket as usize] + 0.0;
     }
-    let mut off_spill;
-    let mut sg_spill;
     let mut val_spill;
-    let mut off_buf = [0u32; STACK_DEPTH];
-    let mut sg_buf = [0.0f64; STACK_DEPTH];
     let mut val_buf = [0.0f64; STACK_DEPTH];
-    let (offsets, signs, vals): (&mut [u32], &mut [f64], &mut [f64]) = if depth <= STACK_DEPTH {
-        (
-            &mut off_buf[..depth],
-            &mut sg_buf[..depth],
-            &mut val_buf[..depth],
-        )
+    let vals: &mut [f64] = if depth <= STACK_DEPTH {
+        &mut val_buf[..depth]
     } else {
-        off_spill = vec![0u32; depth];
-        sg_spill = vec![0.0; depth];
         val_spill = vec![0.0; depth];
-        (&mut off_spill, &mut sg_spill, &mut val_spill)
+        &mut val_spill
     };
     let mut j = 0;
     hashers.for_each_coord(key, |offset, sign| {
-        // The cast is exact: RowHashers::new asserts depth × width fits
-        // the u32 offset space, and offset < depth × width.
-        offsets[j] = offset as u32;
-        signs[j] = sign;
+        vals[j] = scale * sign * cells[offset];
         j += 1;
     });
-    simd::gather_scaled(cells, offsets, signs, scale, vals);
     median_inplace(vals)
 }
 
