@@ -19,6 +19,16 @@
 //! costs `O(s·nnz(x))` rather than `O(k)`. A passive top-K heap tracks the
 //! heaviest estimated weights for `O(1)`-time retrieval, as in the
 //! reference implementation.
+//!
+//! Heap upkeep re-estimates every touched feature and offers it to the
+//! heap. Once the heap is full, most offers are rejected, so for depth > 1
+//! the fused [`OnlineLearner::update`] first asks whether the offer can
+//! succeed at all: an untracked feature enters a full heap only if its
+//! `|ŵ|` exceeds the heap's minimum `|w|`, and
+//! [`median_abs_exceeds`] answers that by counting row values against
+//! `±floor` — no median selection. The median is selected (and offered)
+//! only when the feature is tracked, the heap has room, or the feature
+//! will evict. See `update` for why this is exact.
 
 use crate::delta::DirtyCells;
 use wmsketch_hashing::codec::{self, CodecError, Reader, SnapshotCodec, Writer, KIND_WM};
@@ -27,7 +37,7 @@ use wmsketch_learn::{
     debug_check_label, Label, LearningRate, Loss, LossKind, MergeableLearner, OnlineLearner,
     ScaleState, SparseVector, TopKRecovery, WeightEntry, WeightEstimator,
 };
-use wmsketch_sketch::{median_inplace, signed_median_estimate};
+use wmsketch_sketch::{median_abs_exceeds, median_inplace, signed_median_estimate};
 
 /// Section tag: learner configuration (shape, hyperparameters, hashing).
 pub(crate) const SECTION_CONFIG: u8 = 0x01;
@@ -285,7 +295,8 @@ impl WmSketch {
     /// The seed implementation's three-pass update, retained as the
     /// reference path: it hashes every active feature once in the margin,
     /// again in the gradient scatter, and a third time per feature for
-    /// passive heap maintenance. [`WmSketch::update`] is the fused
+    /// passive heap maintenance, which offers every touched feature's
+    /// median with no admission gate. [`WmSketch::update`] is the fused
     /// single-hash pipeline; golden tests assert the two produce
     /// bit-identical sketches, and the `update_throughput` benchmark
     /// measures the speedup.
@@ -718,6 +729,24 @@ impl OnlineLearner for WmSketch {
     /// "median" is the sign-corrected cell). Arithmetic order matches
     /// [`WmSketch::update_naive`] operation for operation, so the
     /// resulting sketch state is bit-identical.
+    ///
+    /// **Admission gate (depth > 1).** [`wmsketch_hh::TopKWeights::offer`]
+    /// rejects an untracked feature when the heap is full and
+    /// `|ŵ| ≤ m`, `m` the heap's minimum `|w|`
+    /// ([`wmsketch_hh::TopKWeights::admission_floor`]). The estimate is
+    /// the lower median `s[k]`, `k = (n − 1)/2`, of the `n` row values,
+    /// and for any non-NaN `m`:
+    ///
+    /// * `s[k] > m` ⇔ `#{v > m} ≥ n − k`
+    /// * `s[k] < −m` ⇔ `#{v < −m} ≥ k + 1`
+    ///
+    /// so about `2n` comparisons ([`median_abs_exceeds`]) tell whether the
+    /// offer would be rejected. When it would, the median and the offer
+    /// are both skipped: a rejected offer changes nothing, so the heap —
+    /// and every snapshot — stays bit-identical to the ungated
+    /// [`WmSketch::update_naive`]. Otherwise the median is selected and
+    /// offered exactly as before. Cell updates and dirty-cell touches do
+    /// not depend on the gate.
     fn update(&mut self, x: &SparseVector, y: Label) {
         debug_check_label(y);
         self.t += 1;
@@ -755,18 +784,27 @@ impl OnlineLearner for WmSketch {
                     // maintenance in one walk over the cached cells — the
                     // post-scatter median comes from the values just
                     // written, not a fresh hash-and-recover per feature.
-                    let est = if depth_one {
+                    if depth_one {
                         // Depth-1 fast path: one cell, no median buffer.
                         // `+ 0.0` canonicalizes -0.0 exactly as
                         // median_inplace would.
                         let (offsets, signs) = plan.coords(slot);
                         let cell = &mut z[offsets[0] as usize];
                         *cell += signs[0] * delta;
-                        sqrt_s * signs[0] * *cell + 0.0
+                        heap.offer(i, sqrt_s * signs[0] * *cell + 0.0);
                     } else {
-                        median_inplace(plan.slot_scatter_and_values(slot, z, delta, sqrt_s))
-                    };
-                    heap.offer(i, est);
+                        let values = plan.slot_scatter_and_values(slot, z, delta, sqrt_s);
+                        // Admission gate: a full heap rejects an untracked
+                        // feature whose |estimate| is at most its floor, so
+                        // the median is selected only when the offer can
+                        // change the heap.
+                        let admitted = heap
+                            .admission_floor(i)
+                            .is_none_or(|floor| median_abs_exceeds(values, floor));
+                        if admitted {
+                            heap.offer(i, median_inplace(values));
+                        }
+                    }
                 } else {
                     plan.slot_scatter(slot, z, delta);
                 }

@@ -10,7 +10,7 @@
 //! hash families.
 
 use wmsketch_core::{AwmSketch, AwmSketchConfig, WmSketch, WmSketchConfig};
-use wmsketch_hashing::HashFamilyKind;
+use wmsketch_hashing::{HashFamilyKind, SnapshotCodec};
 use wmsketch_learn::{
     Label, LearningRate, OnlineLearner, SparseVector, TopKRecovery, WeightEstimator,
 };
@@ -151,6 +151,42 @@ fn wm_fused_matches_naive_without_heap() {
         assert!(fused.estimate(f) == naive.estimate(f), "estimate({f})");
     }
     assert!(fused.recover_top_k(8).is_empty());
+}
+
+/// Small heaps over a narrow sketch: the heap is full almost at once and
+/// nearly every offer meets a floor, so the fused path's median-skipping
+/// admission gate decides most offers. Even and odd depths on both sides
+/// of the sorting-network limit (16) and past it (introselect), both
+/// hash families; snapshots (heap contents included) are compared every
+/// 50 examples so a divergence is caught where it starts.
+#[test]
+fn wm_fused_matches_naive_under_dense_heap_churn() {
+    for kind in [HashFamilyKind::Tabulation, HashFamilyKind::Polynomial(4)] {
+        for depth in [2u32, 3, 15, 17] {
+            for capacity in [1usize, 8] {
+                let cfg = WmSketchConfig::new(32, depth)
+                    .heap_capacity(capacity)
+                    .lambda(1e-4)
+                    .learning_rate(LearningRate::Constant(0.3))
+                    .seed(u64::from(depth) * 31 + capacity as u64)
+                    .hash_family(kind);
+                let ctx = format!("{kind:?} d{depth} cap{capacity}");
+                let mut fused = WmSketch::new(cfg);
+                let mut naive = WmSketch::new(cfg);
+                for (t, (x, y)) in stream(1500, 0xC4E7 ^ u64::from(depth)).iter().enumerate() {
+                    fused.update(x, *y);
+                    naive.update_naive(x, *y);
+                    if t % 50 == 49 {
+                        assert!(
+                            fused.to_snapshot_bytes() == naive.to_snapshot_bytes(),
+                            "{ctx}: snapshots diverged by example {t}"
+                        );
+                    }
+                }
+                assert_wm_states_identical(&fused, &naive, &ctx);
+            }
+        }
+    }
 }
 
 #[test]

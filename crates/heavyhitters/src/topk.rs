@@ -43,6 +43,12 @@ pub enum Offer {
 /// would. Weight ordering is invariant under a positive global scale
 /// factor, so learners using the lazy-regularization scale trick (paper
 /// §5.1) can store pre-scale weights here directly.
+///
+/// [`TopKWeights::admission_floor`] exposes the rejection rule of
+/// [`TopKWeights::offer`] ahead of time: when it returns `Some(floor)`,
+/// every offer of that feature with `|weight| ≤ floor` is `Rejected`, so
+/// a caller whose weight estimate is costly (a Count-Sketch median) can
+/// first check the estimate against the floor and skip the offer.
 #[derive(Debug, Clone)]
 pub struct TopKWeights {
     heap: IndexedHeap<u32>,
@@ -136,6 +142,21 @@ impl TopKWeights {
             feature,
             weight: self.weights[&feature],
         })
+    }
+
+    /// The |weight| an offer of `feature` must exceed to change anything:
+    /// `Some(min |weight|)` when the tracker is full and `feature` is not
+    /// tracked, in which case [`TopKWeights::offer`] returns
+    /// [`Offer::Rejected`] for every `|weight| ≤` the floor and
+    /// [`Offer::Evicted`] above it. `None` when the tracker has spare
+    /// capacity or already tracks `feature` — every offer is then
+    /// admitted (`Inserted` / `Updated`).
+    #[must_use]
+    pub fn admission_floor(&self, feature: u32) -> Option<f64> {
+        if self.heap.len() < self.capacity || self.weights.contains_key(&feature) {
+            return None;
+        }
+        self.heap.peek_min().map(|(_, min_abs)| min_abs)
     }
 
     /// Sets the weight of an *already tracked* feature, rebalancing the
@@ -301,6 +322,35 @@ mod tests {
         }
         assert!(!t.contains(1));
         assert!(t.contains(5));
+    }
+
+    #[test]
+    fn admission_floor_predicts_offer_outcome() {
+        let mut t = TopKWeights::new(3);
+        assert_eq!(t.admission_floor(1), None, "empty tracker has room");
+        t.offer(1, 4.0);
+        t.offer(2, -2.5);
+        assert_eq!(t.admission_floor(7), None, "spare capacity");
+        t.offer(3, 6.0);
+        // Full: tracked features are always admitted, untracked ones must
+        // beat the minimum |weight|.
+        assert_eq!(t.admission_floor(2), None, "tracked feature");
+        assert_eq!(t.admission_floor(1), None, "tracked feature");
+        assert_eq!(t.admission_floor(7), Some(2.5));
+        assert_eq!(t.offer(7, 2.5), Offer::Rejected, "exactly at the floor");
+        assert_eq!(t.offer(7, -2.5), Offer::Rejected, "at the floor, negative");
+        assert_eq!(t.offer(7, 0.0), Offer::Rejected);
+        let above = f64::from_bits(2.5f64.to_bits() + 1);
+        assert_eq!(
+            t.offer(7, -above),
+            Offer::Evicted(WeightEntry {
+                feature: 2,
+                weight: -2.5
+            }),
+            "one ulp above the floor"
+        );
+        assert_eq!(t.admission_floor(2), Some(above), "evicted is untracked");
+        assert_eq!(t.admission_floor(7), None);
     }
 
     #[test]

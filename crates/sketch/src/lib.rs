@@ -19,7 +19,7 @@ pub mod median;
 pub use countmin::{CountMinSketch, CountMinUpdate};
 pub use countsketch::CountSketch;
 pub use median::{
-    median_inplace, median_network_inplace, median_select_inplace, signed_median_estimate,
-    NETWORK_MAX_DEPTH,
+    median_abs_exceeds, median_inplace, median_network_inplace, median_select_inplace,
+    signed_median_estimate, NETWORK_MAX_DEPTH,
 };
 pub use wmsketch_hashing::codec::{self, CodecError, SnapshotCodec};

@@ -13,6 +13,12 @@
 //!
 //! [`median_inplace`] dispatches between them by length; golden tests pin
 //! the two paths to identical results across odd and even depths.
+//!
+//! [`median_abs_exceeds`] answers `|median| > bound` without selecting at
+//! all: two counting passes decide which side of `±bound` the lower median
+//! falls on. Callers that only need that comparison (the WM-Sketch asking
+//! whether a feature can enter a full top-K heap) skip the selection when
+//! the answer is no.
 
 use wmsketch_hashing::RowHashers;
 
@@ -151,6 +157,38 @@ pub fn median_inplace(values: &mut [f64]) -> f64 {
         n if n <= NETWORK_MAX_DEPTH => median_network_inplace(values),
         _ => median_select_inplace(values),
     }
+}
+
+/// Whether `|median_inplace(values)| > bound`, decided by counting instead
+/// of selecting: the slice is only read, never reordered.
+///
+/// With `n = values.len()`, lower-median index `k = (n − 1) / 2` and `s`
+/// the sorted values, two order-statistic identities hold for every
+/// non-NaN `m`:
+///
+/// * `s[k] > m` ⇔ `#{v > m} ≥ n − k`
+/// * `s[k] < −m` ⇔ `#{v < −m} ≥ k + 1`
+///
+/// and `|s[k]| > m` ⇔ `s[k] > m ∨ s[k] < −m` (for negative `m` both sides
+/// are always true). The result therefore equals
+/// `median_inplace(values).abs() > bound` exactly — ties, signed zeros
+/// (which compare equal, so the `+0.0` canonicalization cannot matter)
+/// and infinities included. An empty slice has median `0.0`; a NaN
+/// `bound` gives `false`, as `> NaN` does.
+#[must_use]
+#[inline]
+pub fn median_abs_exceeds(values: &[f64], bound: f64) -> bool {
+    let n = values.len();
+    if n == 0 {
+        return 0.0 > bound;
+    }
+    let k = (n - 1) / 2;
+    let (mut above, mut below) = (0usize, 0usize);
+    for &v in values {
+        above += usize::from(v > bound);
+        below += usize::from(v < -bound);
+    }
+    above >= n - k || below > k
 }
 
 /// Row values are recovered into a stack buffer up to this depth; deeper
@@ -334,6 +372,71 @@ mod tests {
         let _ = median_network_inplace(&mut v);
         let negs = v.iter().filter(|x| x.is_sign_negative()).count();
         assert_eq!(negs, 3, "signed-zero multiset changed: {v:?}");
+    }
+
+    /// `median_abs_exceeds` must agree with `|median_inplace| > bound` for
+    /// every length on both sides of the network boundary, on tie-heavy
+    /// values, and above all at bounds that tie exactly with a slice value
+    /// (where `>` vs `≥` in either count would flip the answer).
+    #[test]
+    fn median_abs_exceeds_matches_sorted_median_at_ties() {
+        use wmsketch_hashing::splitmix64;
+        let mut checked_ties = 0;
+        for n in 0..=NETWORK_MAX_DEPTH + 4 {
+            for case in 0..150u64 {
+                let vals: Vec<f64> = (0..n)
+                    .map(|i| {
+                        let h = splitmix64(case * 977 + i as u64 * 31 + n as u64);
+                        match h % 9 {
+                            0 => 0.0,
+                            1 => -0.0,
+                            2 => f64::INFINITY,
+                            3 => f64::NEG_INFINITY,
+                            4..=6 => f64::from((h >> 8) as u32 % 5) - 2.0, // ties
+                            _ => (h as f64 / u64::MAX as f64) * 2.0 - 1.0,
+                        }
+                    })
+                    .collect();
+                let median = median_inplace(&mut vals.clone());
+                let mut bounds = vec![0.0, -0.0, -1.0, -0.5, f64::INFINITY, median.abs()];
+                bounds.extend(vals.iter().map(|v| v.abs()));
+                bounds.extend(vals.iter().copied());
+                for bound in bounds {
+                    assert_eq!(
+                        median_abs_exceeds(&vals, bound),
+                        median.abs() > bound,
+                        "n={n} case={case} bound={bound} median={median} vals={vals:?}"
+                    );
+                    checked_ties += usize::from(median.abs() == bound);
+                }
+            }
+        }
+        assert!(
+            checked_ties > 1000,
+            "too few exact-tie bounds: {checked_ties}"
+        );
+    }
+
+    #[test]
+    fn median_abs_exceeds_edge_cases() {
+        // Empty: the median is 0.
+        assert!(!median_abs_exceeds(&[], 0.0));
+        assert!(median_abs_exceeds(&[], -1.0));
+        // Exact ties never exceed.
+        assert!(!median_abs_exceeds(&[2.0, 2.0, 2.0], 2.0));
+        assert!(!median_abs_exceeds(&[-2.0, -2.0, -2.0], 2.0));
+        assert!(median_abs_exceeds(&[-2.0, -2.0, -2.0], 1.999));
+        // Lower median of an even count.
+        assert!(!median_abs_exceeds(&[1.0, 5.0], 1.0));
+        assert!(median_abs_exceeds(&[-5.0, -1.0], 1.0));
+        // Signed zeros compare equal to a zero bound.
+        assert!(!median_abs_exceeds(&[-0.0, 0.0, -0.0], 0.0));
+        assert!(!median_abs_exceeds(&[-0.0, 0.0, -0.0], -0.0));
+        // Infinities.
+        assert!(!median_abs_exceeds(&[f64::INFINITY; 3], f64::INFINITY));
+        assert!(median_abs_exceeds(&[f64::NEG_INFINITY; 3], 1e300));
+        // A NaN bound compares false, like `> NaN`.
+        assert!(!median_abs_exceeds(&[1.0, 2.0, 3.0], f64::NAN));
     }
 
     #[test]
