@@ -288,13 +288,12 @@ impl AwmSketch {
 
     /// Adds `delta` (pre-scale) to `feature`'s sketch cells.
     fn sketch_add(&mut self, feature: u32, delta: f64) {
-        let width = self.cfg.width as usize;
         let d = delta * self.inv_sqrt_s;
-        for (j, bs) in self.hashers.bucket_signs(u64::from(feature)) {
-            let cell = j * width + bs.bucket as usize;
-            self.z[cell] += bs.sign * d;
-            self.dirty.touch(cell);
-        }
+        self.hashers
+            .for_each_coord(u64::from(feature), |cell, sign| {
+                self.z[cell] += sign * d;
+                self.dirty.touch(cell);
+            });
     }
 
     fn fold_scale(&mut self) {
@@ -696,16 +695,14 @@ impl SnapshotCodec for AwmSketch {
 impl OnlineLearner for AwmSketch {
     fn margin(&self, x: &SparseVector) -> f64 {
         // τ = Σ_{i∈S} S[i]·x_i + zᵀRx_{∉S}, all times the global scale.
-        let width = self.cfg.width as usize;
         let mut acc = 0.0;
         for (i, xi) in x.iter() {
             if let Some(w) = self.active.get(i) {
                 acc += w * xi;
             } else {
                 let mut proj = 0.0;
-                for (j, bs) in self.hashers.bucket_signs(u64::from(i)) {
-                    proj += bs.sign * self.z[j * width + bs.bucket as usize];
-                }
+                self.hashers
+                    .for_each_coord(u64::from(i), |offset, sign| proj += sign * self.z[offset]);
                 acc += xi * proj * self.inv_sqrt_s;
             }
         }
@@ -722,7 +719,7 @@ impl OnlineLearner for AwmSketch {
     /// whose membership changes mid-update — an eviction displacing a
     /// margin-time-active feature — are planned lazily at their turn.
     /// Depth-1 sketches (the paper's best AWM shape) skip the median
-    /// machinery via [`slot_value_depth1`]. Arithmetic order matches
+    /// machinery via `slot_value_depth1`. Arithmetic order matches
     /// [`AwmSketch::update_naive`] operation for operation, so the
     /// resulting state is bit-identical.
     fn update(&mut self, x: &SparseVector, y: Label) {

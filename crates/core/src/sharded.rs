@@ -23,7 +23,7 @@
 //!   deferred to merge time. Workers instead track **candidate features**
 //!   by accumulated ℓ1 touch mass (`Σ|x_i|`, the heavy-hitter notion
 //!   behind the paper's `γ = max‖x‖₁` bound) in a flat-map tracker with
-//!   Space-Saving-style floor inheritance (see [`TouchMassTracker`]), and
+//!   Space-Saving-style floor inheritance (see `TouchMassTracker`), and
 //!   the merged root re-estimates the candidate union against the merged
 //!   cells ([`MergeableLearner::rebuild_top_k`]). This is why sharding
 //!   pays even on a single core.

@@ -280,13 +280,11 @@ impl WmSketch {
 
     /// Pre-scale margin contribution `z_vᵀRx`.
     fn raw_margin(&self, x: &SparseVector) -> f64 {
-        let width = self.cfg.width as usize;
         let mut acc = 0.0;
         for (i, xi) in x.iter() {
             let mut proj = 0.0;
-            for (j, bs) in self.hashers.bucket_signs(u64::from(i)) {
-                proj += bs.sign * self.z[j * width + bs.bucket as usize];
-            }
+            self.hashers
+                .for_each_coord(u64::from(i), |offset, sign| proj += sign * self.z[offset]);
             acc += xi * proj;
         }
         acc * self.inv_sqrt_s

@@ -7,18 +7,40 @@
 //! bits) select the bucket, which costs one table-hash evaluation per row
 //! per feature.
 //!
-//! [`RowHashers`] stores the rows *monomorphized by family* — a
-//! `Vec<TabulationHash>` or a `Vec<PolyHash>`, never a vector of enums — so
-//! the batch entry points ([`RowHashers::fill_plan`],
-//! [`RowHashers::for_each_coord`]) dispatch on the family once per call and
-//! run the row loop on concrete types. The single-hash update pipeline in
-//! `wmsketch-core` builds a [`CoordPlan`] per example and replays it for the
-//! margin, the gradient scatter, and heap re-estimation, paying the hash
-//! cost exactly once per `(feature, row)` pair.
+//! [`RowHashers`] stores the rows *monomorphized by family*, never as a
+//! vector of enums, and hashes a key for every row in one call
+//! ([`RowHashers::for_each_coord`], [`RowHashers::fill_plan`]). The
+//! single-hash update pipeline in `wmsketch-core` builds a [`CoordPlan`]
+//! per example and replays it for the margin, the gradient scatter, and
+//! heap re-estimation, paying the hash cost exactly once per
+//! `(feature, row)` pair.
+//!
+//! # Row-interleaved tabulation tables
+//!
+//! Row `j`'s tabulation function is the [`TabulationHash`] of the `j`-th
+//! seed drawn from the sketch seed, but the rows do not own separate
+//! tables. All `depth` functions live in one array: the entry for
+//! `(chunk, byte, row)` sits at `(chunk·256 + byte)·depth + row`. The
+//! words a key needs from every row are then eight contiguous
+//! `depth`-long lanes, one per key byte, and hashing the key for all rows
+//! is a sweep that XORs the lanes element by element. The array holds the
+//! same words as `depth` separate tables, so it costs the same 16 KiB per
+//! row.
+//!
+//! Feature ids are `u32`, so the four high bytes of a key are almost
+//! always zero and their four lanes are the same for every such key. Each
+//! row keeps their XOR (`hi_zero`), and a key below `2^32` sweeps only
+//! its four low lanes plus `hi_zero`. XOR is associative and commutative,
+//! so this gives every row the same hash bit for bit as the eight-lookup
+//! [`TabulationHash::hash`].
+//!
+//! A depth-1 sketch (the AWM-Sketch's usual shape) skips the sweep and
+//! makes the eight lookups directly: with one-word lanes, setting up the
+//! lanes costs more per key than the sweep saves.
 
 use crate::mix::{fast_range, SplitMix64};
 use crate::poly::PolyHash;
-use crate::tabulation::TabulationHash;
+use crate::tabulation::{fill_interleaved, TabulationHash, NUM_CHUNKS, TABLE_SIZE};
 
 /// Which hash family backs a sketch's rows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -126,18 +148,94 @@ impl RowHasher {
     }
 }
 
-/// Monomorphized row storage: one vector of concrete hash functions per
-/// family, so batch loops never dispatch per row.
+/// Every row's tabulation tables, row-interleaved (see the module docs).
+#[derive(Clone)]
+struct TabRows {
+    /// `NUM_CHUNKS × TABLE_SIZE × depth` words; `(chunk, byte, row)` sits
+    /// at `(chunk·TABLE_SIZE + byte)·depth + row`.
+    table: Box<[u64]>,
+    /// Per row, the XOR of chunks 4–7 at byte 0: the high half of the
+    /// hash of every key below `2^32`.
+    hi_zero: Box<[u64]>,
+}
+
+impl TabRows {
+    /// Interleaves the functions [`TabulationHash::new`] builds from each
+    /// of `row_seeds`, one row per seed.
+    fn new(row_seeds: &[u64]) -> Self {
+        let depth = row_seeds.len();
+        let mut table = vec![0u64; NUM_CHUNKS * TABLE_SIZE * depth].into_boxed_slice();
+        fill_interleaved(row_seeds, &mut table);
+        let hi_zero = (0..depth)
+            .map(|row| {
+                (4..NUM_CHUNKS).fold(0, |h, chunk| h ^ table[chunk * TABLE_SIZE * depth + row])
+            })
+            .collect();
+        Self { table, hi_zero }
+    }
+
+    fn depth(&self) -> usize {
+        self.hi_zero.len()
+    }
+
+    /// Row `row`'s hash of `key`: eight direct lookups.
+    #[inline]
+    fn hash(&self, row: usize, key: u64) -> u64 {
+        let depth = self.depth();
+        assert!(row < depth, "row {row} out of range for depth {depth}");
+        let mut h = 0u64;
+        for (chunk, &b) in key.to_le_bytes().iter().enumerate() {
+            h ^= self.table[(chunk * TABLE_SIZE + usize::from(b)) * depth + row];
+        }
+        h
+    }
+
+    /// The all-rows kernel: calls `f(row, hash)` for every row in order,
+    /// XORing the key's contiguous lanes (four and `hi_zero` for a key
+    /// below `2^32`, else eight) when `depth > 1`.
+    #[inline(always)]
+    fn for_each_row(&self, key: u64, mut f: impl FnMut(usize, u64)) {
+        let depth = self.depth();
+        if depth == 1 {
+            // One-word lanes: eight direct lookups skip the sweep's
+            // per-key lane set-up, which costs more than it saves here.
+            return f(0, self.hash(0, key));
+        }
+        let lane = |chunk: usize, byte: u8| {
+            let at = (chunk * TABLE_SIZE + usize::from(byte)) * depth;
+            &self.table[at..at + depth]
+        };
+        let b = key.to_le_bytes();
+        let (l0, l1, l2, l3) = (lane(0, b[0]), lane(1, b[1]), lane(2, b[2]), lane(3, b[3]));
+        if key >> 32 == 0 {
+            let hi = &self.hi_zero[..depth];
+            for j in 0..depth {
+                f(j, l0[j] ^ l1[j] ^ l2[j] ^ l3[j] ^ hi[j]);
+            }
+        } else {
+            let (l4, l5, l6, l7) = (lane(4, b[4]), lane(5, b[5]), lane(6, b[6]), lane(7, b[7]));
+            for j in 0..depth {
+                f(
+                    j,
+                    l0[j] ^ l1[j] ^ l2[j] ^ l3[j] ^ l4[j] ^ l5[j] ^ l6[j] ^ l7[j],
+                );
+            }
+        }
+    }
+}
+
+/// Monomorphized row storage: concrete hash functions per family, so
+/// the all-rows loop never dispatches per row.
 #[derive(Clone)]
 enum Rows {
-    Tab(Vec<TabulationHash>),
+    Tab(TabRows),
     Poly(Vec<PolyHash>),
 }
 
 impl Rows {
     fn len(&self) -> usize {
         match self {
-            Rows::Tab(v) => v.len(),
+            Rows::Tab(t) => t.depth(),
             Rows::Poly(v) => v.len(),
         }
     }
@@ -145,8 +243,21 @@ impl Rows {
     #[inline]
     fn raw(&self, j: usize, key: u64) -> u64 {
         match self {
-            Rows::Tab(v) => v[j].hash(key),
+            Rows::Tab(t) => t.hash(j, key),
             Rows::Poly(v) => v[j].hash(key).wrapping_mul(POLY_SPREAD),
+        }
+    }
+
+    /// Calls `f(row, raw_hash)` for every row of `key`, in row order.
+    #[inline(always)]
+    fn for_each_raw(&self, key: u64, mut f: impl FnMut(usize, u64)) {
+        match self {
+            Rows::Tab(t) => t.for_each_row(key, f),
+            Rows::Poly(v) => {
+                for (j, p) in v.iter().enumerate() {
+                    f(j, p.hash(key).wrapping_mul(POLY_SPREAD));
+                }
+            }
         }
     }
 }
@@ -188,11 +299,10 @@ impl RowHashers {
         );
         let mut seeds = SplitMix64::new(seed);
         let rows = match kind {
-            HashFamilyKind::Tabulation => Rows::Tab(
-                (0..depth)
-                    .map(|_| TabulationHash::new(seeds.next_u64()))
-                    .collect(),
-            ),
+            HashFamilyKind::Tabulation => {
+                let row_seeds: Vec<u64> = (0..depth).map(|_| seeds.next_u64()).collect();
+                Rows::Tab(TabRows::new(&row_seeds))
+            }
             HashFamilyKind::Polynomial(k) => Rows::Poly(
                 (0..depth)
                     .map(|_| PolyHash::new(k, seeds.next_u64()))
@@ -215,7 +325,8 @@ impl RowHashers {
     }
 
     /// Heap bytes the row hash functions own. For the tabulation default
-    /// this is 16 KiB *per row* — typically far more than a small
+    /// this is 16 KiB *per row* (its share of the interleaved tables)
+    /// plus one 8-byte `hi_zero` word — typically far more than a small
     /// sketch's cell array, and the reason a memory-governed registry
     /// must not cost models by the paper's §7.1 figure alone (hashers
     /// rebuild deterministically from the config seed, so spilling a
@@ -223,10 +334,7 @@ impl RowHashers {
     #[must_use]
     pub fn resident_bytes(&self) -> usize {
         match &self.rows {
-            Rows::Tab(v) => {
-                v.capacity() * std::mem::size_of::<TabulationHash>()
-                    + v.iter().map(TabulationHash::resident_bytes).sum::<usize>()
-            }
+            Rows::Tab(t) => (t.table.len() + t.hi_zero.len()) * std::mem::size_of::<u64>(),
             Rows::Poly(v) => {
                 v.capacity() * std::mem::size_of::<PolyHash>()
                     + v.iter().map(PolyHash::resident_bytes).sum::<usize>()
@@ -255,9 +363,10 @@ impl RowHashers {
 
     /// Iterates over `(row_index, BucketSign)` for a feature key.
     ///
-    /// This is the *reference* path: it dispatches on the hash family per
-    /// row. The batch entry points below hoist that dispatch out of the
-    /// loop; the fused sketch updates use those.
+    /// This is the *reference* path: it hashes each row on its own,
+    /// dispatching on the hash family per row. The all-rows entry points
+    /// below sweep every row in one pass; the fused sketch paths use
+    /// those.
     #[inline]
     pub fn bucket_signs(&self, key: u64) -> impl Iterator<Item = (usize, BucketSign)> + '_ {
         (0..self.rows.len()).map(move |j| (j, self.bucket_sign(j, key)))
@@ -265,25 +374,15 @@ impl RowHashers {
 
     /// Calls `f(flat_offset, sign)` for every row's cell of `key`, where
     /// `flat_offset = row × width + bucket` indexes a row-major cell array.
-    /// Dispatches on the hash family once per call.
+    /// Rows come in order, hashed in one sweep.
     #[inline]
     pub fn for_each_coord<F: FnMut(usize, f64)>(&self, key: u64, mut f: F) {
         let width = self.width as usize;
         let w = u64::from(self.width);
-        match &self.rows {
-            Rows::Tab(rows) => {
-                for (j, t) in rows.iter().enumerate() {
-                    let bs = split_bucket_sign(t.hash(key), w);
-                    f(j * width + bs.bucket as usize, bs.sign);
-                }
-            }
-            Rows::Poly(rows) => {
-                for (j, p) in rows.iter().enumerate() {
-                    let bs = split_bucket_sign(p.hash(key).wrapping_mul(POLY_SPREAD), w);
-                    f(j * width + bs.bucket as usize, bs.sign);
-                }
-            }
-        }
+        self.rows.for_each_raw(key, |j, h| {
+            let bs = split_bucket_sign(h, w);
+            f(j * width + bs.bucket as usize, bs.sign);
+        });
     }
 
     /// Calls `f(flat_offset)` for every row's cell of `key` (unsigned
@@ -292,40 +391,27 @@ impl RowHashers {
     pub fn for_each_bucket<F: FnMut(usize)>(&self, key: u64, mut f: F) {
         let width = self.width as usize;
         let w = u64::from(self.width);
-        match &self.rows {
-            Rows::Tab(rows) => {
-                for (j, t) in rows.iter().enumerate() {
-                    f(j * width + fast_range(t.hash(key) << 1, w) as usize);
-                }
-            }
-            Rows::Poly(rows) => {
-                for (j, p) in rows.iter().enumerate() {
-                    let h = p.hash(key).wrapping_mul(POLY_SPREAD);
-                    f(j * width + fast_range(h << 1, w) as usize);
-                }
-            }
-        }
+        self.rows
+            .for_each_raw(key, |j, h| f(j * width + fast_range(h << 1, w) as usize));
     }
 
     /// Rebuilds `plan` to cover `keys`, hashing each key exactly once per
-    /// row. The family dispatch happens once per call, not per key.
+    /// row and writing its run of coordinates in place.
     pub fn fill_plan(&self, plan: &mut CoordPlan, keys: &[u32]) {
-        plan.reset(self.rows.len(), keys.len());
+        let depth = self.rows.len();
+        plan.reset(depth, keys.len());
+        let runs = plan
+            .offsets
+            .chunks_exact_mut(depth)
+            .zip(plan.signs.chunks_exact_mut(depth));
         let width = self.width as usize;
         let w = u64::from(self.width);
-        match &self.rows {
-            Rows::Tab(rows) => {
-                for &key in keys {
-                    push_key_coords(rows, width, w, u64::from(key), plan, |t, k| t.hash(k));
-                }
-            }
-            Rows::Poly(rows) => {
-                for &key in keys {
-                    push_key_coords(rows, width, w, u64::from(key), plan, |p, k| {
-                        p.hash(k).wrapping_mul(POLY_SPREAD)
-                    });
-                }
-            }
+        for (&key, (offsets, signs)) in keys.iter().zip(runs) {
+            self.rows.for_each_raw(u64::from(key), |j, h| {
+                let bs = split_bucket_sign(h, w);
+                offsets[j] = (j * width + bs.bucket as usize) as u32;
+                signs[j] = bs.sign;
+            });
         }
     }
 
@@ -337,34 +423,17 @@ impl RowHashers {
 
     /// Appends one key's coordinates to `plan`, returning its slot index.
     pub fn plan_push(&self, plan: &mut CoordPlan, key: u64) -> usize {
+        let slot = plan.nnz;
+        plan.nnz += 1;
         let width = self.width as usize;
         let w = u64::from(self.width);
-        match &self.rows {
-            Rows::Tab(rows) => push_key_coords(rows, width, w, key, plan, |t, k| t.hash(k)),
-            Rows::Poly(rows) => push_key_coords(rows, width, w, key, plan, |p, k| {
-                p.hash(k).wrapping_mul(POLY_SPREAD)
-            }),
-        }
+        self.rows.for_each_raw(key, |j, h| {
+            let bs = split_bucket_sign(h, w);
+            plan.offsets.push((j * width + bs.bucket as usize) as u32);
+            plan.signs.push(bs.sign);
+        });
+        slot
     }
-}
-
-#[inline]
-fn push_key_coords<H>(
-    rows: &[H],
-    width: usize,
-    w: u64,
-    key: u64,
-    plan: &mut CoordPlan,
-    raw: impl Fn(&H, u64) -> u64,
-) -> usize {
-    let slot = plan.nnz;
-    plan.nnz += 1;
-    for (j, h) in rows.iter().enumerate() {
-        let bs = split_bucket_sign(raw(h, key), w);
-        plan.offsets.push((j * width + bs.bucket as usize) as u32);
-        plan.signs.push(bs.sign);
-    }
-    slot
 }
 
 /// Cached per-example sketch coordinates — the heart of the single-hash
@@ -380,10 +449,10 @@ fn push_key_coords<H>(
 ///
 /// The plan also owns the median scratch buffer, so estimate recovery
 /// during updates never allocates — including at depths past the stack
-/// buffer limit of the cold-path [`wmsketch-sketch`] helper.
+/// buffer limit of the cold-path `wmsketch-sketch` helper.
 ///
-/// All buffers are retained across [`CoordPlan::reset`] calls; steady-state
-/// updates do no allocation at all.
+/// All buffers are retained when a plan is rebuilt; steady-state updates
+/// do no allocation at all.
 #[derive(Default, Clone)]
 pub struct CoordPlan {
     /// `nnz × depth` flat cell offsets, slot-major.
@@ -414,15 +483,13 @@ impl CoordPlan {
         Self::default()
     }
 
-    /// Clears the plan and reserves room for `nnz` keys of `depth` rows.
+    /// Sizes the plan to `nnz` keys of `depth` rows. The caller
+    /// overwrites every coordinate, so retained entries are not cleared.
     fn reset(&mut self, depth: usize, nnz: usize) {
         self.depth = depth;
-        self.nnz = 0;
-        self.offsets.clear();
-        self.signs.clear();
-        let cap = depth * nnz;
-        self.offsets.reserve(cap);
-        self.signs.reserve(cap);
+        self.nnz = nnz;
+        self.offsets.resize(depth * nnz, 0);
+        self.signs.resize(depth * nnz, 0.0);
     }
 
     /// Number of planned keys.
@@ -495,7 +562,6 @@ impl CoordPlan {
     pub fn slot_values(&mut self, slot: usize, cells: &[f64], scale: f64) -> &mut [f64] {
         let lo = slot * self.depth;
         let hi = lo + self.depth;
-        self.scratch.clear();
         self.scratch.resize(self.depth, 0.0);
         let coords = self.offsets[lo..hi].iter().zip(&self.signs[lo..hi]);
         for ((&o, &s), v) in coords.zip(&mut self.scratch) {
@@ -524,7 +590,6 @@ impl CoordPlan {
     ) -> &mut [f64] {
         let lo = slot * self.depth;
         let hi = lo + self.depth;
-        self.scratch.clear();
         self.scratch.resize(self.depth, 0.0);
         let coords = self.offsets[lo..hi].iter().zip(&self.signs[lo..hi]);
         for ((&o, &s), v) in coords.zip(&mut self.scratch) {
@@ -539,6 +604,25 @@ impl CoordPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Depths the all-rows kernel is checked at: a single lane, a short
+    /// one, the 8 KB WM shape, and a deep one.
+    const KERNEL_DEPTHS: [u32; 4] = [1, 2, 14, 80];
+
+    /// Keys at and above `2^32` (the eight-lane path) and keys with every
+    /// byte nonzero, besides the `u32` edge values.
+    const WIDE_KEYS: [u64; 10] = [
+        1 << 32,
+        (1 << 32) + 1,
+        0xFFFF_FFFF_0000_0000,
+        0x0102_0304_0506_0708,
+        0x8070_6050_4030_2010,
+        0xDEAD_BEEF_CAFE_F00D,
+        u64::MAX,
+        0x0101_0101,
+        0x7F3A_91C5,
+        0xFFFF_FFFF,
+    ];
 
     #[test]
     fn buckets_in_range_and_signs_unit() {
@@ -631,6 +715,53 @@ mod tests {
                 }
             }
         }
+        // Every entry point against independently built single rows, at
+        // every kernel depth and on keys past `u32::MAX`.
+        for kind in [HashFamilyKind::Tabulation, HashFamilyKind::Polynomial(3)] {
+            for depth in KERNEL_DEPTHS {
+                let hs = RowHashers::new(kind, depth, 1000, 321);
+                let mut seeds = SplitMix64::new(321);
+                let singles: Vec<RowHasher> = (0..depth)
+                    .map(|_| RowHasher::new(kind, 1000, seeds.next_u64()))
+                    .collect();
+                for key in WIDE_KEYS {
+                    let expect: Vec<(usize, f64)> = singles
+                        .iter()
+                        .enumerate()
+                        .map(|(j, r)| {
+                            let bs = r.bucket_sign(key);
+                            (j * 1000 + bs.bucket as usize, bs.sign)
+                        })
+                        .collect();
+                    let mut coords = Vec::new();
+                    hs.for_each_coord(key, |offset, sign| coords.push((offset, sign)));
+                    assert_eq!(coords, expect, "kind {kind:?} depth {depth} key {key:#x}");
+                    for (j, r) in singles.iter().enumerate() {
+                        assert_eq!(hs.bucket_sign(j, key), r.bucket_sign(key));
+                        assert_eq!(hs.bucket(j, key), r.bucket(key));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn resident_bytes_are_sixteen_kib_and_a_word_per_tabulation_row() {
+        for depth in [1u32, 14, 80] {
+            let hs = RowHashers::new(HashFamilyKind::Tabulation, depth, 128, 5);
+            assert_eq!(
+                hs.resident_bytes(),
+                depth as usize * (16_384 + 8),
+                "depth {depth}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn bucket_sign_past_the_last_row_panics() {
+        let hs = RowHashers::new(HashFamilyKind::Tabulation, 3, 64, 1);
+        let _ = hs.bucket_sign(3, 7);
     }
 
     #[test]
@@ -649,6 +780,24 @@ mod tests {
                 hs.for_each_bucket(key, |offset| buckets.push(offset));
                 let expect: Vec<usize> = expect.iter().map(|&(offset, _)| offset).collect();
                 assert_eq!(buckets, expect);
+            }
+            for depth in KERNEL_DEPTHS {
+                let hs = RowHashers::new(kind, depth, 48, 9);
+                for key in WIDE_KEYS {
+                    let mut coords = Vec::new();
+                    hs.for_each_coord(key, |offset, sign| coords.push((offset, sign)));
+                    let expect: Vec<(usize, f64)> = hs
+                        .bucket_signs(key)
+                        .map(|(j, bs)| (j * 48 + bs.bucket as usize, bs.sign))
+                        .collect();
+                    assert_eq!(coords, expect, "kind {kind:?} depth {depth} key {key:#x}");
+                    let mut buckets = Vec::new();
+                    hs.for_each_bucket(key, |offset| buckets.push(offset));
+                    let expect: Vec<usize> = (0..depth as usize)
+                        .map(|j| j * 48 + hs.bucket(j, key) as usize)
+                        .collect();
+                    assert_eq!(buckets, expect, "kind {kind:?} depth {depth} key {key:#x}");
+                }
             }
         }
     }
@@ -670,6 +819,40 @@ mod tests {
                             offsets[j] as usize,
                             j * 96 + bs.bucket as usize,
                             "kind {kind:?} depth {depth} key {key} row {j}"
+                        );
+                        assert_eq!(signs[j], bs.sign);
+                    }
+                }
+            }
+            // `u64` keys reach the plan through `plan_push`; the `u32`
+            // ones through `fill_plan` as well.
+            for depth in KERNEL_DEPTHS {
+                let hs = RowHashers::new(kind, depth, 96, 4);
+                let narrow: Vec<u32> = WIDE_KEYS
+                    .iter()
+                    .filter_map(|&k| u32::try_from(k).ok())
+                    .chain([0, 255, 65_535])
+                    .collect();
+                let mut plan = CoordPlan::new();
+                hs.fill_plan(&mut plan, &narrow);
+                for (slot, &key) in narrow.iter().enumerate() {
+                    let (offsets, signs) = plan.coords(slot);
+                    for (j, bs) in hs.bucket_signs(u64::from(key)) {
+                        assert_eq!(offsets[j] as usize, j * 96 + bs.bucket as usize);
+                        assert_eq!(signs[j], bs.sign, "kind {kind:?} depth {depth} key {key}");
+                    }
+                }
+                hs.begin_plan(&mut plan);
+                for (slot, &key) in WIDE_KEYS.iter().enumerate() {
+                    assert_eq!(hs.plan_push(&mut plan, key), slot);
+                }
+                for (slot, &key) in WIDE_KEYS.iter().enumerate() {
+                    let (offsets, signs) = plan.coords(slot);
+                    for (j, bs) in hs.bucket_signs(key) {
+                        assert_eq!(
+                            offsets[j] as usize,
+                            j * 96 + bs.bucket as usize,
+                            "kind {kind:?} depth {depth} key {key:#x} row {j}"
                         );
                         assert_eq!(signs[j], bs.sign);
                     }

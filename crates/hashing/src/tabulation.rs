@@ -6,11 +6,37 @@
 //! *"our implementation simply uses fast, 3-wise independent tabulation
 //! hashing. In our experiments, we did not observe any significant
 //! degradation in performance from this choice."*).
+//!
+//! `fill_interleaved` is the one place a seed becomes table words. It
+//! fills the row-interleaved tables of `RowHashers`, and a single
+//! [`TabulationHash`] is its one-row case, so the two cannot drift apart:
+//! a seed names the same function in either, and snapshots, which store
+//! only the seed, restore the same hashes.
 
 use crate::mix::SplitMix64;
 
-const NUM_CHUNKS: usize = 8;
-const TABLE_SIZE: usize = 256;
+/// Bytes per key, and so tables per hash function.
+pub(crate) const NUM_CHUNKS: usize = 8;
+/// Entries per table (one per byte value).
+pub(crate) const TABLE_SIZE: usize = 256;
+
+/// Fills `table` with the functions named by `seeds`, one row per seed,
+/// row-interleaved: the word for `(chunk, byte, row)` goes to
+/// `(chunk·TABLE_SIZE + byte)·seeds.len() + row`. Each row draws its words
+/// from its own stream, chunk-major.
+///
+/// # Panics
+/// Panics if `table` is not `NUM_CHUNKS × TABLE_SIZE × seeds.len()` words
+/// long.
+pub(crate) fn fill_interleaved(seeds: &[u64], table: &mut [u64]) {
+    assert_eq!(table.len(), NUM_CHUNKS * TABLE_SIZE * seeds.len());
+    for (row, &seed) in seeds.iter().enumerate() {
+        let mut stream = SplitMix64::new(seed ^ 0x7AB0_1A7E_0000_0001);
+        for word in table[row..].iter_mut().step_by(seeds.len()) {
+            *word = stream.next_u64();
+        }
+    }
+}
 
 /// A 3-wise independent hash function `u64 -> u64` via simple tabulation.
 ///
@@ -32,13 +58,8 @@ impl TabulationHash {
     /// from `seed`.
     #[must_use]
     pub fn new(seed: u64) -> Self {
-        let mut stream = SplitMix64::new(seed ^ 0x7AB0_1A7E_0000_0001);
         let mut tables = Box::new([[0u64; TABLE_SIZE]; NUM_CHUNKS]);
-        for table in tables.iter_mut() {
-            for entry in table.iter_mut() {
-                *entry = stream.next_u64();
-            }
-        }
+        fill_interleaved(&[seed], tables.as_flattened_mut());
         Self { tables }
     }
 

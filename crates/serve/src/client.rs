@@ -847,7 +847,7 @@ impl SelfHealingClient {
     /// [`ServeClient::predict`], retried.
     ///
     /// # Errors
-    /// As [`SelfHealingClient::retry`]-wrapped operations: the last
+    /// As every retried operation (see `SelfHealingClient::retry`): the last
     /// transient error once attempts are exhausted, remote errors
     /// immediately.
     pub fn predict(&mut self, x: &SparseVector) -> Result<(f64, Label), ServeError> {

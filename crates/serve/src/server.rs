@@ -1566,14 +1566,12 @@ fn handle_create(r: &mut Reader<'_>, state: &ServerState) -> Result<u32, ServeEr
     // cloning it into up to MAX_MODEL_SHARDS worker replicas — a
     // rejected >128-class template must cost one decode, not a full
     // shard-pool build.
-    {
-        let probe = wmsketch_core::decode_any_learner(&template)?;
-        if let LabelDomain::Classes(m) = probe.label_domain() {
-            if m > MAX_WIRE_CLASSES {
-                return Err(ServeError::Protocol(
-                    "class count exceeds the wire label encoding (i8 class indices)",
-                ));
-            }
+    let probe = wmsketch_core::decode_any_learner(&template)?;
+    if let LabelDomain::Classes(m) = probe.label_domain() {
+        if m > MAX_WIRE_CLASSES {
+            return Err(ServeError::Protocol(
+                "class count exceeds the wire label encoding (i8 class indices)",
+            ));
         }
     }
     // Encode the durable rebuild recipe before `template` moves into the
@@ -1590,7 +1588,14 @@ fn handle_create(r: &mut Reader<'_>, state: &ServerState) -> Result<u32, ServeEr
         shards,
         mode,
     };
-    let learner = spec.build()?;
+    // Unsharded, the probe is exactly what `spec.build()` would decode;
+    // a shard pool is built fresh, without the probe still resident.
+    let learner = if shards == 0 {
+        probe
+    } else {
+        drop(probe);
+        spec.build()?
+    };
     let label_domain = learner.label_domain();
     let stem = durability::file_stem(&name);
     // Governor admission — *before* the registry write lock, because
