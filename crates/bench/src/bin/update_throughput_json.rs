@@ -5,9 +5,9 @@
 //! path (`update_naive`), the fused single-hash pipeline (`update` /
 //! `update_batch`), the sharded pipeline (`ShardedLearner` at 1, 2,
 //! 4, and 8 shards, merge included), and the end-to-end serve ingest
-//! paths (`serve_ingest`: a loopback `wmsketch-serve` node — v6: its
-//! default WM model behind a 2-shard **deferred-heap** pool on the
-//! pipelined **event backend** — fed pipelined UPDATE frames, so
+//! paths (`serve_ingest`: a loopback `wmsketch-serve` node — its
+//! default WM model, one plain learner since v10, on the pipelined
+//! **event backend** — fed pipelined UPDATE frames, so
 //! framing, syscalls, and decode are all inside the timed region;
 //! `AWM_serve_ingest`: the same loopback wire but through the node's
 //! **model registry** — an AWM model created via OP_CREATE and addressed
@@ -44,6 +44,13 @@
 //! `config.cpu_features` probe: the update path has a single scalar
 //! implementation, so there is no second backend to compare.
 //!
+//! v10 serves every model as one plain learner: the `serve_ingest*` and
+//! `serve_saturation` rows drive an unsharded default WM model (v6–v9:
+//! a 2-shard deferred-heap pool), every serve row reports `shards: 0`,
+//! and `config.serve` loses its `shards`, `wm_mode` and
+//! `candidates_per_shard` keys. The in-process `WM_sharded_*` and
+//! `AWM_sharded_4` rows are unchanged.
+//!
 //! Usage: `update_throughput_json [OUTPUT_PATH]`
 //! (default output: `BENCH_update_throughput.json` in the working
 //! directory; see `crates/bench/README.md` for the schema).
@@ -69,13 +76,9 @@ const WARMUP_PASSES: usize = 1;
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 /// Examples per UPDATE frame on the serve ingest path.
 const SERVE_FRAME_EXAMPLES: usize = 1024;
-/// Worker count of the loopback serve node's WM model. v6 serves the
-/// default model through the deferred-heap sharded pipeline (the
-/// single-node throughput configuration), so the wire path rides the
-/// fastest learner the workspace has.
-const SERVE_SHARDS: usize = 2;
-/// Per-shard candidate-tracker capacity of the deferred-heap serve node.
-const SERVE_CANDIDATES: usize = 128;
+/// The `shards` value every serve row reports: each hosted model is one
+/// learner.
+const SERVE_ROW_SHARDS: usize = 0;
 /// UPDATE frames each client keeps in flight (pipelining depth). 1 would
 /// reproduce v5's blocking request/response cadence.
 const SERVE_PIPELINE_WINDOW: usize = 8;
@@ -84,7 +87,8 @@ const SATURATION_CONNECTIONS: usize = 16;
 
 struct Measurement {
     name: String,
-    /// Worker count for sharded variants; 1 for the sequential paths.
+    /// Worker count for sharded variants; 1 for the sequential
+    /// in-process paths; 0 for serve rows (one learner per model).
     shards: usize,
     /// Concurrent client connections (saturation rows only).
     connections: Option<usize>,
@@ -161,14 +165,12 @@ fn scrape_update_latency(
 }
 
 /// The loopback serve node every serve row runs against: the default WM
-/// model behind a [`SERVE_SHARDS`]-worker **deferred-heap** pool, on the
-/// event backend (pinned, so the row measures the readiness-driven loop
-/// regardless of env; off-Linux the pin clamps to the threaded backend
-/// and the row reflects that platform's real serving path).
+/// model, one plain learner, on the event backend (pinned, so the row
+/// measures the readiness-driven loop regardless of env; off-Linux the
+/// pin clamps to the threaded backend and the row reflects that
+/// platform's real serving path).
 fn serve_node_config(wm_cfg: WmSketchConfig) -> wmsketch_serve::ServeConfig {
-    wmsketch_serve::ServeConfig::new(wm_cfg, SERVE_SHARDS)
-        .deferred_heap(SERVE_CANDIDATES)
-        .backend(wmsketch_serve::ServeBackend::Event)
+    wmsketch_serve::ServeConfig::new(wm_cfg, 1).backend(wmsketch_serve::ServeBackend::Event)
 }
 
 /// End-to-end loopback ingest through `wmsketch-serve`: one node on an
@@ -178,15 +180,14 @@ fn serve_node_config(wm_cfg: WmSketchConfig) -> wmsketch_serve::ServeConfig {
 /// syscalls, and payload decode all inside the timed region.
 ///
 /// With `registry_template = None` the frames target the node's default
-/// WM model (v6: a deferred-heap shard pool — the node's throughput
-/// configuration); with a template snapshot the bench registers a model
-/// via OP_CREATE and drives ingest through the registry (v5's
+/// WM model; with a template snapshot the bench registers a model via
+/// OP_CREATE and drives ingest through the registry (v5's
 /// `AWM_serve_ingest` row), so the cost of the model-id indirection and
 /// registry dispatch is measured, not assumed.
 fn measure_serve_ingest(
     name: &str,
     wm_cfg: WmSketchConfig,
-    registry_template: Option<(&[u8], usize)>,
+    registry_template: Option<&[u8]>,
     data: &[(SparseVector, Label)],
 ) -> Measurement {
     use wmsketch_serve::{ServeClient, WmServer};
@@ -194,14 +195,12 @@ fn measure_serve_ingest(
         .expect("bind loopback server")
         .spawn();
     let mut client = ServeClient::connect(server.addr()).expect("connect loopback server");
-    let mut row_shards = SERVE_SHARDS;
     let mut model_name = "default";
-    if let Some((template, shards)) = registry_template {
+    if let Some(template) = registry_template {
         let id = client
-            .create_model("bench", template, shards as u32)
+            .create_model("bench", template, 0)
             .expect("create registry model");
         client.set_model(id).expect("address registry model");
-        row_shards = shards;
         model_name = "bench";
     }
     let pass = |client: &mut ServeClient| {
@@ -233,7 +232,7 @@ fn measure_serve_ingest(
     let ns_per_update = best * 1e9 / data.len() as f64;
     Measurement {
         name: name.to_string(),
-        shards: row_shards,
+        shards: SERVE_ROW_SHARDS,
         connections: None,
         ns_per_update,
         updates_per_sec: 1e9 / ns_per_update,
@@ -297,7 +296,7 @@ fn measure_serve_telemetry_ab(
         let ns_per_update = best * 1e9 / data.len() as f64;
         Measurement {
             name: name.to_string(),
-            shards: SERVE_SHARDS,
+            shards: SERVE_ROW_SHARDS,
             connections: None,
             ns_per_update,
             updates_per_sec: 1e9 / ns_per_update,
@@ -374,7 +373,7 @@ fn measure_serve_governor_ab(
     (
         Measurement {
             name: "serve_ingest_governed".to_string(),
-            shards: SERVE_SHARDS,
+            shards: SERVE_ROW_SHARDS,
             connections: None,
             ns_per_update,
             updates_per_sec: 1e9 / ns_per_update,
@@ -435,7 +434,7 @@ fn measure_serve_saturation(
     let ns_per_update = best * 1e9 / aggregate as f64;
     Measurement {
         name: name.to_string(),
-        shards: SERVE_SHARDS,
+        shards: SERVE_ROW_SHARDS,
         connections: Some(SATURATION_CONNECTIONS),
         ns_per_update,
         updates_per_sec: 1e9 / ns_per_update,
@@ -565,10 +564,9 @@ fn main() {
             m.sync();
         },
     ));
-    // v6: the serve node's default WM model runs the deferred-heap
-    // 2-shard pipeline on the event backend, and the client pipelines
-    // its frames — the served path now rides the workspace's fastest
-    // learner instead of paying the wire on top of the slowest one.
+    // The serve node's default WM model runs on the event backend, and
+    // the client pipelines its frames (v10: one plain learner, where
+    // v6–v9 served a 2-shard deferred-heap pool).
     // v7: measured as an interleaved A/B pair against the same node with
     // the telemetry switch off, so the instrumentation tax is a number
     // in the file rather than a claim in a comment.
@@ -602,7 +600,7 @@ fn main() {
         results.push(measure_serve_ingest(
             "AWM_serve_ingest",
             wm_cfg,
-            Some((&template, 0)),
+            Some(&template),
             &data,
         ));
     }
@@ -626,10 +624,8 @@ fn main() {
     let wm_speedup = get("WM_naive") / get("WM_fused");
     let awm_speedup = get("AWM_naive") / get("AWM_fused");
     let awm_sharded_speedup = get("AWM_fused") / get("AWM_sharded_4");
-    // The served WM path vs the in-process fused pipeline. v6 serves the
-    // deferred-heap shard pool over the pipelined event backend, so this
-    // is ≥ 1.0 when the served fast path beats in-process fused updates
-    // despite paying framing, syscalls, and decode on the wire.
+    // The served WM path vs the in-process fused pipeline: the same
+    // learner plus framing, syscalls, and decode on the wire.
     let serve_over_fused = get("WM_fused") / get("serve_ingest");
     // Aggregate saturation throughput vs fused, same normalization.
     let saturation_over_fused = get("WM_fused") / get("serve_saturation");
@@ -646,7 +642,7 @@ fn main() {
 
     let mut json = String::new();
     json.push_str("{\n");
-    json.push_str("  \"schema\": \"wmsketch-update-throughput/v9\",\n");
+    json.push_str("  \"schema\": \"wmsketch-update-throughput/v10\",\n");
     json.push_str("  \"config\": {\n");
     json.push_str(&format!("    \"budget_bytes\": {BUDGET},\n"));
     json.push_str(&format!(
@@ -670,7 +666,7 @@ fn main() {
         SHARD_COUNTS.map(|s| s.to_string()).join(", ")
     ));
     json.push_str(&format!(
-        "    \"serve\": {{\"shards\": {SERVE_SHARDS}, \"wm_mode\": \"deferred_heap\", \"candidates_per_shard\": {SERVE_CANDIDATES}, \"backend\": \"event\", \"frame_examples\": {SERVE_FRAME_EXAMPLES}, \"pipeline_window\": {SERVE_PIPELINE_WINDOW}, \"saturation_connections\": {SATURATION_CONNECTIONS}, \"transport\": \"tcp-loopback\", \"registry_variant\": \"AWM_serve_ingest\"}}\n"
+        "    \"serve\": {{\"backend\": \"event\", \"frame_examples\": {SERVE_FRAME_EXAMPLES}, \"pipeline_window\": {SERVE_PIPELINE_WINDOW}, \"saturation_connections\": {SATURATION_CONNECTIONS}, \"transport\": \"tcp-loopback\", \"registry_variant\": \"AWM_serve_ingest\"}}\n"
     ));
     json.push_str("  },\n");
     json.push_str("  \"results\": [\n");

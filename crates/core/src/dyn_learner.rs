@@ -24,7 +24,7 @@ use wmsketch_learn::{
 use crate::awm::AwmSketch;
 use crate::frequent::{CountMinClassifier, SpaceSavingClassifier};
 use crate::multiclass::MulticlassAwmSketch;
-use crate::sharded::{ShardedLearner, ShardedLearnerConfig};
+use crate::sharded::ShardedLearner;
 use crate::truncation::{ProbabilisticTruncation, SimpleTruncation};
 use crate::wm::WmSketch;
 
@@ -354,27 +354,6 @@ where
         Ok(self.root().to_snapshot_bytes())
     }
 
-    /// A delta of the synced root since `since` — the same bytes an
-    /// unsharded `L` at the same state would produce, so any replica
-    /// holding this node's prior snapshot can apply it, sharded host or
-    /// not. Falls back to a full snapshot exactly as the root does.
-    fn encode_delta_since(&mut self, since: u64) -> Result<Vec<u8>, CodecError> {
-        self.sync();
-        self.root_mut().encode_delta_since(since)
-    }
-
-    /// Rejected: a delta is a *replica overwrite* ("make your copy match
-    /// the origin at clock `to`"), and a sharded pool's root is rebuilt
-    /// from its own workers at every sync — overwritten state would be
-    /// silently washed away. Peers fold into a sharded pool additively
-    /// via [`DynLearner::absorb_snapshot`] / [`DynLearner::absorb_peer`];
-    /// replicas that track an origin must host the model unsharded.
-    fn apply_delta(&mut self, _bytes: &[u8]) -> Result<u64, CodecError> {
-        Err(CodecError::Invalid(
-            "delta records cannot be applied to a sharded pool; host the replica unsharded",
-        ))
-    }
-
     /// Decodes a peer `L` snapshot and folds it into the sync base (the
     /// peer survives later worker merges — see [`ShardedLearner::absorb`]).
     fn absorb_snapshot(&mut self, bytes: &[u8]) -> Result<(), CodecError> {
@@ -385,21 +364,6 @@ where
             ));
         }
         self.absorb(&peer);
-        Ok(())
-    }
-
-    /// Reinstates a checkpoint of this pool's own root — bit-exact
-    /// adoption in bypass mode, sync-base adoption for worker pools —
-    /// with the restored clock counted as routed examples (see
-    /// [`ShardedLearner::restore`]).
-    fn restore_snapshot(&mut self, bytes: &[u8]) -> Result<(), CodecError> {
-        let peer = L::from_snapshot_bytes(bytes)?;
-        if !self.root().merge_compatible(&peer) {
-            return Err(CodecError::Invalid(
-                "checkpoint is not shape-compatible with this model",
-            ));
-        }
-        self.restore(peer);
         Ok(())
     }
 
@@ -428,76 +392,10 @@ where
     Ok(Box::new(L::from_snapshot_bytes(bytes)?))
 }
 
-fn wrap_sharded<L>(
-    bytes: &[u8],
-    sharding: ShardedLearnerConfig,
-) -> Result<Box<dyn DynLearner>, CodecError>
-where
-    L: MergeableLearner
-        + Clone
-        + Send
-        + WeightEstimator
-        + TopKRecovery
-        + SnapshotCodec
-        + DynLearner
-        + 'static,
-{
-    let template = L::from_snapshot_bytes(bytes)?;
-    if OnlineLearner::examples_seen(&template) != 0 {
-        return Err(CodecError::Invalid(
-            "sharded model template must be untrained",
-        ));
-    }
-    Ok(Box::new(ShardedLearner::new(
-        sharding,
-        template.clone(),
-        template,
-    )))
-}
-
-/// Builds a **deferred-heap-maintenance** sharded WM learner from an
-/// *untrained* WM template snapshot: heap-free worker replicas (their
-/// per-update median re-estimation deferred to merge time) plus
-/// per-shard ℓ1 touch-mass candidate trackers of
-/// `sharding.candidates_per_shard` capacity — the single-node ingest
-/// throughput pipeline, exposed to the serve registry's CREATE op as a
-/// sharding mode.
-///
-/// Unlike [`build_sharded_any`] this is WM-specific by design: deferred
-/// heap maintenance relies on the WM-Sketch's heap being a passive index
-/// over sketch state (the AWM active set is integral model state and
-/// cannot run heap-free).
-///
-/// # Errors
-/// [`CodecError::WrongKind`] for non-WM templates; any decode error;
-/// [`CodecError::Invalid`] if the template has already seen examples.
-pub fn build_sharded_wm_deferred(
-    template: &[u8],
-    sharding: ShardedLearnerConfig,
-) -> Result<Box<dyn DynLearner>, CodecError> {
-    let kind = codec::peek_kind(template)?;
-    if kind != KIND_WM {
-        return Err(CodecError::WrongKind {
-            expected: KIND_WM,
-            got: kind,
-        });
-    }
-    let decoded = WmSketch::from_snapshot_bytes(template)?;
-    if OnlineLearner::examples_seen(&decoded) != 0 {
-        return Err(CodecError::Invalid(
-            "sharded model template must be untrained",
-        ));
-    }
-    Ok(Box::new(crate::sharded::sharded_wm(
-        *decoded.config(),
-        sharding,
-    )))
-}
-
 /// Expands the one registered-learner list into every artifact that must
-/// agree on it — the kind table, the `decode_any` dispatch registry, and
-/// the sharded-wrapper dispatch — so registering a new snapshot-capable
-/// learner is exactly one new `(Type, KIND)` row here.
+/// agree on it — the kind table and the `decode_any` dispatch registry —
+/// so registering a new snapshot-capable learner is exactly one new
+/// `(Type, KIND)` row here.
 macro_rules! learner_registry {
     ($(($ty:ty, $kind:expr)),+ $(,)?) => {
         /// The snapshot kinds [`decode_any_learner`] (and therefore the
@@ -513,8 +411,8 @@ macro_rules! learner_registry {
         /// serve registry's CREATE op, offline checkpoint inspection —
         /// and new snapshot-capable learners join the system by adding
         /// one row to the `learner_registry!` invocation (which keeps
-        /// [`REGISTERED_LEARNER_KINDS`], this dispatcher, and
-        /// [`build_sharded_any`] in agreement by construction).
+        /// [`REGISTERED_LEARNER_KINDS`] and this dispatcher in agreement
+        /// by construction).
         ///
         /// # Errors
         /// Whatever the envelope checks or the matched decoder reject;
@@ -530,28 +428,6 @@ macro_rules! learner_registry {
                     decode: boxed_decode::<$ty>,
                 }),+],
             )
-        }
-
-        /// Builds a sharded serving learner from an *untrained* template
-        /// snapshot of any registered kind: the decoded template becomes
-        /// both the root and the worker replica configuration of a
-        /// [`ShardedLearner`] (heap-carrying workers, candidate tracking
-        /// off — the cross-node-parity configuration the serve layer
-        /// uses).
-        ///
-        /// # Errors
-        /// Any decode error; [`CodecError::Invalid`] if the template has
-        /// already seen examples (a trained template would silently
-        /// pre-bias every worker replica); [`CodecError::UnknownKind`]
-        /// for unregistered kinds.
-        pub fn build_sharded_any(
-            template: &[u8],
-            sharding: ShardedLearnerConfig,
-        ) -> Result<Box<dyn DynLearner>, CodecError> {
-            match codec::peek_kind(template)? {
-                $(k if k == $kind => wrap_sharded::<$ty>(template, sharding),)+
-                k => Err(CodecError::UnknownKind(k)),
-            }
         }
     };
 }
@@ -597,7 +473,7 @@ mod tests {
             )),
             Box::new(crate::sharded::sharded_wm(
                 WmSketchConfig::with_budget_bytes(4096).seed(1),
-                ShardedLearnerConfig::new(4),
+                crate::sharded::ShardedLearnerConfig::new(4),
             )),
         ]
     }
@@ -752,127 +628,5 @@ mod tests {
             dyn_a.absorb_snapshot(&alien),
             Err(CodecError::Invalid(_))
         ));
-    }
-
-    #[test]
-    fn build_sharded_any_wraps_every_registered_kind() {
-        let sharding = ShardedLearnerConfig::new(2).candidates_per_shard(0);
-        let templates: Vec<(Vec<u8>, &str)> = vec![
-            (
-                WmSketch::new(WmSketchConfig::new(64, 2).seed(5)).to_snapshot_bytes(),
-                "WMx2",
-            ),
-            (
-                AwmSketch::new(AwmSketchConfig::new(8, 64).seed(5)).to_snapshot_bytes(),
-                "AWMx2",
-            ),
-            (
-                MulticlassAwmSketch::new(MulticlassConfig {
-                    classes: 3,
-                    per_class: AwmSketchConfig::new(8, 64).seed(5),
-                })
-                .to_snapshot_bytes(),
-                "MC-AWMx2",
-            ),
-        ];
-        for (bytes, name) in templates {
-            let mut l = build_sharded_any(&bytes, sharding).expect("build");
-            assert_eq!(l.method_name(), name);
-            let domain = l.label_domain();
-            for t in 0..300 {
-                let y: Label = match domain {
-                    LabelDomain::Binary => {
-                        if t % 2 == 0 {
-                            1
-                        } else {
-                            -1
-                        }
-                    }
-                    LabelDomain::Classes(m) => (t % m as i32) as Label,
-                };
-                let f = match domain {
-                    LabelDomain::Binary => {
-                        if t % 2 == 0 {
-                            3
-                        } else {
-                            7
-                        }
-                    }
-                    LabelDomain::Classes(_) => 10 + y as u32,
-                };
-                l.update(&SparseVector::one_hot(f, 1.0), y);
-            }
-            l.finalize();
-            assert_eq!(l.examples_seen(), 300, "{name}");
-            assert!(l.estimate(10).is_finite());
-        }
-    }
-
-    /// The deferred-heap builder: WM templates come up on the PR 2
-    /// throughput pipeline (heap-free workers, live candidate trackers),
-    /// non-WM kinds and trained templates are typed errors.
-    #[test]
-    fn build_sharded_wm_deferred_builds_the_throughput_pipeline() {
-        let cfg = WmSketchConfig::new(128, 2).seed(5);
-        let template = WmSketch::new(cfg).to_snapshot_bytes();
-        let sharding = ShardedLearnerConfig::new(2).candidates_per_shard(64);
-        let mut l = build_sharded_wm_deferred(&template, sharding).expect("build");
-        assert_eq!(l.kind(), KIND_WM);
-        assert_eq!(l.method_name(), "WMx2");
-        for t in 0..600 {
-            let (f, y) = if t % 2 == 0 { (3, 1) } else { (7, -1) };
-            l.update(&SparseVector::one_hot(f, 1.0), y);
-        }
-        l.finalize();
-        assert_eq!(l.examples_seen(), 600);
-        assert!(l.estimate(3) > 0.0 && l.estimate(7) < 0.0);
-        // The deferred pipeline's candidate tracking feeds the root heap.
-        let top = l.recover_top_k(2);
-        let features: Vec<u32> = top.iter().map(|e| e.feature).collect();
-        assert!(
-            features.contains(&3) && features.contains(&7),
-            "{features:?}"
-        );
-        // And it matches the typed constructor bit-for-bit.
-        let mut direct = crate::sharded::sharded_wm(cfg, sharding);
-        for t in 0..600 {
-            let (f, y) = if t % 2 == 0 { (3, 1) } else { (7, -1) };
-            OnlineLearner::update(&mut direct, &SparseVector::one_hot(f, 1.0), y);
-        }
-        direct.sync();
-        assert_eq!(
-            l.snapshot().unwrap(),
-            DynLearner::snapshot(&mut direct).unwrap()
-        );
-
-        // Non-WM templates are rejected from the kind byte.
-        let awm = AwmSketch::new(AwmSketchConfig::new(8, 64).seed(5)).to_snapshot_bytes();
-        assert!(matches!(
-            build_sharded_wm_deferred(&awm, sharding),
-            Err(CodecError::WrongKind { .. })
-        ));
-        // Trained templates are rejected.
-        let mut trained = WmSketch::new(cfg);
-        OnlineLearner::update(&mut trained, &SparseVector::one_hot(1, 1.0), 1);
-        assert!(matches!(
-            build_sharded_wm_deferred(&trained.to_snapshot_bytes(), sharding),
-            Err(CodecError::Invalid(_))
-        ));
-    }
-
-    #[test]
-    fn build_sharded_any_rejects_trained_templates_and_unknown_kinds() {
-        let mut wm = WmSketch::new(WmSketchConfig::new(64, 2).seed(5));
-        OnlineLearner::update(&mut wm, &SparseVector::one_hot(1, 1.0), 1);
-        assert!(matches!(
-            build_sharded_any(&wm.to_snapshot_bytes(), ShardedLearnerConfig::new(2)),
-            Err(CodecError::Invalid(_))
-        ));
-        let mut w = wmsketch_hashing::codec::Writer::new();
-        w.put_envelope(codec::KIND_COUNT_MIN);
-        assert_eq!(
-            build_sharded_any(&w.into_bytes(), ShardedLearnerConfig::new(2)).err(),
-            Some(CodecError::UnknownKind(codec::KIND_COUNT_MIN))
-        );
     }
 }

@@ -43,9 +43,7 @@ pub use budget::{
     feature_hashing_table_size, ptrun_capacity, spacesaving_capacity, trun_capacity, wm_bytes,
     BudgetedConfig, BYTES_PER_UNIT,
 };
-pub use dyn_learner::{
-    build_sharded_any, build_sharded_wm_deferred, decode_any_learner, REGISTERED_LEARNER_KINDS,
-};
+pub use dyn_learner::{decode_any_learner, REGISTERED_LEARNER_KINDS};
 pub use frequent::{
     CountMinClassifier, CountMinClassifierConfig, SpaceSavingClassifier,
     SpaceSavingClassifierConfig,

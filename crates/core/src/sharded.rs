@@ -328,13 +328,6 @@ impl<L: MergeableLearner + Clone> ShardedLearner<L> {
         &self.root
     }
 
-    /// Mutable access to the root model, for callers that drive the
-    /// root's own encoding machinery (e.g. delta snapshots) after a
-    /// [`ShardedLearner::sync`].
-    pub(crate) fn root_mut(&mut self) -> &mut L {
-        &mut self.root
-    }
-
     /// The learning-rate clock the root model reaches once synced: every
     /// locally routed example plus the clocks of every absorbed peer.
     ///
@@ -437,50 +430,6 @@ impl<L: MergeableLearner + Clone> ShardedLearner<L> {
         self.root.merge_from(peer);
     }
 
-    /// Reinstates `peer` — a decoded checkpoint of this pool's own root —
-    /// as the pool's state, the durability counterpart of
-    /// [`ShardedLearner::absorb`].
-    ///
-    /// Where absorb *folds* foreign state in (normalizing the peer's
-    /// scale into logical weights and accruing its clock to
-    /// [`ShardedLearner::merged_clock`]), restore treats the snapshot as
-    /// this pool's own interrupted life: the restored clock becomes the
-    /// *routed* counter, so [`OnlineLearner::examples_seen`] reports the
-    /// recovered examples and routing resumes at
-    /// [`ShardedLearner::shard_of`] of the restored clock — exactly where
-    /// the checkpointed pool would have sent its next example.
-    ///
-    /// In bypass mode (no workers) the root **is** the live learner and
-    /// adoption is bit-exact — pre-scale cells, scale factor, update
-    /// clock, top-K heap — so resumed training follows the exact
-    /// trajectory the checkpoint interrupted. A worker pool's root
-    /// snapshot cannot capture the workers' in-flight trajectories, so
-    /// there the checkpoint folds into the sync base (aggregate-exact,
-    /// like absorb) and only the clock accounting differs.
-    ///
-    /// Restore assumes fresh workers (a freshly built pool, as the serve
-    /// layer's recovery constructs): worker state already reflected in
-    /// the checkpointed root would otherwise be double-counted at the
-    /// next sync.
-    ///
-    /// # Panics
-    /// Panics if `peer` is not merge-compatible with this learner's
-    /// models.
-    pub fn restore(&mut self, peer: L) {
-        assert!(
-            self.template.merge_compatible(&peer),
-            "restoring a merge-incompatible checkpoint"
-        );
-        self.routed = peer.examples_seen();
-        self.absorbed = 0;
-        if self.shards.is_empty() {
-            self.root = peer;
-        } else {
-            self.template.merge_from(&peer);
-            self.root.merge_from(&peer);
-        }
-    }
-
     /// Rebuilds the root from the workers: clone the pristine template,
     /// merge every shard in index order (exact by sketch linearity), then
     /// re-estimate the union of tracked candidates into the root's top-K
@@ -527,9 +476,7 @@ impl<L: MergeableLearner + Clone + Send> ShardedLearner<L> {
     /// Does not touch the routing counters; the caller advances them.
     ///
     /// Staging lives in the instance-owned `route_scratch` buffers, so
-    /// steady-state routing allocates nothing: a server connection's
-    /// decoded examples go from its scratch buffers straight into the
-    /// workers (see `tests/alloc_free.rs`).
+    /// steady-state routing allocates nothing.
     fn run_chunk(&mut self, chunk: &[(SparseVector, Label)]) {
         debug_assert_eq!(self.route_scratch.len(), self.shards.len());
         let (seed, n) = (self.cfg.partition_seed, self.cfg.shards as u64);

@@ -2,14 +2,13 @@
 //! **bit-identically** to a full snapshot of the origin — for WM, AWM,
 //! and the multiclass model, across hash families and NCE partial
 //! updates — plus the watermark/gap contract (typed `DeltaGap` on any
-//! mismatch), the full-snapshot fallbacks, the sharded pool's
-//! sync-then-delegate encoding, and the delta-size bound a sparse change
-//! pattern is supposed to buy.
+//! mismatch), the full-snapshot fallbacks, and the delta-size bound a
+//! sparse change pattern is supposed to buy.
 
 use proptest::prelude::*;
 use wmsketch_core::{
-    sharded_wm, AwmSketch, AwmSketchConfig, CodecError, MergeableLearner, MulticlassAwmSketch,
-    MulticlassConfig, OnlineLearner, ShardedLearnerConfig, SnapshotCodec, WmSketch, WmSketchConfig,
+    AwmSketch, AwmSketchConfig, CodecError, MergeableLearner, MulticlassAwmSketch,
+    MulticlassConfig, OnlineLearner, SnapshotCodec, WmSketch, WmSketchConfig,
 };
 use wmsketch_hashing::codec::is_delta_record;
 use wmsketch_hashing::HashFamilyKind;
@@ -274,53 +273,6 @@ fn sparse_delta_is_at_most_a_tenth_of_full_snapshot() {
         delta.len(),
         full.len()
     );
-}
-
-/// Sharded pools encode deltas by syncing and delegating to the root;
-/// stamp inheritance across the sync rebuild keeps the record sparse,
-/// and the produced bytes replay onto a plain unsharded replica.
-#[test]
-fn sharded_pool_deltas_replay_onto_unsharded_replica() {
-    use wmsketch_core::DynLearner;
-    let cfg = WmSketchConfig::new(256, 2)
-        .heap_capacity(8)
-        .lambda(1e-5)
-        .seed(4);
-    let mut pool = sharded_wm(cfg, ShardedLearnerConfig::new(2).sync_every(0));
-    let examples: Vec<(SparseVector, Label)> = (0..600u32)
-        .map(|t| {
-            (
-                SparseVector::from_pairs(&[(t % 50, 1.0), (50 + t % 150, 0.5)]),
-                if t % 2 == 0 { 1 } else { -1 },
-            )
-        })
-        .collect();
-    OnlineLearner::update_batch(&mut pool, &examples[..400]);
-    let base = DynLearner::encode_delta_since(&mut pool, 0).unwrap();
-    assert!(!is_delta_record(&base).unwrap());
-    assert!(DynLearner::is_synced(&pool), "encoding must sync the pool");
-    let shipped = DynLearner::clock(&pool);
-    let mut replica = WmSketch::from_snapshot_bytes(&base).unwrap();
-
-    OnlineLearner::update_batch(&mut pool, &examples[400..]);
-    let delta = DynLearner::encode_delta_since(&mut pool, shipped).unwrap();
-    assert!(
-        is_delta_record(&delta).unwrap(),
-        "stamp inheritance across the sync rebuild must keep deltas possible"
-    );
-    replica.apply_delta(&delta).unwrap();
-    let mut pool_dyn: Box<dyn DynLearner> = Box::new(pool);
-    assert_eq!(
-        replica.to_snapshot_bytes(),
-        pool_dyn.snapshot().unwrap(),
-        "replica must match the synced root bit for bit"
-    );
-    // Deltas never apply *to* a sharded pool: its root is rebuilt from
-    // the workers at sync, which would wash the overwrite away.
-    assert!(matches!(
-        pool_dyn.apply_delta(&delta),
-        Err(CodecError::Invalid(_))
-    ));
 }
 
 /// Damaged delta buffers are typed errors, never panics, and a replica

@@ -188,7 +188,7 @@ pub trait DynLearner: Send {
     /// replication clock, and the merge folds the peer's scale into
     /// logical weights, which changes the stored float representation.
     /// Restore instead *replaces* state where the snapshot captures it
-    /// completely (plain learners, 1-shard bypass pools), bit for bit —
+    /// completely (the plain sketch learners), bit for bit —
     /// pre-scale cells, the scale factor, the update clock, the top-K
     /// heap — so training resumed on a restored learner follows the
     /// exact trajectory the checkpoint interrupted, and the restored
@@ -210,10 +210,11 @@ pub trait DynLearner: Send {
     /// delta cannot be produced (first call, decoded model, clock-less
     /// mutation, future watermark). Callers distinguish the two shapes
     /// with `codec::is_delta_record`. `&mut self` because the first call
-    /// switches on dirty-cell tracking (and sharded wrappers sync).
+    /// switches on dirty-cell tracking.
     ///
     /// # Errors
-    /// [`CodecError::Invalid`] for learner kinds without a snapshot codec.
+    /// [`CodecError::Invalid`] for learner kinds without a snapshot codec
+    /// and for sharded pools (replication ships plain learners).
     fn encode_delta_since(&mut self, since: u64) -> Result<Vec<u8>, CodecError> {
         let _ = since;
         Err(NO_SNAPSHOT_CODEC)
@@ -229,7 +230,7 @@ pub trait DynLearner: Send {
     /// right watermark); any other [`CodecError`] for malformed records
     /// (state then unspecified — discard the replica);
     /// [`CodecError::Invalid`] for kinds that cannot apply deltas (no
-    /// codec, or sharded pools — deltas apply to *unsharded* replicas).
+    /// codec, or sharded pools — deltas apply to plain learners).
     fn apply_delta(&mut self, bytes: &[u8]) -> Result<u64, CodecError> {
         let _ = bytes;
         Err(NO_SNAPSHOT_CODEC)

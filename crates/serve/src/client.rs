@@ -31,7 +31,7 @@ use crate::protocol::{
     OP_LIST, OP_MERGE, OP_METRICS, OP_PEER_JOIN, OP_PREDICT, OP_PULL_DELTA, OP_RESET, OP_RESTORE,
     OP_SHUTDOWN, OP_SNAPSHOT, OP_STATS, OP_TOPK, OP_UPDATE, STATUS_OK,
 };
-use crate::server::{ReplRow, ServeBackend, ServeStats, CREATE_MODE_DEFERRED_HEAP};
+use crate::server::{ReplRow, ServeBackend, ServeStats};
 
 /// Default per-operation socket deadline: every connection made through
 /// this module reads and writes under a timeout, so a wedged or
@@ -183,15 +183,14 @@ impl ServeClient {
 
     /// Registers a new model on the node and returns its id. `template`
     /// is an untrained `WMS1` snapshot of any registered learner kind
-    /// (WM, AWM, multiclass AWM); the node hosts it behind `shards`
-    /// worker replicas, or **unsharded** (the plain decoded learner, the
-    /// replication hosting mode) when `shards == 0`. Does not switch this
-    /// client to the new model.
+    /// (WM, AWM, multiclass AWM); the node hosts it as one plain
+    /// learner. `shards` must be 0 or 1, which both mean exactly that.
+    /// Does not switch this client to the new model.
     ///
     /// # Errors
-    /// Any [`ServeError`]; the node rejects trained templates, duplicate
-    /// names, and multiclass templates with more than 128 classes (class
-    /// labels ride the wire's `i8` slot).
+    /// Any [`ServeError`]; the node rejects `shards > 1`, trained
+    /// templates, duplicate names, and multiclass templates with more
+    /// than 128 classes (class labels ride the wire's `i8` slot).
     pub fn create_model(
         &mut self,
         name: &str,
@@ -202,35 +201,6 @@ impl ServeClient {
         w.put_u32(name.len() as u32);
         w.put_bytes(name.as_bytes());
         w.put_u32(shards);
-        w.put_bytes(template);
-        let resp = self.call_op(OP_CREATE, w)?;
-        Ok(Reader::new(&resp).take_u32()?)
-    }
-
-    /// Like [`ServeClient::create_model`], but asks the node to host the
-    /// model in **deferred-heap** sharded mode: heap-free workers plus
-    /// per-worker candidate trackers of `candidates_per_shard` features,
-    /// with top-K recovery deferred to sync points. This is the
-    /// throughput configuration for WM models (the only kind that
-    /// supports heap-free workers; the node rejects other template
-    /// kinds).
-    ///
-    /// # Errors
-    /// Any [`ServeError`]; additionally rejected are non-WM templates
-    /// and `candidates_per_shard` above the node's cap.
-    pub fn create_model_deferred(
-        &mut self,
-        name: &str,
-        template: &[u8],
-        shards: u32,
-        candidates_per_shard: u32,
-    ) -> Result<u32, ServeError> {
-        let mut w = Writer::new();
-        w.put_u32(name.len() as u32);
-        w.put_bytes(name.as_bytes());
-        w.put_u32(shards);
-        w.put_u8(CREATE_MODE_DEFERRED_HEAP);
-        w.put_u32(candidates_per_shard);
         w.put_bytes(template);
         let resp = self.call_op(OP_CREATE, w)?;
         Ok(Reader::new(&resp).take_u32()?)

@@ -14,6 +14,12 @@
 //!                                       are deleted on startup
 //! ```
 //!
+//! A spec record's head section is `name_len (u32) | name | shards (u32)
+//! | mode (u8) | [candidates (u32), when mode is 1]`, then the template
+//! section. Records are written with shards 0 and mode 0. Older nodes
+//! wrote a worker-pool size and mode there; both are read and ignored,
+//! so such a record recovers as one learner.
+//!
 //! Model names are hex-encoded into file stems so any registry name —
 //! `/`, `..`, unicode — maps to a flat, reversible, filesystem-safe file
 //! name; recovery decodes the stem and cross-checks it against the name
@@ -39,7 +45,6 @@ use std::path::{Path, PathBuf};
 use wmsketch_hashing::codec::{self, Reader, Writer};
 
 use crate::error::ServeError;
-use crate::server::ShardMode;
 
 /// Extension of checkpoint files (sealed WMS1 snapshots).
 pub(crate) const CKPT_EXT: &str = "ckpt";
@@ -54,8 +59,8 @@ const STEM_PREFIX: &str = "m-";
 /// of decoding as the wrong thing.
 pub(crate) const KIND_MODEL_SPEC: u8 = 0x40;
 
-/// Spec-record section tags: identity (name, shards, worker mode) and
-/// the untrained template snapshot.
+/// Spec-record section tags: identity (name plus the legacy shards and
+/// mode fields) and the untrained template snapshot.
 const SPEC_SECTION_HEAD: u8 = 0x01;
 const SPEC_SECTION_TEMPLATE: u8 = 0x02;
 
@@ -216,27 +221,14 @@ pub(crate) fn resolve_client_path(
 
 /// Encodes a sealed model-spec record: the rebuild recipe OP_CREATE
 /// registered a model with, persisted so startup recovery can re-run it.
-pub(crate) fn encode_spec_record(
-    name: &str,
-    shards: u32,
-    mode: ShardMode,
-    template: &[u8],
-) -> Vec<u8> {
+pub(crate) fn encode_spec_record(name: &str, template: &[u8]) -> Vec<u8> {
     let mut w = Writer::new();
     w.put_envelope(KIND_MODEL_SPEC);
     let mark = w.begin_section(SPEC_SECTION_HEAD);
     w.put_u32(name.len() as u32);
     w.put_bytes(name.as_bytes());
-    w.put_u32(shards);
-    match mode {
-        ShardMode::WorkerHeaps => w.put_u8(0),
-        ShardMode::DeferredHeap {
-            candidates_per_shard,
-        } => {
-            w.put_u8(1);
-            w.put_u32(candidates_per_shard);
-        }
-    }
+    w.put_u32(0); // shards
+    w.put_u8(0); // mode
     w.end_section(mark);
     let mark = w.begin_section(SPEC_SECTION_TEMPLATE);
     w.put_bytes(template);
@@ -246,15 +238,13 @@ pub(crate) fn encode_spec_record(
     bytes
 }
 
-/// Decodes a model-spec record (integrity-checked):
-/// `(name, shards, mode, template)`.
+/// Decodes a model-spec record (integrity-checked): `(name, template)`.
+/// The legacy shards and mode fields are validated and ignored.
 ///
 /// # Errors
 /// Any [`ServeError`]; corruption is the typed
 /// [`wmsketch_hashing::codec::CodecError::ChecksumMismatch`].
-pub(crate) fn decode_spec_record(
-    bytes: &[u8],
-) -> Result<(String, u32, ShardMode, Vec<u8>), ServeError> {
+pub(crate) fn decode_spec_record(bytes: &[u8]) -> Result<(String, Vec<u8>), ServeError> {
     let bytes = codec::verify_integrity(bytes)?;
     let mut r = Reader::new(bytes);
     r.expect_envelope(KIND_MODEL_SPEC)?;
@@ -263,19 +253,19 @@ pub(crate) fn decode_spec_record(
     let name = std::str::from_utf8(head.take_bytes(name_len)?)
         .map_err(|_| ServeError::Protocol("spec record name is not UTF-8"))?
         .to_string();
-    let shards = head.take_u32()?;
-    let mode = match head.take_u8()? {
-        0 => ShardMode::WorkerHeaps,
-        1 => ShardMode::DeferredHeap {
-            candidates_per_shard: head.take_u32()?,
-        },
+    let _shards = head.take_u32()?;
+    match head.take_u8()? {
+        0 => {}
+        1 => {
+            let _candidates = head.take_u32()?;
+        }
         _ => return Err(ServeError::Protocol("spec record has an unknown mode tag")),
-    };
+    }
     head.finish()?;
     let mut tpl = r.expect_section(SPEC_SECTION_TEMPLATE)?;
     let template = tpl.take_bytes(tpl.remaining())?.to_vec();
     r.finish()?;
-    Ok((name, shards, mode, template))
+    Ok((name, template))
 }
 
 #[cfg(test)]
@@ -309,27 +299,48 @@ mod tests {
         assert_eq!(decode_file_stem("m-zz"), None, "non-hex digits");
     }
 
+    /// A spec record as an older node wrote it for a worker pool:
+    /// `shards` and a deferred-heap mode block in the head section.
+    fn legacy_pool_spec_record(name: &str, template: &[u8]) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.put_envelope(KIND_MODEL_SPEC);
+        let mark = w.begin_section(SPEC_SECTION_HEAD);
+        w.put_u32(name.len() as u32);
+        w.put_bytes(name.as_bytes());
+        w.put_u32(3);
+        w.put_u8(1);
+        w.put_u32(64);
+        w.end_section(mark);
+        let mark = w.begin_section(SPEC_SECTION_TEMPLATE);
+        w.put_bytes(template);
+        w.end_section(mark);
+        let mut bytes = w.into_bytes();
+        codec::seal_record(&mut bytes);
+        bytes
+    }
+
     #[test]
     fn spec_records_round_trip_and_reject_corruption() {
         let template = vec![0xAB; 37];
-        let bytes = encode_spec_record(
-            "spam",
-            3,
-            ShardMode::DeferredHeap {
-                candidates_per_shard: 64,
-            },
-            &template,
-        );
-        let (name, shards, mode, tpl) = decode_spec_record(&bytes).expect("round trip");
+        let bytes = encode_spec_record("spam", &template);
+        let (name, tpl) = decode_spec_record(&bytes).expect("round trip");
         assert_eq!(name, "spam");
-        assert_eq!(shards, 3);
-        assert_eq!(
-            mode,
-            ShardMode::DeferredHeap {
-                candidates_per_shard: 64
-            }
-        );
         assert_eq!(tpl, template);
+        // The head keeps its layout: shards 0, mode 0.
+        let mut r = Reader::new(codec::verify_integrity(&bytes).expect("sealed"));
+        r.expect_envelope(KIND_MODEL_SPEC).expect("envelope");
+        let mut head = r.expect_section(SPEC_SECTION_HEAD).expect("head");
+        assert_eq!(head.take_u32().expect("name_len"), 4);
+        head.take_bytes(4).expect("name");
+        assert_eq!(head.take_u32().expect("shards"), 0);
+        assert_eq!(head.take_u8().expect("mode"), 0);
+        head.finish().expect("nothing after the mode byte");
+        // A record an older node wrote for a pool still decodes.
+        let legacy = legacy_pool_spec_record("spam", &template);
+        assert_eq!(
+            decode_spec_record(&legacy).expect("legacy record"),
+            ("spam".to_string(), template.clone())
+        );
 
         let mut corrupt = bytes.clone();
         let mid = corrupt.len() / 2;

@@ -25,12 +25,10 @@
 //! * **Coalescing** — every frame is queued under its *resolved* model
 //!   id; an executor claiming a model's queue takes the entire run of
 //!   consecutive UPDATE jobs and executes them under a **single**
-//!   learner-lock acquisition (one `update_batch` call per frame, so
-//!   per-connection arrival order into `shard_for` routing — and with it
-//!   bit-identical distributed-vs-local parity — is preserved exactly;
-//!   `update_batch` chunking invariance makes the coalesced execution
-//!   bit-identical to per-frame locking). The observed coalescing factor
-//!   is visible via STATS.
+//!   learner-lock acquisition (one `update_batch` call per frame, in
+//!   per-connection arrival order; `update_batch` chunking invariance
+//!   makes the coalesced execution bit-identical to per-frame locking).
+//!   The observed coalescing factor is visible via STATS.
 //! * **Ordering** — all ops addressing one model share that model's FIFO
 //!   queue, so `UPDATE … UPDATE, ESTIMATE` from one connection executes
 //!   in order even when pipelined. Registry-level ops (CREATE, LIST,
@@ -902,12 +900,11 @@ fn execute_work(shared: &Shared, work: Work, scratch: &mut ExamplesScratch) -> V
             let frames = jobs.len() as u64;
             let mut run_examples = 0u64;
             // THE coalescing point: one lock acquisition covers the whole
-            // run, but each frame stays its own update_batch call so
-            // arrival order into shard routing is untouched. Latency is
-            // recorded per frame around its own update_batch call (these
-            // frames never pass through handle_request's wrapper), and
-            // the rate accountant is billed once per run, after the lock
-            // drops.
+            // run, but each frame stays its own update_batch call, in
+            // arrival order. Latency is recorded per frame around its own
+            // update_batch call (these frames never pass through
+            // handle_request's wrapper), and the rate accountant is
+            // billed once per run, after the lock drops.
             let mut learner = match entry.learner() {
                 Ok(guard) => guard,
                 // Revival failed (governed node, unreadable spill

@@ -10,8 +10,7 @@
 //! state crosses network partitions transitively through whichever links
 //! are up. Pulling one's **own** origin is restart recovery: a node that
 //! lost its local copy adopts a peer's replica of it and resumes
-//! bit-identically (unsharded hosting only; a shard pool's routing state
-//! is not reconstructible from a snapshot).
+//! bit-identically.
 //!
 //! A peer that cannot be reached enters jittered exponential backoff
 //! (deterministic per `(node, peer, attempt)` via splitmix64, so
@@ -190,9 +189,9 @@ fn apply_pulled(
     }
     if origin == state.node_id {
         // Restart recovery: adopt the peer's replica of this node's own
-        // copy — but only wholesale (a full record), only onto an
-        // unsharded local copy, and only when it is strictly ahead.
-        if !entry.unsharded() || is_delta_record(bytes)? {
+        // copy — but only wholesale (a full record), and only when it is
+        // strictly ahead.
+        if is_delta_record(bytes)? {
             return Ok(false);
         }
         let recovered = wmsketch_core::decode_any_learner(bytes)?;

@@ -16,11 +16,8 @@
 //! concurrent requests for the same cold model pay exactly one decode
 //! (single-flight for free).
 //!
-//! Only **unsharded** models (`shards == 0`, the replication hosting
-//! mode) are evictable: a shard pool's worker routing state cannot be
-//! reconstructed from a snapshot, so spilling one would silently change
-//! its future behavior. Sharded models (the default model included) are
-//! charged but never spilled.
+//! Every hosted model, the default model included, is one plain learner
+//! and therefore evictable: its snapshot captures its whole state.
 //!
 //! Deadlock discipline: the eviction path takes the victim table and
 //! then only ever `try_lock`s other models' checkpoint-I/O and slot
@@ -83,9 +80,8 @@ pub(crate) struct MemoryGovernor {
     /// Wall-clock revival latency (telemetry-gated like every
     /// histogram).
     revival_latency: LatencyHistogram,
-    /// Evictable models: id → entry. Only unsharded entries are ever
-    /// registered. `Weak` keeps the table from cycling with
-    /// `ModelEntry::governor`.
+    /// Evictable models: id → entry (every hosted model). `Weak` keeps
+    /// the table from cycling with `ModelEntry::governor`.
     victims: Mutex<HashMap<u32, Weak<ModelEntry>>>,
     /// Serializes strict (OP_CREATE) admissions so two concurrent
     /// CREATEs cannot each charge their cost, both observe the combined
@@ -117,7 +113,7 @@ impl MemoryGovernor {
         self.tick.fetch_add(1, Ordering::Relaxed) + 1
     }
 
-    /// Marks an (unsharded) entry as evictable.
+    /// Marks an entry as evictable.
     pub(crate) fn register_victim(&self, entry: &Arc<ModelEntry>) {
         self.victims
             .lock()

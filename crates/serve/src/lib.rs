@@ -17,8 +17,9 @@
 //!   readiness-driven event loop), both feeding a **model registry**:
 //!   named [`wmsketch_core::DynLearner`] models (WM, AWM, multiclass
 //!   AWM — anything in [`wmsketch_core::REGISTERED_LEARNER_KINDS`]),
-//!   each optionally behind its own [`wmsketch_core::ShardedLearner`]
-//!   pool and its own mutex; graceful drain on shutdown.
+//!   each one plain learner behind its own mutex; graceful drain on
+//!   shutdown. A node scales out by shipping snapshots to other nodes,
+//!   not by a worker pool inside it.
 //! * [`ServeClient`] — a small blocking client (with a pipelined ingest
 //!   path, [`ServeClient::update_many`]) used by the tests, the
 //!   benchmark harness, and the `serve_quickstart` / `serve_multimodel`
@@ -167,7 +168,7 @@
 //! | `09` | STATS | — | routed (u64) \| clock (u64) \| shards (u32) \| synced (u8) \| count (u32) \| count × model \| backend (u8) \| lock acquisitions (u64) \| update frames (u64) |
 //! | `0A` | RESET | — | — |
 //! | `0B` | SHUTDOWN | — | — (server drains afterwards; registry-level) |
-//! | `0C` | CREATE | name_len (u32) \| name \| shards (u32) \| \[mode] \| template snapshot | model id (u32) (registry-level) |
+//! | `0C` | CREATE | name_len (u32) \| name \| shards (u32) \| template snapshot | model id (u32) (registry-level) |
 //! | `0D` | LIST | — | count (u32) \| count × model (registry-level) |
 //! | `0E` | PEER_JOIN | node id (u64) \| addr_len (u32) \| addr | this node's id (u64) (registry-level) |
 //! | `0F` | PULL_DELTA | origin (u64) \| since (u64) | to_clock (u64) \| record bytes (empty = nothing newer) |
@@ -177,36 +178,18 @@
 //! CREATE registers a named model from an **untrained** template
 //! snapshot of any registered kind — the template carries the complete
 //! configuration (shape, hash family, seed, hyperparameters), so one op
-//! covers every learner kind; the node wraps it in a shard pool of
-//! `shards` workers, or hosts the plain decoded learner **unsharded**
-//! when `shards == 0` (the replication hosting mode — delta records
-//! apply only to unsharded copies, and only an unsharded copy can be
-//! recovered wholesale from a peer's replica after a restart). Kind dispatch goes through
+//! covers every learner kind, and the node hosts the decoded template as
+//! one plain learner. `shards` must be 0 or 1; both mean one learner
+//! (the field once sized a worker pool inside the node, and a node now
+//! scales out only by shipping snapshots). Larger values, trained
+//! templates, and multiclass templates beyond 128 classes are typed
+//! errors. Kind dispatch goes through
 //! `wmsketch_hashing::codec::decode_any` (via
-//! [`wmsketch_core::build_sharded_any`]), so an AWM or multiclass node
+//! [`wmsketch_core::decode_any_learner`]), so an AWM or multiclass node
 //! speaks exactly the protocol a WM node does. MERGE and RESTORE decode
 //! through the same kind-checked path: the payload's kind byte must match
 //! the addressed model, and a mismatch or merge-incompatible peer is a
 //! typed error.
-//!
-//! CREATE's optional **mode block** sits between `shards` and the
-//! template and selects the shard pool's worker pipeline, disambiguated
-//! by its first byte:
-//!
-//! ```text
-//! 00                            worker-heaps mode (the default)
-//! 01 | candidates_per_shard (u32)   deferred-heap mode: heap-free WM
-//!                               workers + per-worker candidate
-//!                               trackers, top-K recovery deferred to
-//!                               sync points — the single-node ingest
-//!                               throughput pipeline. WM templates only;
-//!                               candidates_per_shard is capped by
-//!                               MAX_DEFERRED_CANDIDATES.
-//! anything else                 no mode block: the template starts here
-//!                               (its WMS1 magic begins 0x57 'W', which
-//!                               collides with neither tag), parsed as a
-//!                               pre-v6 worker-heaps payload.
-//! ```
 //!
 //! STATS' three-field tail follows the registry rows (a pre-v6 client
 //! reading only through the rows is unaffected): the node's `backend`
@@ -227,27 +210,21 @@
 //!            | applied clock (u64, this node's replica of that origin))
 //! ```
 //!
-//! Query ops (PREDICT/ESTIMATE/TOPK/SNAPSHOT/CHECKPOINT) sync the
-//! addressed model's shard pool first, so responses always reflect every
-//! ingested example. MERGE folds the peer model into the model's *sync
-//! base*, so it survives later syncs and composes with live ingest. The
-//! STATS tail and LIST report the registry — per-model kind, shard
-//! count, update clock, and memory — so operators can see what a node is
-//! hosting.
+//! Every response reflects every example ingested before it. MERGE
+//! folds the peer model into the addressed model and composes with live
+//! ingest. The STATS tail and LIST report the registry — per-model kind,
+//! update clock, and memory — so operators can see what a node is
+//! hosting. The wire keeps two fields from when a model could be a
+//! worker pool: `shards` (STATS and LIST) always reads 0 and `synced`
+//! (STATS) always reads 1.
 //!
 //! ## Merge clock semantics
 //!
-//! A model keeps **two** example counters, and MERGE is exactly where
-//! they diverge: `examples_seen` counts examples this node ingested
-//! locally (UPDATE frames), while the model's **clock** additionally
-//! accumulates the clocks of absorbed peer snapshots. STATS reports
-//! both (`routed` = local, `clock` = merged); UPDATE responses carry
-//! the local count, MERGE responses carry the merged clock. For a
-//! sharded pool the merged clock is maintained as its own counter
-//! (`ShardedLearner::merged_clock` — routed plus absorbed), so it is
-//! correct **immediately** after a MERGE rather than only after the next
-//! shard sync rebuilds the root; the two counters never silently
-//! disagree between syncs.
+//! A model's clock counts every example its state reflects: examples
+//! ingested through UPDATE plus the clocks of absorbed peer snapshots,
+//! which a MERGE adds the moment it lands. UPDATE and MERGE responses,
+//! STATS' `routed` and `clock`, and the LIST row all report this one
+//! number.
 //!
 //! ## Replication: delta snapshots + anti-entropy gossip
 //!
@@ -281,7 +258,7 @@
 //!
 //! On top of the records sit per-model **origin replicas**: each node
 //! hosts its own authoritative copy (ingesting its partition of the
-//! stream, unsharded — `shards == 0`) and, per origin it has heard of, a
+//! stream) and, per origin it has heard of, a
 //! replica of that origin's copy advanced purely by pulled records. The
 //! gossip loop ([`ServeConfig::gossip_every_ms`]) ticks on its own timer
 //! thread and, for every registered peer (PEER_JOIN) and shared model
@@ -326,22 +303,22 @@
 //!   entry is synced — a crash mid-write leaves the previous checkpoint
 //!   intact, and stale temporaries are swept at startup.
 //!
-//! CREATE writes a `.spec` sidecar (name, shard count, heap mode,
-//! untrained template) through the same atomic path, so the registry
+//! CREATE writes a `.spec` sidecar (name and untrained template, plus
+//! legacy shards and mode fields written as 0) through the same atomic
+//! path, so the registry
 //! shape itself is durable. On bind, a node with a data directory
 //! recovers in two passes: every readable spec re-registers its model
 //! (same name; ids are assigned fresh), then every readable checkpoint
 //! **restores** its model's state. Restore is not a peer merge: where
 //! `absorb` folds foreign state in (normalizing the scale
 //! representation), restore reinstates the checkpoint as the model's
-//! own interrupted life — for plain and 1-shard-bypass hosting the
-//! adoption is bit-exact (pre-scale cells, scale factor, update clock,
-//! top-K heap), so training resumed on a recovered node follows the
-//! exact trajectory the crash interrupted and reconverges
-//! bit-identically with a node that never crashed. A worker pool's root
-//! snapshot cannot capture its workers' in-flight trajectories, so its
-//! recovery is aggregate-exact, with routing resumed at the restored
-//! clock. Unreadable, corrupt, or shape-incompatible files are skipped
+//! own interrupted life, bit for bit (pre-scale cells, scale factor,
+//! update clock, top-K heap), so training resumed on a recovered node
+//! follows the exact trajectory the crash interrupted and reconverges
+//! bit-identically with a node that never crashed. The default model
+//! recovers the same way. A spec or checkpoint an older node wrote for
+//! a worker pool recovers as one learner restored from the pool's root
+//! snapshot. Unreadable, corrupt, or shape-incompatible files are skipped
 //! and counted (`recovery_rejected_total`); they never stop the node
 //! from serving.
 //!
@@ -384,8 +361,8 @@
 //!   typed protocol error (`model does not fit in the node's memory
 //!   budget`) and the registry is unchanged.
 //! * **Eviction.** Under pressure the governor spills the
-//!   least-recently-used *unsharded* model (sharded pools own live
-//!   worker threads and are never victims): the learner is snapshotted
+//!   least-recently-used model, the default model included: the
+//!   learner is snapshotted
 //!   through the same sealed-`WMS1` atomic-write path as a checkpoint —
 //!   the spill record **is** the model's checkpoint file — and the
 //!   registry entry collapses to a stub holding only the clock, cost,
@@ -404,8 +381,8 @@
 //!   `governor_revival_failures_total`, never a panic; RESET rebuilds
 //!   the model from its template.
 //! * **Recovery.** On restart the governed node re-registers every spec
-//!   as usual, then **lazily stubs** models whose checkpoints exist
-//!   until the registry fits the budget — cold models are not paged in
+//!   as usual, then **lazily stubs** every model whose checkpoint
+//!   exists, the default model included — cold models are not paged in
 //!   just to be counted; their first request revives them. Recovery
 //!   admission never evicts (a mid-recovery entry still holds its fresh
 //!   template build; spilling it would overwrite the real checkpoint).
@@ -517,8 +494,8 @@
 //!   pipelining, and per-model work queues that coalesce consecutive
 //!   UPDATE frames — from any mix of connections — into a single
 //!   learner-lock acquisition (each frame stays its own `update_batch`
-//!   call, so per-connection arrival order into shard routing, and with
-//!   it distributed-vs-local merge parity, is untouched). Connections
+//!   call, and `update_batch` chunking invariance makes the coalesced
+//!   run bit-identical to per-frame locking). Connections
 //!   cost no thread, so one node holds many thousands; a connection with
 //!   128 unanswered requests stops being read until it drains, and
 //!   accept/registration failures (fd exhaustion) back off for 10 ms
@@ -560,8 +537,5 @@ pub mod server;
 pub use client::{RetryPolicy, SelfHealingClient, ServeClient};
 pub use error::ServeError;
 pub use protocol::ModelInfo;
-pub use server::{
-    ReplRow, ServeBackend, ServeConfig, ServeStats, ServerHandle, WmServer,
-    CREATE_MODE_DEFERRED_HEAP, CREATE_MODE_WORKER_HEAPS, MAX_DEFERRED_CANDIDATES,
-};
+pub use server::{ReplRow, ServeBackend, ServeConfig, ServeStats, ServerHandle, WmServer};
 pub use wmsketch_telemetry::{MetricsReport, Sample};

@@ -145,12 +145,10 @@ pub struct ModelInfo {
     /// The model's `WMS1` kind byte (`0x03` WM, `0x04` AWM, `0x05`
     /// multiclass AWM).
     pub kind: u8,
-    /// Worker shards behind the model.
+    /// Always 0 from this node: the wire field once carried a
+    /// worker-pool size, and every model is now one learner.
     pub shards: u32,
-    /// The update clock of the model's *queryable* state (absorbed peers
-    /// included). STATS/LIST are read-only and never force a shard-pool
-    /// merge, so this lags live unsynced ingest by at most the model's
-    /// sync cadence; any query op brings it current.
+    /// The model's update clock (absorbed peers included).
     pub clock: u64,
     /// Memory cost in bytes under the paper's §7.1 model.
     pub memory_bytes: u64,

@@ -1,7 +1,7 @@
 //! The ingest/query server: a [`std::net::TcpListener`] feeding a
 //! **model registry** — named [`wmsketch_learn::DynLearner`] models (WM,
-//! AWM, multiclass, each optionally behind a shard pool), every model
-//! behind its own mutex so traffic to different models never serializes.
+//! AWM, multiclass), each one plain learner behind its own mutex so
+//! traffic to different models never serializes.
 //!
 //! Two interchangeable transport backends speak the same wire protocol
 //! (selected by [`ServeBackend`]):
@@ -23,11 +23,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Duration;
 
-use wmsketch_core::{
-    build_sharded_any, build_sharded_wm_deferred, sharded_wm, DynLearner, LabelDomain,
-    ShardedLearner, ShardedLearnerConfig, WmSketch, WmSketchConfig,
-};
-use wmsketch_hashing::codec::{self, Reader, Writer, KIND_WM};
+use wmsketch_core::{DynLearner, LabelDomain, WmSketch, WmSketchConfig};
+use wmsketch_hashing::codec::{self, Reader, Writer};
 
 use crate::durability;
 use crate::error::ServeError;
@@ -55,32 +52,15 @@ const MAX_MODELS: usize = 1024;
 /// a governed node can host far larger fleets.
 const MAX_MODELS_GOVERNED: usize = 65536;
 
-/// Most worker shards CREATE accepts per model (each is a full replica).
-const MAX_MODEL_SHARDS: u32 = 256;
-
 /// Largest class count a wire-served multiclass model may have: labels
 /// ride the protocol's `i8` slot, so class indices must fit `0..=127`.
 const MAX_WIRE_CLASSES: u32 = 128;
-
-/// Largest per-shard candidate-tracker capacity CREATE accepts for
-/// deferred-heap mode — bounds the tracker's high-water memory per shard.
-pub const MAX_DEFERRED_CANDIDATES: u32 = 8192;
 
 /// Longest peer address OP_PEER_JOIN accepts (bytes of UTF-8).
 const MAX_PEER_ADDR: usize = 256;
 
 /// Most replication peers one node tracks.
 const MAX_PEERS: usize = 1024;
-
-/// CREATE sharding-mode byte: worker replicas carry their own top-K
-/// heaps (the cross-node-parity configuration; the pre-v6 implicit
-/// default).
-pub const CREATE_MODE_WORKER_HEAPS: u8 = 0x00;
-/// CREATE sharding-mode byte: deferred heap maintenance — heap-free
-/// workers plus per-shard ℓ1 touch-mass candidate trackers (the PR 2
-/// single-node throughput pipeline; WM templates only). Followed by
-/// `candidates_per_shard (u32)`.
-pub const CREATE_MODE_DEFERRED_HEAP: u8 = 0x01;
 
 /// Which transport backend a server runs; both speak the identical wire
 /// protocol and produce bit-identical model state for the same
@@ -152,20 +132,8 @@ impl ServeBackend {
 /// models of any registered kind are added at runtime via OP_CREATE.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Model configuration shared by the root and every worker replica.
+    /// The default model's configuration.
     pub wm: WmSketchConfig,
-    /// Shard-pool configuration (worker count, sync cadence, partition
-    /// seed).
-    pub sharding: ShardedLearnerConfig,
-    /// When `true` (the default), worker replicas carry their own top-K
-    /// heaps and candidate tracking is disabled. Merges then rebuild the
-    /// root's heap from the *union of merged heaps*, which makes
-    /// snapshot/merge composition across nodes bit-identical to local
-    /// sharded training with the same routing. Set `false` for the
-    /// deferred-heap-maintenance pipeline (heap-free workers plus ℓ1
-    /// touch-mass trackers) when single-node ingest throughput matters
-    /// more than cross-node heap parity.
-    pub worker_heaps: bool,
     /// Transport backend override; `None` (the default) defers to the
     /// `WMSKETCH_SERVE_BACKEND` env var and then the platform default.
     pub backend: Option<ServeBackend>,
@@ -191,8 +159,8 @@ pub struct ServeConfig {
     pub checkpoint_interval_ms: u64,
     /// Resident-byte budget for the memory governor; `None` (the
     /// default) disables governance entirely. When set, every hosted
-    /// model is charged its truthful resident footprint, cold unsharded
-    /// models are spilled to disk under pressure and revived
+    /// model is charged its truthful resident footprint, cold models
+    /// are spilled to disk under pressure and revived
     /// transparently on next access, and OP_CREATE is rejected with a
     /// typed error when the budget cannot be met. Requires
     /// [`ServeConfig::data_dir`] (spills ride the durability layer's
@@ -201,17 +169,20 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
-    /// A node whose default model hosts `shards` worker replicas of `wm`,
-    /// with heap-carrying workers (see [`ServeConfig::worker_heaps`]).
+    /// A node whose default model is one plain `WmSketch` of `wm`.
+    /// `shards` must be 1: the node hosts every model as one learner and
+    /// scales out by shipping snapshots between nodes instead.
     ///
     /// # Panics
-    /// Panics if `shards == 0`.
+    /// Panics unless `shards == 1`.
     #[must_use]
     pub fn new(wm: WmSketchConfig, shards: usize) -> Self {
+        assert!(
+            shards == 1,
+            "a serving node hosts its default model as one learner (shards must be 1)"
+        );
         Self {
             wm,
-            sharding: ShardedLearnerConfig::new(shards).candidates_per_shard(0),
-            worker_heaps: true,
             backend: None,
             node_id: 0,
             gossip_interval_ms: 0,
@@ -262,15 +233,6 @@ impl ServeConfig {
         self
     }
 
-    /// Switches to the deferred-heap-maintenance worker pipeline with the
-    /// given per-shard candidate-tracker capacity.
-    #[must_use]
-    pub fn deferred_heap(mut self, candidates_per_shard: usize) -> Self {
-        self.worker_heaps = false;
-        self.sharding = self.sharding.candidates_per_shard(candidates_per_shard);
-        self
-    }
-
     /// Forces a transport backend instead of the env/platform selection
     /// (an `Event` request is still clamped to `Threaded` off-Linux).
     #[must_use]
@@ -278,35 +240,22 @@ impl ServeConfig {
         self.backend = Some(backend);
         self
     }
-
-    /// Builds a fresh learner for this configuration (also the RESTORE /
-    /// RESET path, which is why the config is kept alongside the model).
-    #[must_use]
-    pub fn build_learner(&self) -> ShardedLearner<WmSketch> {
-        if self.worker_heaps {
-            ShardedLearner::new(
-                self.sharding,
-                WmSketch::new(self.wm),
-                WmSketch::new(self.wm),
-            )
-        } else {
-            sharded_wm(self.wm, self.sharding)
-        }
-    }
 }
 
 /// Counters reported by the STATS op.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServeStats {
-    /// Examples ingested into the addressed model on this node (excludes
-    /// absorbed peer snapshots).
+    /// The addressed model's example count. Absorbed peer snapshots
+    /// count too: every hosted model is one plain learner, whose example
+    /// count and clock are one number.
     pub routed: u64,
     /// The addressed model's own clock (includes absorbed peers).
     pub root_examples: u64,
-    /// The addressed model's worker count.
+    /// Always 0: the wire field once carried a worker-pool size, and
+    /// every model is now one learner.
     pub shards: u32,
-    /// Whether the addressed model's queryable state reflects every
-    /// ingested example.
+    /// Always `true`: a plain learner's queries reflect every ingested
+    /// example.
     pub synced: bool,
     /// The whole registry, one row per hosted model (kind, shards,
     /// update clock, memory) — what this node is hosting, at a glance.
@@ -362,76 +311,12 @@ pub struct ReplRow {
     pub applied: u64,
 }
 
-/// How to rebuild a shard pool from a CREATE-supplied template — which
-/// worker pipeline the pool runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ShardMode {
-    /// Heap-carrying workers, candidate tracking off (cross-node heap
-    /// parity; the default).
-    WorkerHeaps,
-    /// Deferred heap maintenance: heap-free workers plus per-shard ℓ1
-    /// touch-mass trackers of this capacity (WM only).
-    DeferredHeap {
-        /// Per-shard candidate-tracker capacity.
-        candidates_per_shard: u32,
-    },
-}
-
-/// How to rebuild a model from scratch — kept beside the live learner so
-/// RESET and RESTORE can re-derive a pristine instance.
-enum ModelSpec {
-    /// The default model: the node's [`ServeConfig`].
-    Default(ServeConfig),
-    /// A registered model: the untrained template snapshot it was created
-    /// from, plus its shard count and worker pipeline.
-    Template {
-        template: Vec<u8>,
-        shards: u32,
-        mode: ShardMode,
-    },
-}
-
-impl ModelSpec {
-    fn build(&self) -> Result<Box<dyn DynLearner>, ServeError> {
-        match self {
-            ModelSpec::Default(cfg) => Ok(Box::new(cfg.build_learner())),
-            ModelSpec::Template {
-                template,
-                shards,
-                mode,
-            } => {
-                // `shards == 0` hosts the template *unsharded*: the plain
-                // decoded learner, no worker pool. This is the replication
-                // hosting mode — delta records apply only to unsharded
-                // replicas, and an unsharded model restarted from a peer's
-                // replica resumes bit-identically (a shard pool's internal
-                // routing state cannot be reconstructed from a snapshot).
-                if *shards == 0 {
-                    return Ok(wmsketch_core::decode_any_learner(template)?);
-                }
-                let sharding = ShardedLearnerConfig::new(*shards as usize);
-                Ok(match mode {
-                    ShardMode::WorkerHeaps => {
-                        build_sharded_any(template, sharding.candidates_per_shard(0))?
-                    }
-                    ShardMode::DeferredHeap {
-                        candidates_per_shard,
-                    } => build_sharded_wm_deferred(
-                        template,
-                        sharding.candidates_per_shard(*candidates_per_shard as usize),
-                    )?,
-                })
-            }
-        }
-    }
-}
-
 /// A replica of one *origin* node's copy of a model, advanced by applying
 /// pulled delta records (or replaced by pulled full snapshots).
 pub(crate) struct OriginReplica {
     /// The replica's applied watermark (its clock).
     pub(crate) applied: u64,
-    /// The replica itself — always an unsharded learner.
+    /// The replica itself — a plain learner, like every hosted model.
     pub(crate) learner: Box<dyn DynLearner>,
 }
 
@@ -477,8 +362,9 @@ pub(crate) struct SpilledStub {
     pub(crate) path: PathBuf,
 }
 
-/// One hosted model: identity, label contract, rebuild recipe, and the
-/// live learner (or its spill stub) behind its own mutex.
+/// One hosted model: identity, label contract, the untrained template it
+/// is rebuilt from, and the live learner (or its spill stub) behind its
+/// own mutex.
 ///
 /// Lock order within an entry: `ckpt_io` → `slot` → `repl` → `merged`.
 /// Any path may take a later lock while holding an earlier one, never
@@ -487,10 +373,17 @@ pub(crate) struct ModelEntry {
     pub(crate) id: u32,
     name: String,
     kind: u8,
-    shards: u32,
     pub(crate) label_domain: LabelDomain,
-    spec: ModelSpec,
+    /// The untrained `WMS1` snapshot RESET, RESTORE, revival and
+    /// recovery rebuild the model from.
+    template: Vec<u8>,
     pub(crate) slot: Mutex<ModelSlot>,
+    /// How many times the learner has been replaced wholesale (RESET,
+    /// RESTORE, recovery, gossip adoption). Bumped under the slot lock.
+    /// The checkpointer keys its dirty check on `(installs, clock)`: a
+    /// replaced learner can reach the clock of the last checkpoint with
+    /// different state, and a clock-only check would skip it.
+    pub(crate) installs: AtomicU64,
     /// Serializes writes of this model's checkpoint file. The
     /// checkpointer and OP_CHECKPOINT snapshot under `slot` but write
     /// outside it (slow disks must not stall ingest); on a governed
@@ -557,6 +450,7 @@ impl LearnerGuard<'_> {
         let cost = fresh.resident_bytes() as u64;
         let old = self.entry.resident_cost.swap(cost, Ordering::Relaxed);
         *self.slot_mut() = ModelSlot::Resident(fresh);
+        self.entry.installs.fetch_add(1, Ordering::Relaxed);
         if let Some(gov) = &self.entry.governor {
             gov.note_install(old, cost, false);
         }
@@ -604,9 +498,8 @@ impl ModelEntry {
     fn new(
         id: u32,
         name: String,
-        shards: u32,
         label_domain: LabelDomain,
-        spec: ModelSpec,
+        template: Vec<u8>,
         learner: Box<dyn DynLearner>,
         governor: Option<Arc<crate::governor::MemoryGovernor>>,
     ) -> Self {
@@ -617,10 +510,10 @@ impl ModelEntry {
             id,
             name,
             kind,
-            shards,
             label_domain,
-            spec,
+            template,
             slot: Mutex::new(ModelSlot::Resident(learner)),
+            installs: AtomicU64::new(0),
             ckpt_io: Mutex::new(()),
             repl: Mutex::new(ReplState::default()),
             merged: Mutex::new(MergedCache::default()),
@@ -636,13 +529,9 @@ impl ModelEntry {
         &self.name
     }
 
-    /// Whether this entry hosts its learner unsharded (`shards == 0`) —
-    /// the only hosting mode whose local copy can adopt a recovered
-    /// snapshot from a peer's replica, and therefore the only one the
-    /// governor may spill (a shard pool's routing state does not
-    /// survive a snapshot round trip).
-    pub(crate) fn unsharded(&self) -> bool {
-        self.shards == 0
+    /// A pristine learner decoded from the model's template.
+    fn fresh_learner(&self) -> Result<Box<dyn DynLearner>, ServeError> {
+        Ok(wmsketch_core::decode_any_learner(&self.template)?)
     }
 
     /// Locks the model's learner, transparently reviving it from its
@@ -664,7 +553,7 @@ impl ModelEntry {
             let revived = std::fs::read(&stub.path)
                 .map_err(ServeError::from)
                 .and_then(|bytes| {
-                    let mut fresh = self.spec.build()?;
+                    let mut fresh = self.fresh_learner()?;
                     fresh.restore_snapshot(&bytes)?;
                     Ok(fresh)
                 });
@@ -704,6 +593,7 @@ impl ModelEntry {
         let was_spilled = matches!(&*slot, ModelSlot::Spilled(_));
         let old = self.resident_cost.swap(cost, Ordering::Relaxed);
         *slot = ModelSlot::Resident(fresh);
+        self.installs.fetch_add(1, Ordering::Relaxed);
         drop(slot);
         if let Some(gov) = &self.governor {
             gov.note_install(old, cost, was_spilled);
@@ -754,7 +644,7 @@ impl ModelEntry {
             id: self.id,
             name: self.name.clone(),
             kind: self.kind,
-            shards: self.shards,
+            shards: 0,
             clock,
             memory_bytes,
         }
@@ -852,7 +742,8 @@ impl WmServer {
     /// recovery** runs, before any connection can be accepted: stale
     /// `*.tmp` files from interrupted writes are swept, every `.spec`
     /// sidecar re-registers its model, and every `.ckpt` checkpoint is
-    /// absorbed into a fresh build of its model's spec — so the node
+    /// restored into a fresh build of its model's template (lazily, on
+    /// first access, on a memory-governed node) — so the node
     /// resumes from its last atomic checkpoint and its gossip watermarks
     /// restart from the recovered clocks.
     ///
@@ -881,14 +772,18 @@ impl WmServer {
             }
             (None, _) => None,
         };
-        let learner: Box<dyn DynLearner> = Box::new(cfg.build_learner());
-        let shards = cfg.sharding.shards as u32;
-        // The default model is charged like any other (it is sharded, so
-        // never spilled); a budget too small to even hold it is a
+        // The default model is hosted like any created model: its
+        // template is its own fresh snapshot (encoded, not decoded, so
+        // bind pays no decode).
+        let mut learner: Box<dyn DynLearner> = Box::new(WmSketch::new(cfg.wm));
+        let template = learner
+            .snapshot()
+            .expect("a WM learner always has a snapshot codec");
+        // A budget too small to even hold the default model is a
         // configuration error surfaced at bind.
         if let Some(gov) = &governor {
             let cost = learner.resident_bytes() as u64
-                + crate::governor::entry_overhead("default".len(), 0);
+                + crate::governor::entry_overhead("default".len(), template.len());
             gov.admit(cost, true).map_err(|_| {
                 std::io::Error::new(
                     std::io::ErrorKind::InvalidInput,
@@ -899,12 +794,14 @@ impl WmServer {
         let default = Arc::new(ModelEntry::new(
             protocol::DEFAULT_MODEL_ID,
             "default".to_string(),
-            shards,
             LabelDomain::Binary,
-            ModelSpec::Default(cfg),
+            template,
             learner,
             governor.clone(),
         ));
+        if let Some(gov) = &governor {
+            gov.register_victim(&default);
+        }
         let mut by_name = HashMap::new();
         by_name.insert(default.name.clone(), default.id);
         let state = Arc::new(ServerState {
@@ -1107,14 +1004,15 @@ pub(crate) fn accept_loop(listener: &TcpListener, state: &Arc<ServerState>) {
 }
 
 /// The background checkpointer: every interval it sweeps the registry
-/// and persists each model whose clock moved since its last successful
-/// checkpoint (**dirty-clock tracking** — a clean model costs one lock
-/// acquisition and a clock read, no encode, no I/O). A graceful
+/// and persists each model whose `(installs, clock)` pair moved since
+/// its last successful checkpoint (**dirty tracking** — a clean model
+/// costs one lock acquisition and two counter reads, no encode, no
+/// I/O). A graceful
 /// shutdown takes one final pass so the durable state is current;
 /// [`ServerHandle::kill`] (simulated crash) suppresses it.
 pub(crate) fn checkpoint_loop(state: &Arc<ServerState>) {
     let interval = Duration::from_millis(state.checkpoint_interval_ms.max(1));
-    let mut last_persisted: HashMap<u32, u64> = HashMap::new();
+    let mut last_persisted: HashMap<u32, (u64, u64)> = HashMap::new();
     while !state.shutdown.load(Ordering::SeqCst) {
         crate::gossip::sleep_interruptible(state, interval);
         if state.shutdown.load(Ordering::SeqCst) {
@@ -1128,7 +1026,7 @@ pub(crate) fn checkpoint_loop(state: &Arc<ServerState>) {
 }
 
 /// One checkpointer sweep over the registry.
-fn checkpoint_pass(state: &ServerState, last_persisted: &mut HashMap<u32, u64>) {
+fn checkpoint_pass(state: &ServerState, last_persisted: &mut HashMap<u32, (u64, u64)>) {
     let Some(dir) = state.data_dir.clone() else {
         return;
     };
@@ -1157,27 +1055,29 @@ fn checkpoint_pass(state: &ServerState, last_persisted: &mut HashMap<u32, u64>) 
                     continue;
                 }
             };
-            let clock = learner.clock();
-            if last_persisted.get(&entry.id) == Some(&clock) {
+            // Installs are bumped under the slot lock held here, so the
+            // pair is read consistently.
+            let version = (entry.installs.load(Ordering::Relaxed), learner.clock());
+            if last_persisted.get(&entry.id) == Some(&version) {
                 state.metrics.checkpoints_skipped.inc();
                 continue;
             }
-            learner.snapshot().map(|bytes| (clock, bytes))
+            learner.snapshot().map(|bytes| (version, bytes))
         };
         let written = snapshot
             .map_err(ServeError::from)
-            .and_then(|(clock, bytes)| {
+            .and_then(|(version, bytes)| {
                 let path = dir.join(format!(
                     "{}.{}",
                     durability::file_stem(entry.name()),
                     durability::CKPT_EXT
                 ));
                 durability::write_atomic(&path, &bytes)?;
-                Ok(clock)
+                Ok(version)
             });
         match written {
-            Ok(clock) => {
-                last_persisted.insert(entry.id, clock);
+            Ok(version) => {
+                last_persisted.insert(entry.id, version);
                 state.metrics.checkpoints_written.inc();
             }
             // Failed writes (injected or real) leave the previous
@@ -1190,8 +1090,8 @@ fn checkpoint_pass(state: &ServerState, last_persisted: &mut HashMap<u32, u64>) 
 
 /// Startup recovery (bind-time, before any connection is accepted):
 /// sweeps stale `.tmp` files, re-registers every `.spec` model, then
-/// absorbs every `.ckpt` checkpoint into a fresh build of its model's
-/// spec. Corrupt or unreadable files — a torn record from a crash, a
+/// restores every `.ckpt` checkpoint into a fresh build of its model's
+/// template. Corrupt or unreadable files — a torn record from a crash, a
 /// flipped bit caught by the CRC footer — are counted and skipped: they
 /// cost the state they failed to persist, never the node.
 fn recover_registry(state: &ServerState) -> std::io::Result<()> {
@@ -1208,30 +1108,31 @@ fn recover_registry(state: &ServerState) -> std::io::Result<()> {
         let recovered = std::fs::read(&path)
             .map_err(ServeError::from)
             .and_then(|bytes| durability::decode_spec_record(&bytes))
-            .and_then(|(name, shards, mode, template)| {
+            .and_then(|(name, template)| {
                 if name != stem_name {
                     return Err(ServeError::Protocol(
                         "spec record name does not match its file stem",
                     ));
                 }
-                register_recovered_model(state, name, shards, mode, template)
+                register_recovered_model(state, name, template)
             });
         if recovered.is_err() {
             state.metrics.recovery_rejected.inc();
         }
     }
     // Pass 2: `.ckpt` checkpoints restore model state (the default
-    // model included — its spec is the node's own ServeConfig). The
-    // decode verifies the CRC footer, so a lying-disk torn final file
-    // is rejected here rather than absorbed truncated.
+    // model included — its template is its fresh snapshot at bind).
+    // The decode verifies the CRC footer, so a lying-disk torn final
+    // file is rejected here rather than absorbed truncated. A checkpoint
+    // an older node wrote for a worker pool is that pool's root
+    // snapshot, so it restores as one learner like any other.
     //
-    // On a memory-governed node, unsharded models are recovered
-    // **lazily**: the checkpoint is registered as a spill stub without
-    // being read, so a 10k-model fleet restarts in registry-scan time
-    // and each model pays its decode on first access (where a corrupt
-    // record surfaces as that request's typed error, not a recovery
-    // rejection). Sharded models restore hot as before — their pools
-    // cannot be revived from a snapshot later.
+    // On a memory-governed node every model is recovered **lazily**:
+    // the checkpoint is registered as a spill stub without being read,
+    // so a 10k-model fleet restarts in registry-scan time and each
+    // model pays its decode on first access (where a corrupt record
+    // surfaces as that request's typed error, not a recovery
+    // rejection).
     for (name, path) in durability::scan(&dir, durability::CKPT_EXT) {
         let restored = (|| -> Result<(), ServeError> {
             let entry = {
@@ -1243,12 +1144,12 @@ fn recover_registry(state: &ServerState) -> std::io::Result<()> {
                     .and_then(|id| registry.get(id))
                     .ok_or(ServeError::Protocol("checkpoint for a model with no spec"))?
             };
-            if state.governor.is_some() && entry.unsharded() {
+            if state.governor.is_some() {
                 entry.adopt_lazy_stub(path);
                 return Ok(());
             }
             let bytes = std::fs::read(&path)?;
-            let mut fresh = entry.spec.build()?;
+            let mut fresh = entry.fresh_learner()?;
             fresh.restore_snapshot(&bytes)?;
             entry.install(fresh);
             Ok(())
@@ -1266,23 +1167,15 @@ fn recover_registry(state: &ServerState) -> std::io::Result<()> {
 fn register_recovered_model(
     state: &ServerState,
     name: String,
-    shards: u32,
-    mode: ShardMode,
     template: Vec<u8>,
 ) -> Result<(), ServeError> {
-    let template_len = template.len();
-    let spec = ModelSpec::Template {
-        template,
-        shards,
-        mode,
-    };
-    let learner = spec.build()?;
+    let learner = wmsketch_core::decode_any_learner(&template)?;
     let label_domain = learner.label_domain();
     // Recovery admission is best-effort: the node must come back up
-    // regardless of budget; pass 2 immediately stubs the unsharded
+    // regardless of budget; pass 2 immediately stubs checkpointed
     // entries back out, resolving any overshoot.
-    let cost =
-        learner.resident_bytes() as u64 + crate::governor::entry_overhead(name.len(), template_len);
+    let cost = learner.resident_bytes() as u64
+        + crate::governor::entry_overhead(name.len(), template.len());
     if let Some(gov) = &state.governor {
         gov.admit(cost, false)?;
     }
@@ -1307,16 +1200,13 @@ fn register_recovered_model(
     let entry = Arc::new(ModelEntry::new(
         id,
         name,
-        shards,
         label_domain,
-        spec,
+        template,
         learner,
         state.governor.clone(),
     ));
     if let Some(gov) = &state.governor {
-        if entry.unsharded() {
-            gov.register_victim(&entry);
-        }
+        gov.register_victim(&entry);
     }
     registry.by_id.push(entry);
     Ok(())
@@ -1486,15 +1376,11 @@ fn registry_rows(state: &ServerState) -> Vec<ModelInfo> {
 /// Handles OP_CREATE: registers a named model built from an untrained
 /// template snapshot of any registered kind.
 ///
-/// Payload: `name_len (u32) | name | shards (u32) | [mode] | template`.
-/// The optional mode block is disambiguated by its first byte:
-/// [`CREATE_MODE_WORKER_HEAPS`] (`0x00`) and
-/// [`CREATE_MODE_DEFERRED_HEAP`] (`0x01`, followed by
-/// `candidates_per_shard u32`) are both outside the `WMS1` magic's first
-/// byte (`0x57`, `'W'`), so a pre-v6 payload — template immediately
-/// after `shards` — parses unchanged as worker-heaps mode.
+/// Payload: `name_len (u32) | name | shards (u32) | template`. The node
+/// hosts every model as one learner, so `shards` must be 0 or 1 (both
+/// mean one learner); larger values are a typed error.
 fn handle_create(r: &mut Reader<'_>, state: &ServerState) -> Result<u32, ServeError> {
-    // Coarse span for the journal: covers validation + shard-pool build.
+    // Coarse span for the journal: covers validation + the model build.
     let built_started = std::time::Instant::now();
     let name_len = r.take_u32()? as usize;
     if name_len == 0 || name_len > MAX_MODEL_NAME {
@@ -1503,17 +1389,15 @@ fn handle_create(r: &mut Reader<'_>, state: &ServerState) -> Result<u32, ServeEr
     let name = std::str::from_utf8(r.take_bytes(name_len)?)
         .map_err(|_| ServeError::Protocol("model name is not UTF-8"))?
         .to_string();
-    let shards = r.take_u32()?;
-    // `shards == 0` is the unsharded (replication) hosting mode; see
-    // `ModelSpec::build`.
-    if shards > MAX_MODEL_SHARDS {
-        return Err(ServeError::Protocol("shard count out of range"));
+    if r.take_u32()? > 1 {
+        return Err(ServeError::Protocol(
+            "worker pools are not hosted: CREATE accepts shards 0 or 1",
+        ));
     }
     // Reject duplicate names and a full registry *before* paying for the
-    // template decode and shard-replica construction — a misbehaving
-    // client retrying CREATE must not cost a full model build per frame.
-    // (Re-checked under the write lock below: two racing CREATEs can both
-    // pass this probe.)
+    // template decode — a misbehaving client retrying CREATE must not
+    // cost a model build per frame. (Re-checked under the write lock
+    // below: two racing CREATEs can both pass this probe.)
     {
         let registry = state.registry.read().expect("registry lock");
         if registry.by_id.len() >= state.max_models() {
@@ -1523,51 +1407,15 @@ fn handle_create(r: &mut Reader<'_>, state: &ServerState) -> Result<u32, ServeEr
             return Err(ServeError::Protocol("model name already registered"));
         }
     }
-    let rest = r.take_bytes(r.remaining())?;
-    let (mode, template) = match rest.first() {
-        Some(&CREATE_MODE_WORKER_HEAPS) => (ShardMode::WorkerHeaps, &rest[1..]),
-        Some(&CREATE_MODE_DEFERRED_HEAP) => {
-            if rest.len() < 5 {
-                return Err(ServeError::Protocol("truncated deferred-heap mode block"));
-            }
-            let candidates = u32::from_le_bytes([rest[1], rest[2], rest[3], rest[4]]);
-            if candidates > MAX_DEFERRED_CANDIDATES {
-                return Err(ServeError::Protocol(
-                    "candidates_per_shard exceeds MAX_DEFERRED_CANDIDATES",
-                ));
-            }
-            (
-                ShardMode::DeferredHeap {
-                    candidates_per_shard: candidates,
-                },
-                &rest[5..],
-            )
-        }
-        // Anything else — including the `WMS1` magic's 0x57 — is a
-        // pre-v6 payload: the template starts here, worker-heaps mode.
-        _ => (ShardMode::WorkerHeaps, rest),
-    };
-    let template = template.to_vec();
-    if let ShardMode::DeferredHeap { .. } = mode {
-        // Deferred heap maintenance is a WM-worker pipeline; other kinds
-        // are rejected from the kind byte alone, before any decode.
-        if codec::peek_kind(&template)? != KIND_WM {
-            return Err(ServeError::Protocol(
-                "deferred-heap mode requires a WM template",
-            ));
-        }
-        if shards == 0 {
-            return Err(ServeError::Protocol(
-                "deferred-heap mode requires at least one shard",
-            ));
-        }
+    let template = r.take_bytes(r.remaining())?.to_vec();
+    // Build outside the registry lock: decoding a 64 MiB template must
+    // not block every other connection's model lookup.
+    let learner = wmsketch_core::decode_any_learner(&template)?;
+    if learner.clock() != 0 {
+        return Err(ServeError::Protocol("model template must be untrained"));
     }
-    // Validate the label domain on a *single* decoded template before
-    // cloning it into up to MAX_MODEL_SHARDS worker replicas — a
-    // rejected >128-class template must cost one decode, not a full
-    // shard-pool build.
-    let probe = wmsketch_core::decode_any_learner(&template)?;
-    if let LabelDomain::Classes(m) = probe.label_domain() {
+    let label_domain = learner.label_domain();
+    if let LabelDomain::Classes(m) = label_domain {
         if m > MAX_WIRE_CLASSES {
             return Err(ServeError::Protocol(
                 "class count exceeds the wire label encoding (i8 class indices)",
@@ -1575,36 +1423,19 @@ fn handle_create(r: &mut Reader<'_>, state: &ServerState) -> Result<u32, ServeEr
         }
     }
     // Encode the durable rebuild recipe before `template` moves into the
-    // spec; it is only written out once registration has succeeded.
+    // entry; it is only written out once registration has succeeded.
     let spec_record = state
         .data_dir
         .as_ref()
-        .map(|_| durability::encode_spec_record(&name, shards, mode, &template));
-    // Build outside the registry lock: decoding a 64 MiB template must
-    // not block every other connection's model lookup.
-    let template_len = template.len();
-    let spec = ModelSpec::Template {
-        template,
-        shards,
-        mode,
-    };
-    // Unsharded, the probe is exactly what `spec.build()` would decode;
-    // a shard pool is built fresh, without the probe still resident.
-    let learner = if shards == 0 {
-        probe
-    } else {
-        drop(probe);
-        spec.build()?
-    };
-    let label_domain = learner.label_domain();
+        .map(|_| durability::encode_spec_record(&name, &template));
     let stem = durability::file_stem(&name);
     // Governor admission — *before* the registry write lock, because
     // making room may spill victims (snapshot + file I/O), which must
     // never run under the lock every other connection's model lookup
     // needs. Strict: when the budget cannot be met even after evicting
     // every cold model, CREATE fails with the typed budget error.
-    let cost =
-        learner.resident_bytes() as u64 + crate::governor::entry_overhead(name.len(), template_len);
+    let cost = learner.resident_bytes() as u64
+        + crate::governor::entry_overhead(name.len(), template.len());
     if let Some(gov) = &state.governor {
         gov.admit(cost, true)?;
     }
@@ -1629,16 +1460,13 @@ fn handle_create(r: &mut Reader<'_>, state: &ServerState) -> Result<u32, ServeEr
     let entry = Arc::new(ModelEntry::new(
         id,
         name,
-        shards,
         label_domain,
-        spec,
+        template,
         learner,
         state.governor.clone(),
     ));
     if let Some(gov) = &state.governor {
-        if entry.unsharded() {
-            gov.register_victim(&entry);
-        }
+        gov.register_victim(&entry);
     }
     registry.by_id.push(entry);
     drop(registry);
@@ -1680,7 +1508,6 @@ fn serve_query<R>(
     let mut repl = entry.repl.lock().expect("repl mutex");
     if repl.origins.is_empty() {
         drop(repl);
-        learner.finalize();
         return Ok(f(learner.as_mut()));
     }
     let mut basis: Vec<(u64, u64)> = Vec::with_capacity(repl.origins.len() + 1);
@@ -1705,7 +1532,6 @@ fn serve_query<R>(
         merged.view = Some(view);
     }
     let view = merged.view.as_mut().expect("view just built");
-    view.finalize();
     Ok(f(view.as_mut()))
 }
 
@@ -1913,7 +1739,7 @@ fn dispatch_request(
             let path =
                 durability::resolve_client_path(state.data_dir.as_deref(), &take_path(&mut r)?)?;
             let bytes = std::fs::read(&path)?;
-            let mut fresh = entry.spec.build()?;
+            let mut fresh = entry.fresh_learner()?;
             fresh.restore_snapshot(&bytes)?;
             let clock = fresh.clock();
             // `install` swaps the slot without touching any spill record
@@ -1925,23 +1751,17 @@ fn dispatch_request(
         OP_STATS => {
             r.finish()?;
             // Stub-aware: STATS is the monitoring op and must never
-            // revive a cold model. A stub's spill-time clock stands in
-            // for both counters (they differ only via absorbed peers),
-            // and a sealed snapshot is synced by construction.
-            match &*entry.slot.lock().expect("slot mutex") {
-                ModelSlot::Resident(l) => {
-                    out.put_u64(l.examples_seen());
-                    out.put_u64(l.clock());
-                    out.put_u32(entry.shards);
-                    out.put_u8(u8::from(l.is_synced()));
-                }
-                ModelSlot::Spilled(stub) => {
-                    out.put_u64(stub.clock);
-                    out.put_u64(stub.clock);
-                    out.put_u32(entry.shards);
-                    out.put_u8(1);
-                }
-            }
+            // revive a cold model; a stub's spill-time clock stands in
+            // for both counters. The `shards` and `synced` wire fields
+            // are constant: every model is one always-current learner.
+            let (routed, clock) = match &*entry.slot.lock().expect("slot mutex") {
+                ModelSlot::Resident(l) => (l.examples_seen(), l.clock()),
+                ModelSlot::Spilled(stub) => (stub.clock, stub.clock),
+            };
+            out.put_u64(routed);
+            out.put_u64(clock);
+            out.put_u32(0);
+            out.put_u8(1);
             let rows = registry_rows(state);
             out.put_u32(rows.len() as u32);
             for row in &rows {
@@ -1991,7 +1811,7 @@ fn dispatch_request(
         }
         OP_RESET => {
             r.finish()?;
-            let fresh = entry.spec.build()?;
+            let fresh = entry.fresh_learner()?;
             // `install`, not the reviving accessor: RESET discards model
             // state by contract, so it must work even when the model is
             // spilled and its spill record is unreadable.

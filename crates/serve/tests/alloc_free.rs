@@ -1,10 +1,14 @@
 //! Steady-state allocation audit of the serve-side UPDATE path: a
-//! decoded batch flows from the connection's `ExamplesScratch` straight
-//! through `ShardedLearner::shard_of` routing into the workers with
-//! **zero** allocator traffic once every buffer has warmed up — frame
-//! decode reuses the scratch's vectors, and batch routing stages into
-//! the learner's instance-owned per-shard index buffers instead of
-//! allocating staged vectors per batch.
+//! decoded frame flows from the connection's `ExamplesScratch` straight
+//! into the hosted learner's `update_batch` with **zero** allocator
+//! traffic once every buffer has warmed up — frame decode reuses the
+//! scratch's vectors, and the learners reuse their instance-owned
+//! coordinate-plan and median scratch.
+//!
+//! The learners are built the way a node hosts them: decoded from an
+//! untrained template snapshot, one plain learner per model. The WM
+//! shape is the 8 KB Figure-7 model with its 128-entry top-K heap; the
+//! AWM is depth 1.
 //!
 //! This file holds exactly one test: the counting allocator tallies the
 //! whole process, so concurrent tests would pollute the measurement.
@@ -12,7 +16,10 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-use wmsketch_core::{sharded_wm, OnlineLearner, ShardedLearnerConfig, WmSketchConfig};
+use wmsketch_core::{
+    decode_any_learner, AwmSketch, AwmSketchConfig, DynLearner, SnapshotCodec, WmSketch,
+    WmSketchConfig,
+};
 use wmsketch_hashing::codec::{Reader, Writer};
 use wmsketch_learn::{Label, LabelDomain, SparseVector};
 use wmsketch_serve::protocol::{put_examples, take_examples_into, ExamplesScratch};
@@ -45,83 +52,82 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
-/// A batch-sized example at arrival index `i`, same shape throughout so
+/// An example at arrival index `i`: a planted signal pair plus two
+/// noise features from a 4000-feature domain, same shape throughout so
 /// steady-state buffers fit every frame.
 fn example(i: u64) -> (SparseVector, Label) {
-    let noise = 100 + (i * 17 % 400) as u32;
+    let a = 100 + (i * 17 % 4000) as u32;
+    let b = 100 + (i * 7919 % 4000) as u32;
     if i.is_multiple_of(2) {
-        (SparseVector::from_pairs(&[(3, 1.0), (noise, 0.5)]), 1)
+        (
+            SparseVector::from_pairs(&[(3, 1.0), (a, 0.5), (b, 0.25)]),
+            1,
+        )
     } else {
-        (SparseVector::from_pairs(&[(9, 1.0), (noise, 0.5)]), -1)
+        (
+            SparseVector::from_pairs(&[(9, 1.0), (a, 0.5), (b, 0.25)]),
+            -1,
+        )
     }
+}
+
+/// Examples per UPDATE frame (the benchmark's frame size).
+const FRAME: u64 = 1024;
+
+/// One UPDATE frame body for arrival indices `start..start + FRAME`,
+/// encoded exactly as the wire protocol ships it.
+fn frame(start: u64) -> Vec<u8> {
+    let batch: Vec<(SparseVector, Label)> = (start..start + FRAME).map(example).collect();
+    let mut w = Writer::new();
+    put_examples(&mut w, &batch);
+    w.into_bytes()
 }
 
 #[test]
 fn steady_state_update_decode_and_routing_do_not_allocate() {
-    // Deferred-heap sharded WM exactly as a high-throughput ingest node
-    // runs it (heap-free workers; tracking off isolates the routing path;
-    // manual sync keeps the merge out of the steady-state window).
-    let cfg = WmSketchConfig::new(128, 2).seed(7);
-    let sharding = ShardedLearnerConfig::new(2)
-        .candidates_per_shard(0)
-        .sync_every(0);
-    let mut learner = sharded_wm(cfg, sharding);
+    let templates = [
+        (
+            "WM 128x14, heap 128",
+            WmSketch::new(WmSketchConfig::new(128, 14).heap_capacity(128).seed(7))
+                .to_snapshot_bytes(),
+        ),
+        (
+            "AWM depth 1",
+            AwmSketch::new(AwmSketchConfig::new(128, 1024).depth(1).seed(7)).to_snapshot_bytes(),
+        ),
+    ];
+    for (name, template) in templates {
+        let mut learner: Box<dyn DynLearner> = decode_any_learner(&template).unwrap();
+        let mut scratch = ExamplesScratch::new();
 
-    // The measured batch must stay on the *calling thread*: run_chunk
-    // only spawns worker threads (which inherently allocate) when more
-    // than one shard has work, so pick a window of consecutive arrival
-    // indices that all route to one shard. With 2 shards a 16-run occurs
-    // about once per 64k indices.
-    const WINDOW: usize = 16;
-    let start = (0..2_000_000u64)
-        .find(|&i| {
-            let s = learner.shard_of(i);
-            (1..WINDOW as u64).all(|j| learner.shard_of(i + j) == s)
-        })
-        .expect("no same-shard window found; change seed or shrink WINDOW");
+        // Warm-up: whole frames through the real decode + update path,
+        // growing the scratch and the learner's per-update buffers to
+        // steady state and filling the top-K heap / active set.
+        const WARM_FRAMES: u64 = 8;
+        for f in 0..WARM_FRAMES {
+            let body = frame(f * FRAME);
+            take_examples_into(&mut Reader::new(&body), &mut scratch, LabelDomain::Binary).unwrap();
+            learner.update_batch(scratch.examples());
+        }
+        assert_eq!(learner.examples_seen(), WARM_FRAMES * FRAME, "{name}");
 
-    // Warm up to the window: every earlier example goes through the real
-    // batch path, growing the per-shard routing buffers and each
-    // worker's coordinate-plan scratch to steady state.
-    let mut fed = 0u64;
-    while fed < start {
-        let take = (start - fed).min(256) as usize;
-        let batch: Vec<(SparseVector, Label)> = (fed..fed + take as u64).map(example).collect();
-        learner.update_batch(&batch);
-        fed += take as u64;
+        // The measured region: decode a fresh frame into the warmed
+        // scratch and train on the borrowed examples.
+        let body = frame(WARM_FRAMES * FRAME);
+        ALLOCS.store(0, Ordering::SeqCst);
+        COUNTING.store(true, Ordering::SeqCst);
+        take_examples_into(&mut Reader::new(&body), &mut scratch, LabelDomain::Binary).unwrap();
+        learner.update_batch(scratch.examples());
+        COUNTING.store(false, Ordering::SeqCst);
+        let allocs = ALLOCS.load(Ordering::SeqCst);
+
+        assert_eq!(
+            allocs, 0,
+            "{name}: steady-state UPDATE decode+train allocated {allocs} time(s)"
+        );
+        assert_eq!(learner.examples_seen(), (WARM_FRAMES + 1) * FRAME, "{name}");
+        // And the work really happened: the planted signal is in the model.
+        assert!(learner.estimate(3) > 0.0, "{name}");
+        assert!(learner.estimate(9) < 0.0, "{name}");
     }
-    assert_eq!(learner.examples_seen(), start);
-
-    // One UPDATE frame body for the window, encoded exactly as the wire
-    // protocol ships it; decode it repeatedly so the connection scratch
-    // reaches its steady-state shape too.
-    let window: Vec<(SparseVector, Label)> = (start..start + WINDOW as u64).map(example).collect();
-    let mut frame = Writer::new();
-    put_examples(&mut frame, &window);
-    let frame = frame.into_bytes();
-    let mut scratch = ExamplesScratch::new();
-    for _ in 0..4 {
-        take_examples_into(&mut Reader::new(&frame), &mut scratch, LabelDomain::Binary).unwrap();
-    }
-    assert_eq!(scratch.examples(), &window[..]);
-
-    // The measured region: decode the frame into the warmed scratch and
-    // route the borrowed examples into the shard pool.
-    ALLOCS.store(0, Ordering::SeqCst);
-    COUNTING.store(true, Ordering::SeqCst);
-    take_examples_into(&mut Reader::new(&frame), &mut scratch, LabelDomain::Binary).unwrap();
-    learner.update_batch(scratch.examples());
-    COUNTING.store(false, Ordering::SeqCst);
-    let allocs = ALLOCS.load(Ordering::SeqCst);
-
-    assert_eq!(
-        allocs, 0,
-        "steady-state UPDATE decode+route allocated {allocs} time(s)"
-    );
-    assert_eq!(learner.examples_seen(), start + WINDOW as u64);
-    // And the work really happened: the planted signal is in the model.
-    learner.sync();
-    use wmsketch_learn::WeightEstimator;
-    assert!(learner.estimate(3) > 0.0);
-    assert!(learner.estimate(9) < 0.0);
 }

@@ -126,7 +126,7 @@ fn zero_faults_means_zero_retries_and_a_clean_final_checkpoint() {
     let dir = scratch_dir("clean");
     let data = planted_stream(2000);
 
-    let cfg = ServeConfig::new(wm_cfg(), 2)
+    let cfg = ServeConfig::new(wm_cfg(), 1)
         .data_dir(&dir)
         .checkpoint_every_ms(10);
     let server = start(cfg.clone());
@@ -155,9 +155,6 @@ fn zero_faults_means_zero_retries_and_a_clean_final_checkpoint() {
     let restarted = start(cfg);
     let mut probe = ServeClient::connect(restarted.addr()).expect("probe connect");
     let stats = probe.stats().expect("stats");
-    // Recovery folds the checkpoint in as absorbed state, so the model
-    // *clock* carries the restored examples (`routed` counts only what
-    // this process ingested itself — nothing, after a restart).
     assert_eq!(
         stats.root_examples,
         data.len() as u64,
@@ -193,10 +190,8 @@ fn killed_node_recovers_from_checkpoint_and_reconverges_bit_identically() {
             .with_seed(seed),
     ));
 
-    // 1-shard bypass hosting: the documented mode whose state a snapshot
-    // captures completely, so adopt-and-resume is bit-identical (a shard
-    // pool's per-worker routing state is not reconstructible from a root
-    // snapshot — its recovery is aggregate-exact, not trajectory-exact).
+    // A snapshot captures a hosted learner's state completely, so
+    // adopt-and-resume is bit-identical.
     let cfg = ServeConfig::new(wm_cfg(), 1)
         .data_dir(&dir)
         .checkpoint_every_ms(5);
@@ -432,6 +427,107 @@ fn created_models_survive_a_crash_via_spec_sidecars() {
         c.stats().expect("stats").routed,
         300,
         "recovered model state from its checkpoint"
+    );
+    restarted.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The default model's durable checkpoint file (`m-` + hex("default")).
+const DEFAULT_CKPT: &str = "m-64656661756c74.ckpt";
+
+/// Waits until the data dir's default-model checkpoint decodes at
+/// `clock` — the background checkpointer has persisted that state.
+fn wait_for_default_checkpoint(dir: &std::path::Path, clock: u64) {
+    let path = dir.join(DEFAULT_CKPT);
+    assert!(
+        wait_for(10, || std::fs::read(&path).is_ok_and(|bytes| {
+            wmsketch_core::decode_any_learner(&bytes).is_ok_and(|l| l.clock() == clock)
+        })),
+        "the default model's clock-{clock} checkpoint should land in 10s"
+    );
+}
+
+/// A cadence slow enough that a background pass rarely lands between a
+/// test's replace and re-ingest steps, so the model comes back to the
+/// last checkpoint's clock with different state and no checkpoint in
+/// between — the case a clock-only dirty check missed. The assertions
+/// hold for any interleaving.
+const SLOW_CHECKPOINTS_MS: u64 = 200;
+
+/// RESET, then ingest back to the clock of the last checkpoint: the
+/// state differs from that checkpoint while the clock matches it, and a
+/// graceful shutdown must still persist it. (A clock-only dirty check
+/// skipped it, so a restart served the pre-RESET model and lost
+/// acknowledged updates.)
+#[test]
+fn graceful_shutdown_persists_a_reset_model_back_at_its_checkpoint_clock() {
+    let _guard = faults_lock();
+    wmsketch_faults::install(None);
+    let dir = scratch_dir("reset-clock");
+    let cfg = ServeConfig::new(wm_cfg(), 1)
+        .data_dir(&dir)
+        .checkpoint_every_ms(SLOW_CHECKPOINTS_MS);
+    let data = planted_stream(600);
+
+    let server = start(cfg.clone());
+    let mut c = ServeClient::connect(server.addr()).expect("connect");
+    c.update_batch(&data[..300]).expect("ingest before RESET");
+    wait_for_default_checkpoint(&dir, 300);
+    c.reset().expect("reset");
+    c.update_batch(&data[300..]).expect("ingest after RESET");
+    let acknowledged = c.snapshot().expect("snapshot");
+    server.shutdown();
+
+    let restarted = start(cfg);
+    let mut c = ServeClient::connect(restarted.addr()).expect("reconnect");
+    assert_eq!(
+        c.snapshot().expect("recovered snapshot"),
+        acknowledged,
+        "the restart must serve the post-RESET state the node acknowledged"
+    );
+    restarted.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The RESTORE twin: restoring a checkpoint whose clock equals the last
+/// background checkpoint's replaces the state without moving the clock,
+/// and a graceful shutdown must persist the restored state.
+#[test]
+fn graceful_shutdown_persists_a_restored_model_at_its_checkpoint_clock() {
+    let _guard = faults_lock();
+    wmsketch_faults::install(None);
+    let dir = scratch_dir("restore-clock");
+    std::fs::create_dir_all(&dir).expect("data dir");
+    let data = planted_stream(600);
+
+    // Another node (no data dir, so its CHECKPOINT path is verbatim)
+    // writes a 300-example checkpoint of a different stream into this
+    // node's data dir.
+    let other = start(ServeConfig::new(wm_cfg(), 1));
+    let mut o = ServeClient::connect(other.addr()).expect("connect other");
+    o.update_batch(&data[300..]).expect("ingest other");
+    let restored = o.snapshot().expect("other snapshot");
+    o.checkpoint(dir.join("other.ckpt").to_str().expect("utf-8 path"))
+        .expect("other checkpoint");
+    other.shutdown();
+
+    let cfg = ServeConfig::new(wm_cfg(), 1)
+        .data_dir(&dir)
+        .checkpoint_every_ms(SLOW_CHECKPOINTS_MS);
+    let server = start(cfg.clone());
+    let mut c = ServeClient::connect(server.addr()).expect("connect");
+    c.update_batch(&data[..300]).expect("ingest");
+    wait_for_default_checkpoint(&dir, 300);
+    assert_eq!(c.restore("other.ckpt").expect("restore"), 300);
+    assert_eq!(c.snapshot().expect("snapshot"), restored);
+    server.shutdown();
+
+    let restarted = start(cfg);
+    let mut c = ServeClient::connect(restarted.addr()).expect("reconnect");
+    assert_eq!(
+        c.snapshot().expect("recovered snapshot"),
+        restored,
+        "the restart must serve the restored state"
     );
     restarted.shutdown();
     let _ = std::fs::remove_dir_all(&dir);

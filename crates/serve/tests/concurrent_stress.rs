@@ -48,29 +48,19 @@ fn stream_for(i: usize) -> Vec<(SparseVector, Label)> {
         .collect()
 }
 
-/// Creates connection `i`'s model on a node — the model mix cycles
-/// worker-heap WM, AWM, and deferred-heap WM pools — and returns a
-/// client addressing it.
+/// Creates connection `i`'s model on a node — the model mix alternates
+/// WM and AWM templates, created with `shards` 0 and 1 (both one
+/// learner) — and returns a client addressing it.
 fn create_model_for(server: &ServerHandle, i: usize) -> ServeClient {
     let mut c = ServeClient::connect(server.addr()).unwrap();
     let name = format!("m{i}");
-    let id = match i % 3 {
-        0 => {
-            let t = WmSketch::new(WmSketchConfig::new(64, 2).lambda(1e-5).seed(i as u64))
-                .to_snapshot_bytes();
-            c.create_model(&name, &t, 2).unwrap()
-        }
-        1 => {
-            let t = AwmSketch::new(AwmSketchConfig::new(8, 64).lambda(1e-5).seed(i as u64))
-                .to_snapshot_bytes();
-            c.create_model(&name, &t, 1).unwrap()
-        }
-        _ => {
-            let t = WmSketch::new(WmSketchConfig::new(64, 2).lambda(1e-5).seed(i as u64))
-                .to_snapshot_bytes();
-            c.create_model_deferred(&name, &t, 2, 64).unwrap()
-        }
+    let shards = (i / 2 % 2) as u32;
+    let t = if i.is_multiple_of(2) {
+        WmSketch::new(WmSketchConfig::new(64, 2).lambda(1e-5).seed(i as u64)).to_snapshot_bytes()
+    } else {
+        AwmSketch::new(AwmSketchConfig::new(8, 64).lambda(1e-5).seed(i as u64)).to_snapshot_bytes()
     };
+    let id = c.create_model(&name, &t, shards).unwrap();
     c.set_model(id).unwrap();
     c
 }
@@ -221,9 +211,9 @@ fn read_ok_u64(stream: &mut TcpStream, what: &str) -> u64 {
 /// UPDATE frames must retire strictly in frame order — the merged clock
 /// lands between the two UPDATE runs, the post-merge counts resume where
 /// the pre-merge run left off, and the final state matches a blocking
-/// client doing the same sequence. Exercised on both sharding modes:
-/// unsharded (replication hosting, where UPDATE counts include absorbed
-/// peers) and a 2-shard pool (where they stay local-only).
+/// client doing the same sequence. Exercised with CREATE's `shards` at 0
+/// and 1, which both host one learner (UPDATE counts include absorbed
+/// peers).
 fn merge_between_pipelined_updates_case(backend: ServeBackend, shards: u32) {
     const K: usize = 4;
     let template =
@@ -260,10 +250,8 @@ fn merge_between_pipelined_updates_case(backend: ServeBackend, shards: u32) {
     raw.set_nodelay(true).unwrap();
     raw.write_all(&wire).unwrap();
 
-    // Unsharded models count absorbed peers in UPDATE responses (the
-    // plain learner's clock and example count are one number); a shard
-    // pool's UPDATE responses count only locally routed examples.
-    let absorbed = if shards == 0 { 100 } else { 0 };
+    // UPDATE responses count absorbed peers: a plain learner's clock and
+    // example count are one number.
     for k in 0..K {
         let n = read_ok_u64(&mut raw, "pre-merge update");
         assert_eq!(n, (FRAME * (k + 1)) as u64, "pre-merge frame {k}");
@@ -278,7 +266,7 @@ fn merge_between_pipelined_updates_case(backend: ServeBackend, shards: u32) {
         let n = read_ok_u64(&mut raw, "post-merge update");
         assert_eq!(
             n,
-            (FRAME * (K + k + 1)) as u64 + absorbed,
+            (FRAME * (K + k + 1) + 100) as u64,
             "post-merge frame {k}"
         );
     }
@@ -311,14 +299,14 @@ fn merge_between_pipelined_updates_case(backend: ServeBackend, shards: u32) {
 #[test]
 fn merge_between_pipelined_updates_is_fifo_threaded() {
     merge_between_pipelined_updates_case(ServeBackend::Threaded, 0);
-    merge_between_pipelined_updates_case(ServeBackend::Threaded, 2);
+    merge_between_pipelined_updates_case(ServeBackend::Threaded, 1);
 }
 
 #[cfg(target_os = "linux")]
 #[test]
 fn merge_between_pipelined_updates_is_fifo_event() {
     merge_between_pipelined_updates_case(ServeBackend::Event, 0);
-    merge_between_pipelined_updates_case(ServeBackend::Event, 2);
+    merge_between_pipelined_updates_case(ServeBackend::Event, 1);
 }
 
 /// Shutdown-drain regression: a SHUTDOWN landing while a full pipeline

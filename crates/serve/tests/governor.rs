@@ -69,6 +69,13 @@ fn stem(name: &str) -> String {
     s
 }
 
+/// Queries the default model, re-stamping its LRU clock so a test's
+/// created models are colder than it.
+fn touch_default(client: &mut ServeClient) {
+    client.set_model(0).unwrap();
+    client.estimate(3).unwrap();
+}
+
 /// Spilled-and-revived models answer estimates, predictions, top-K, and
 /// whole snapshots bit-identically to a never-evicted local twin, and keep
 /// training identically to it afterwards — on both backends.
@@ -83,7 +90,7 @@ fn eviction_then_revival_is_bit_identical() {
         let mut client = ServeClient::connect(server.addr()).unwrap();
         let template = AwmSketch::new(cfg).to_snapshot_bytes();
 
-        // Create and train more unsharded models than the budget holds;
+        // Create and train more models than the budget holds;
         // admission pressure spills the colder ones as we go.
         const MODELS: u32 = 8;
         let mut locals = Vec::new();
@@ -177,7 +184,8 @@ fn concurrent_access_to_a_cold_model_revives_once() {
     let template = AwmSketch::new(awm_cfg()).to_snapshot_bytes();
 
     // Train "cold", then flood the budget with fresher models so it is
-    // evicted (every later model access re-stamps the LRU clock).
+    // evicted (every later model access re-stamps the LRU clock; the
+    // default model is touched too, so "cold" is the coldest).
     let cold_id = client.create_model("cold", &template, 0).unwrap();
     client.set_model(cold_id).unwrap();
     client.update_batch(&stream_for(0, 300)).unwrap();
@@ -187,6 +195,7 @@ fn concurrent_access_to_a_cold_model_revives_once() {
             .unwrap();
         client.set_model(id).unwrap();
         client.update_batch(&stream_for(salt, 300)).unwrap();
+        touch_default(&mut client);
     }
     let before = client.stats().unwrap();
     assert!(before.spilled_models > 0, "cold model should be spilled");
@@ -219,6 +228,62 @@ fn concurrent_access_to_a_cold_model_revives_once() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The default model is evictable like any other: under pressure the
+/// governor spills the trained default model, its next query revives
+/// it, and it answers and keeps training byte for byte like the default
+/// model of an ungoverned twin node.
+#[test]
+fn governed_node_spills_and_revives_its_default_model_bit_identically() {
+    let (server, dir) = governed("default", TIGHT_BUDGET, ServeBackend::Threaded);
+    let mut client = ServeClient::connect(server.addr()).unwrap();
+    let twin = WmServer::bind(
+        "127.0.0.1:0",
+        ServeConfig::new(WmSketchConfig::new(64, 2).seed(1), 1),
+    )
+    .expect("bind twin")
+    .spawn();
+    let mut twin_client = ServeClient::connect(twin.addr()).unwrap();
+    let data = stream_for(0, 400);
+    let (first, rest) = data.split_at(300);
+    client.update_batch(first).unwrap();
+    twin_client.update_batch(first).unwrap();
+
+    // Fresher models flood the budget; the default model is the coldest.
+    let template = AwmSketch::new(awm_cfg()).to_snapshot_bytes();
+    for salt in 1..8u32 {
+        let id = client
+            .create_model(&format!("hot{salt}"), &template, 0)
+            .unwrap();
+        client.set_model(id).unwrap();
+        client.update_batch(&stream_for(salt, 300)).unwrap();
+    }
+    client.set_model(0).unwrap();
+    // STATS is stub-aware: it reports the spilled model without reviving.
+    let before = client.stats().unwrap();
+    assert_eq!(before.root_examples, 300);
+    assert!(before.spilled_models > 0);
+
+    // The next query revives the default model, bit for bit.
+    assert_eq!(client.snapshot().unwrap(), twin_client.snapshot().unwrap());
+    let after = client.stats().unwrap();
+    assert_eq!(
+        after.revivals_total,
+        before.revivals_total + 1,
+        "the default model was spilled, so the query revived it"
+    );
+    client.update_batch(rest).unwrap();
+    twin_client.update_batch(rest).unwrap();
+    assert_eq!(
+        client.snapshot().unwrap(),
+        twin_client.snapshot().unwrap(),
+        "the revived default model trains like its never-spilled twin"
+    );
+
+    twin.shutdown();
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// CREATE admission: a model whose footprint cannot fit the budget even
 /// after evicting every cold model is rejected with the typed budget
 /// error, the registry is unchanged, and smaller CREATEs still succeed.
@@ -227,11 +292,10 @@ fn create_rejects_models_that_cannot_fit_the_budget() {
     let (server, dir) = governed("admission", TIGHT_BUDGET, ServeBackend::Threaded);
     let mut client = ServeClient::connect(server.addr()).unwrap();
 
-    // A sharded giant: 64 worker replicas of a wide AWM sketch is far
-    // past the budget, and sharded models cannot be spilled to make it
-    // "fit" later.
-    let wide = AwmSketch::new(AwmSketchConfig::new(64, 4096).seed(5)).to_snapshot_bytes();
-    let err = client.create_model("giant", &wide, 64).unwrap_err();
+    // One oversized AWM: its 2^16-cell sketch alone (512 KiB) is far
+    // past the budget, so no amount of eviction makes room for it.
+    let wide = AwmSketch::new(AwmSketchConfig::new(64, 1 << 16).seed(5)).to_snapshot_bytes();
+    let err = client.create_model("giant", &wide, 0).unwrap_err();
     match err {
         ServeError::Remote(msg) => {
             assert!(
@@ -274,7 +338,9 @@ fn corrupt_spill_record_is_contained_and_reset_recovers() {
             .unwrap();
         client.set_model(survivor_id).unwrap();
         client.update_batch(&stream_for(salt, 300)).unwrap();
+        touch_default(&mut client);
     }
+    client.set_model(survivor_id).unwrap();
     assert!(client.stats().unwrap().spilled_models > 0);
 
     // Corrupt the victim's spill record on disk (flip a byte mid-file;
@@ -314,7 +380,7 @@ fn corrupt_spill_record_is_contained_and_reset_recovers() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A governed restart recovers unsharded checkpoints **lazily**: models
+/// A governed restart recovers checkpoints **lazily**: models
 /// come back as spill stubs (cheap), and first access revives exactly
 /// the persisted state.
 #[test]
@@ -354,9 +420,11 @@ fn governed_restart_recovers_lazily_and_bit_identically() {
         .spawn();
     let mut client = ServeClient::connect(server.addr()).unwrap();
     let stats = client.stats().unwrap();
+    // The four created models plus the default model, whose checkpoint
+    // recovers lazily too.
     assert_eq!(
-        stats.spilled_models, 4,
-        "governed recovery must register unsharded checkpoints as lazy stubs"
+        stats.spilled_models, 5,
+        "governed recovery must register checkpoints as lazy stubs"
     );
     let models = client.list_models().unwrap();
     for (name, snap) in &snapshots {

@@ -2,8 +2,9 @@
 //! node restart converging bit-identically to the single-node fold via
 //! delta-snapshot gossip; wire-level delta economy (a 1%-changed model
 //! ships ≤10% of a full snapshot); the shipped-clock vector's
-//! idempotent/monotonic ACK surface in STATS; PEER_JOIN validation; and
-//! the merged-clock MERGE regression (satellite of PR 7's bugfix).
+//! idempotent/monotonic ACK surface in STATS; PEER_JOIN validation; the
+//! merged-clock MERGE regression; and the default model's restart
+//! recovery from a peer replica.
 //!
 //! The gossip schedule is randomized but reproducible: set
 //! `WMSKETCH_REPL_SEED` to replay a CI failure (the seed is printed).
@@ -63,8 +64,8 @@ fn partitioned_stream(seed: u64, n: usize, nodes: usize) -> Vec<Vec<(SparseVecto
     parts
 }
 
-/// Creates the shared model "m" (unsharded — the replication hosting
-/// mode) on a node and returns a client addressing it.
+/// Creates the shared model "m" on a node and returns a client
+/// addressing it.
 fn host_model(server: &ServerHandle) -> ServeClient {
     let mut c = ServeClient::connect(server.addr()).unwrap();
     let template = WmSketch::new(wm_cfg()).to_snapshot_bytes();
@@ -343,17 +344,14 @@ fn peer_join_returns_node_id_and_rejects_collisions() {
     server.shutdown();
 }
 
-/// Satellite regression: MERGE over the wire must advance the model's
-/// merged clock *immediately* — in the MERGE response, STATS, and the
-/// registry row — while `routed` keeps counting only local ingest. (The
-/// sharded pool used to report a clock that ignored absorbed peers until
-/// the next shard sync.)
+/// MERGE over the wire must advance the model's clock *immediately* — in
+/// the MERGE response, STATS, and the registry row.
 #[test]
 fn merge_over_wire_advances_merged_clock_immediately() {
     let server = start(ServeConfig::new(wm_cfg(), 1));
     let mut c = ServeClient::connect(server.addr()).unwrap();
     let template = WmSketch::new(wm_cfg()).to_snapshot_bytes();
-    let id = c.create_model("s", &template, 2).unwrap();
+    let id = c.create_model("s", &template, 1).unwrap();
     c.set_model(id).unwrap();
 
     let local = &partitioned_stream(0x4E_57, 500, 1)[0];
@@ -363,14 +361,78 @@ fn merge_over_wire_advances_merged_clock_immediately() {
     let mut peer = decode_any_learner(&template).unwrap();
     peer.update_batch(&partitioned_stream(0x4E58, 300, 1)[0]);
 
-    // The MERGE response is the merged clock — local + absorbed, with no
-    // shard sync in between.
+    // The MERGE response is the merged clock — local + absorbed.
     assert_eq!(c.merge_snapshot(&peer.snapshot().unwrap()).unwrap(), 800);
     let stats = c.stats().unwrap();
-    assert_eq!(stats.routed, 500, "routed counts local ingest only");
+    assert_eq!(stats.routed, 800, "one learner: routed is the clock");
     assert_eq!(stats.root_examples, 800, "clock includes the absorbed peer");
     let row = stats.models.iter().find(|m| m.id == id).unwrap();
     assert_eq!(row.clock, 800, "registry row reports the merged clock");
 
     server.shutdown();
+}
+
+/// The default model is hosted like any created model, so gossip
+/// restart recovery covers it: a node restarted with no data adopts its
+/// default model's copy back from a peer's replica of it, and serves
+/// the same merged view, bit for bit.
+#[test]
+fn restarted_node_adopts_its_default_model_from_a_peer_replica() {
+    let node = |id: u64| {
+        start(
+            ServeConfig::new(wm_cfg(), 1)
+                .node_id(id)
+                .gossip_every_ms(20),
+        )
+    };
+    let n1 = node(1);
+    let n2 = node(2);
+    let mut c1 = ServeClient::connect(n1.addr()).unwrap();
+    let mut c2 = ServeClient::connect(n2.addr()).unwrap();
+    c1.peer_join(2, &n2.addr().to_string()).unwrap();
+    c2.peer_join(1, &n1.addr().to_string()).unwrap();
+
+    let data = &partitioned_stream(0xDEFA, 800, 1)[0];
+    for chunk in data.chunks(100) {
+        c1.update_batch(chunk).unwrap();
+    }
+    let n = data.len() as u64;
+    assert!(
+        wait_for(10, || c2.stats().unwrap().replication.iter().any(|r| r
+            .model
+            == 0
+            && r.peer == 1
+            && r.applied == n)),
+        "node 2 never replicated node 1's default model"
+    );
+
+    // Node 1 restarts from nothing at a new address.
+    n1.shutdown();
+    let n1 = node(1);
+    let mut c1 = ServeClient::connect(n1.addr()).unwrap();
+    c1.peer_join(2, &n2.addr().to_string()).unwrap();
+    c2.peer_join(1, &n1.addr().to_string()).unwrap();
+    assert!(
+        wait_for(10, || c1.stats().unwrap().root_examples == n),
+        "node 1 never adopted its default model back from node 2"
+    );
+
+    // The canonical merged view: node 1's copy (the stream, replayed
+    // locally) folded with node 2's untrained copy, in origin order.
+    let template = WmSketch::new(wm_cfg()).to_snapshot_bytes();
+    let mut local = decode_any_learner(&template).unwrap();
+    for chunk in data.chunks(100) {
+        local.update_batch(chunk);
+    }
+    let mut reference = decode_any_learner(&local.snapshot().unwrap()).unwrap();
+    reference.absorb_snapshot(&template).unwrap();
+    let want = reference.snapshot().unwrap();
+    assert!(
+        wait_for(10, || c1.snapshot().unwrap() == want),
+        "the adopted default model diverged from the reference fold"
+    );
+    assert_eq!(c2.snapshot().unwrap(), want, "both nodes serve one view");
+
+    n1.shutdown();
+    n2.shutdown();
 }

@@ -38,7 +38,7 @@ fn temp_path(tag: &str) -> String {
 
 #[test]
 fn ingest_then_query_round_trip() {
-    let cfg = ServeConfig::new(WmSketchConfig::new(256, 4).lambda(1e-5).seed(3), 2);
+    let cfg = ServeConfig::new(WmSketchConfig::new(256, 4).lambda(1e-5).seed(3), 1);
     let server = start(cfg);
     let mut client = ServeClient::connect(server.addr()).unwrap();
 
@@ -63,8 +63,8 @@ fn ingest_then_query_round_trip() {
 
     let stats = client.stats().unwrap();
     assert_eq!(stats.routed, 4000);
-    assert_eq!(stats.shards, 2);
-    assert!(stats.synced, "queries sync the pool");
+    assert_eq!(stats.shards, 0, "every model is one learner");
+    assert!(stats.synced);
 
     server.shutdown();
 }
@@ -72,24 +72,28 @@ fn ingest_then_query_round_trip() {
 /// The acceptance-criteria parity test: two ingest nodes, each fed the
 /// exact substream a local 2-shard learner would route to its worker,
 /// ship snapshots into an aggregator; the aggregator's estimates,
-/// predictions, and top-K must be bit-identical to one node that ingested
-/// the whole stream through its own 2-shard pool.
+/// predictions, and top-K must be bit-identical to an in-process 2-shard
+/// pool (heap-carrying workers, the same routing) that ingested the whole
+/// stream.
 #[test]
 fn two_node_snapshot_merge_matches_single_node_bit_for_bit() {
+    use wmsketch_core::DynLearner;
     let wm = WmSketchConfig::new(256, 4).lambda(1e-5).seed(11);
-    let single_cfg = ServeConfig::new(wm, 2);
     let node_cfg = ServeConfig::new(wm, 1);
 
-    let single = start(single_cfg.clone());
     let node_a = start(node_cfg.clone());
     let node_b = start(node_cfg.clone());
     let aggregator = start(node_cfg);
 
     let data = planted_stream(6000);
 
-    // The router is deterministic: replicate the single node's partition
-    // with a local learner built from the same config.
-    let reference = single_cfg.build_learner();
+    // The router is deterministic: partition the stream exactly as the
+    // reference pool routes it.
+    let mut reference = ShardedLearner::new(
+        ShardedLearnerConfig::new(2).candidates_per_shard(0),
+        WmSketch::new(wm),
+        WmSketch::new(wm),
+    );
     let mut sub_a = Vec::new();
     let mut sub_b = Vec::new();
     for (i, ex) in data.iter().enumerate() {
@@ -100,12 +104,12 @@ fn two_node_snapshot_merge_matches_single_node_bit_for_bit() {
         }
     }
 
-    // Whole stream into the single node (uneven chunks on purpose);
+    // Whole stream into the reference (uneven chunks on purpose);
     // substreams into the ingest nodes.
-    let mut single_client = ServeClient::connect(single.addr()).unwrap();
     for chunk in data.chunks(997) {
-        single_client.update_batch(chunk).unwrap();
+        OnlineLearner::update_batch(&mut reference, chunk);
     }
+    reference.sync();
     let mut a_client = ServeClient::connect(node_a.addr()).unwrap();
     for chunk in sub_a.chunks(512) {
         a_client.update_batch(chunk).unwrap();
@@ -124,10 +128,10 @@ fn two_node_snapshot_merge_matches_single_node_bit_for_bit() {
     // Bit-identical estimates across the whole touched feature range.
     for f in 0..600u32 {
         let lhs = agg_client.estimate(f).unwrap();
-        let rhs = single_client.estimate(f).unwrap();
+        let rhs = DynLearner::estimate(&reference, f);
         assert!(
             lhs.to_bits() == rhs.to_bits(),
-            "feature {f}: aggregated {lhs} vs single-node {rhs}"
+            "feature {f}: aggregated {lhs} vs reference {rhs}"
         );
     }
 
@@ -138,14 +142,17 @@ fn two_node_snapshot_merge_matches_single_node_bit_for_bit() {
         SparseVector::from_pairs(&[(3, 0.7), (9, 0.7), (123, 0.1)]),
     ] {
         let (m1, p1) = agg_client.predict(&probe).unwrap();
-        let (m2, p2) = single_client.predict(&probe).unwrap();
+        let (m2, p2) = (
+            DynLearner::margin(&reference, &probe),
+            DynLearner::predict(&reference, &probe),
+        );
         assert!(m1.to_bits() == m2.to_bits(), "margin {m1} vs {m2}");
         assert_eq!(p1, p2);
     }
 
     // Bit-identical top-K (features and weights).
     let t1 = agg_client.top_k(16).unwrap();
-    let t2 = single_client.top_k(16).unwrap();
+    let t2 = DynLearner::recover_top_k(&reference, 16);
     assert_eq!(t1.len(), t2.len());
     for (a, b) in t1.iter().zip(&t2) {
         assert_eq!(a.feature, b.feature);
@@ -156,7 +163,7 @@ fn two_node_snapshot_merge_matches_single_node_bit_for_bit() {
     assert!(agg_client.estimate(3).unwrap() > 0.2);
     assert!(agg_client.estimate(9).unwrap() < -0.2);
 
-    for s in [single, node_a, node_b, aggregator] {
+    for s in [node_a, node_b, aggregator] {
         s.shutdown();
     }
 }
@@ -169,7 +176,7 @@ fn two_node_snapshot_merge_matches_single_node_bit_for_bit() {
 fn legacy_model_id_less_wm_session_round_trips() {
     let server = start(ServeConfig::new(
         WmSketchConfig::new(256, 4).lambda(1e-5).seed(3),
-        2,
+        1,
     ));
     let mut legacy = ServeClient::connect_legacy(server.addr()).unwrap();
     let mut v2 = ServeClient::connect(server.addr()).unwrap();
@@ -199,7 +206,7 @@ fn legacy_model_id_less_wm_session_round_trips() {
     assert!(WmSketch::from_snapshot_bytes(&snap).is_ok());
     let stats = legacy.stats().unwrap();
     assert_eq!(stats.routed, 3000);
-    assert_eq!(stats.shards, 2);
+    assert_eq!(stats.shards, 0);
     assert!(stats.synced);
     // The registry tail is visible to the (new) parser even on a legacy
     // connection; the default model is the whole registry here.
@@ -228,13 +235,18 @@ fn registry_create_list_stats_and_error_surface() {
     })
     .to_snapshot_bytes();
 
-    let awm_id = client.create_model("awm", &awm_template, 2).unwrap();
+    // Worker pools are not hosted: `shards > 1` is a typed error.
+    assert!(matches!(
+        client.create_model("awm", &awm_template, 2),
+        Err(ServeError::Remote(_))
+    ));
+    let awm_id = client.create_model("awm", &awm_template, 1).unwrap();
     let mc_id = client.create_model("mc", &mc_template, 1).unwrap();
     assert_ne!(awm_id, 0);
     assert_ne!(mc_id, awm_id);
 
-    // Duplicate names and trained templates → errors; `shards == 0` is
-    // the unsharded replication-hosting mode, not an error.
+    // Duplicate names and trained templates → errors; `shards == 0`
+    // means one learner too, not an error.
     assert!(matches!(
         client.create_model("awm", &awm_template, 1),
         Err(ServeError::Remote(_))
@@ -259,7 +271,7 @@ fn registry_create_list_stats_and_error_surface() {
         ["default", "awm", "mc", "awm3"]
     );
     assert_eq!(models[1].kind, KIND_AWM);
-    assert_eq!(models[1].shards, 2);
+    assert!(models.iter().all(|m| m.shards == 0));
     assert_eq!(models[2].kind, KIND_MULTICLASS_AWM);
     assert!(models.iter().all(|m| m.memory_bytes > 0));
 
@@ -284,14 +296,11 @@ fn registry_create_list_stats_and_error_surface() {
         Err(ServeError::Remote(_))
     ));
 
-    // STATS addressed to the AWM model reports it, plus all rows. (A
-    // query eagerly syncs the pool first: registry rows report the
-    // queryable state's clock and never force a merge themselves.)
+    // STATS addressed to the AWM model reports it, plus all rows.
     client.set_model(awm_id).unwrap();
-    let _ = client.estimate(3).unwrap();
     let stats = client.stats().unwrap();
     assert_eq!(stats.routed, 500);
-    assert_eq!(stats.shards, 2);
+    assert_eq!(stats.shards, 0);
     assert_eq!(stats.models.len(), 4);
     let row = stats.models.iter().find(|m| m.id == awm_id).unwrap();
     assert_eq!(row.clock, 500);
@@ -326,26 +335,35 @@ fn registry_create_list_stats_and_error_surface() {
     server.shutdown();
 }
 
-/// The generic registry parity harness: the whole stream into a single
-/// node hosting a 2-shard model created from `template`; the stream
-/// partitioned by `shard_of` across two 1-shard nodes whose snapshots
-/// merge into an aggregator; then estimates, margins, predictions, and
-/// top-K must be bit-identical between aggregator and single node.
-/// One harness for every registered kind — the parity contract is the
-/// same, so the code proving it is too.
+/// A node hosts its default model as one learner: asking for a worker
+/// pool is a configuration error.
+#[test]
+#[should_panic(expected = "shards must be 1")]
+fn serve_config_refuses_a_default_model_pool() {
+    let _ = ServeConfig::new(WmSketchConfig::new(64, 2), 2);
+}
+
+/// The generic registry parity harness: the stream partitioned by
+/// `shard_of` across two nodes whose snapshots merge into an aggregator,
+/// and the whole stream into `reference`, an in-process 2-shard pool with
+/// the same routing; then estimates, margins, predictions, and top-K must
+/// be bit-identical between aggregator and reference. One harness for
+/// every registered kind — the parity contract is the same, so the code
+/// proving it is too.
 fn registry_parity_matches_single_node<L>(
     name: &str,
     template: &[u8],
-    router: &ShardedLearner<L>,
+    mut reference: ShardedLearner<L>,
     data: &[(SparseVector, Label)],
     probes: &[SparseVector],
 ) -> (ServeClient, Vec<ServerHandle>)
 where
     L: wmsketch_core::MergeableLearner + Clone + Send,
+    ShardedLearner<L>: wmsketch_core::DynLearner,
 {
+    use wmsketch_core::DynLearner;
     // The host nodes' default WM model is irrelevant here; keep it tiny.
     let host = ServeConfig::new(WmSketchConfig::new(16, 1).heap_capacity(1), 1);
-    let single = start(host.clone());
     let node_a = start(host.clone());
     let node_b = start(host.clone());
     let aggregator = start(host);
@@ -356,20 +374,19 @@ where
         c.set_model(id).unwrap();
         c
     };
-    let mut single_client = with_model(&single, 2);
-    let mut a = with_model(&node_a, 1);
+    let mut a = with_model(&node_a, 0);
     let mut b = with_model(&node_b, 1);
     let mut agg = with_model(&aggregator, 1);
 
-    // Replicate the single node's 2-shard partition with the local router
-    // built from the same sharding configuration.
+    // Partition the stream exactly as the reference pool routes it.
     let mut sub: [Vec<(SparseVector, Label)>; 2] = [Vec::new(), Vec::new()];
     for (i, ex) in data.iter().enumerate() {
-        sub[router.shard_of(i as u64)].push(ex.clone());
+        sub[reference.shard_of(i as u64)].push(ex.clone());
     }
     for chunk in data.chunks(997) {
-        single_client.update_batch(chunk).unwrap();
+        DynLearner::update_batch(&mut reference, chunk);
     }
+    reference.sync();
     a.update_batch(&sub[0]).unwrap();
     b.update_batch(&sub[1]).unwrap();
 
@@ -379,26 +396,29 @@ where
 
     for f in 0..600u32 {
         let lhs = agg.estimate(f).unwrap();
-        let rhs = single_client.estimate(f).unwrap();
+        let rhs = DynLearner::estimate(&reference, f);
         assert!(
             lhs.to_bits() == rhs.to_bits(),
-            "feature {f}: aggregated {lhs} vs single-node {rhs}"
+            "feature {f}: aggregated {lhs} vs reference {rhs}"
         );
     }
     for probe in probes {
         let (m1, p1) = agg.predict(probe).unwrap();
-        let (m2, p2) = single_client.predict(probe).unwrap();
+        let (m2, p2) = (
+            DynLearner::margin(&reference, probe),
+            DynLearner::predict(&reference, probe),
+        );
         assert!(m1.to_bits() == m2.to_bits(), "margin {m1} vs {m2}");
         assert_eq!(p1, p2);
     }
     let t1 = agg.top_k(16).unwrap();
-    let t2 = single_client.top_k(16).unwrap();
+    let t2 = DynLearner::recover_top_k(&reference, 16);
     assert_eq!(t1.len(), t2.len());
     for (x, y) in t1.iter().zip(&t2) {
         assert_eq!(x.feature, y.feature);
         assert!(x.weight.to_bits() == y.weight.to_bits());
     }
-    (agg, vec![single, node_a, node_b, aggregator])
+    (agg, vec![node_a, node_b, aggregator])
 }
 
 /// AWM through the registry: the same bit-identical distributed-vs-local
@@ -407,7 +427,7 @@ where
 fn awm_registry_nodes_match_single_node_bit_for_bit() {
     let awm = AwmSketchConfig::new(16, 256).lambda(1e-5).seed(11);
     let template = AwmSketch::new(awm).to_snapshot_bytes();
-    let router = ShardedLearner::new(
+    let reference = ShardedLearner::new(
         ShardedLearnerConfig::new(2).candidates_per_shard(0),
         AwmSketch::new(awm),
         AwmSketch::new(awm),
@@ -415,7 +435,7 @@ fn awm_registry_nodes_match_single_node_bit_for_bit() {
     let (mut agg, servers) = registry_parity_matches_single_node(
         "awm",
         &template,
-        &router,
+        reference,
         &planted_stream(4000),
         &[
             SparseVector::one_hot(3, 1.0),
@@ -441,7 +461,7 @@ fn multiclass_registry_nodes_match_single_node_bit_for_bit() {
         per_class: AwmSketchConfig::new(8, 128).lambda(1e-5).seed(7),
     };
     let template = MulticlassAwmSketch::new(mc_cfg).to_snapshot_bytes();
-    let router = ShardedLearner::new(
+    let reference = ShardedLearner::new(
         ShardedLearnerConfig::new(2).candidates_per_shard(0),
         MulticlassAwmSketch::new(mc_cfg),
         MulticlassAwmSketch::new(mc_cfg),
@@ -461,7 +481,7 @@ fn multiclass_registry_nodes_match_single_node_bit_for_bit() {
     let (mut agg, servers) = registry_parity_matches_single_node(
         "mc",
         &template,
-        &router,
+        reference,
         &data,
         &[
             SparseVector::one_hot(10, 1.0),
@@ -482,7 +502,7 @@ fn multiclass_registry_nodes_match_single_node_bit_for_bit() {
 
 #[test]
 fn checkpoint_restore_round_trip() {
-    let cfg = ServeConfig::new(WmSketchConfig::new(128, 3).seed(5), 2);
+    let cfg = ServeConfig::new(WmSketchConfig::new(128, 3).seed(5), 1);
     let server = start(cfg);
     let mut client = ServeClient::connect(server.addr()).unwrap();
     client.update_batch(&planted_stream(1500)).unwrap();
@@ -546,7 +566,7 @@ fn merge_rejects_incompatible_and_corrupt_snapshots_without_dying() {
 
 #[test]
 fn concurrent_connections_all_ingest() {
-    let server = start(ServeConfig::new(WmSketchConfig::new(128, 2).seed(7), 2));
+    let server = start(ServeConfig::new(WmSketchConfig::new(128, 2).seed(7), 1));
     let addr = server.addr();
     let data = planted_stream(1200);
     let handles: Vec<_> = data
@@ -602,58 +622,6 @@ fn client_initiated_shutdown_drains_the_server() {
 }
 
 #[test]
-fn deferred_heap_create_matches_local_deferred_pipeline_bit_for_bit() {
-    use wmsketch_core::{sharded_wm, DynLearner};
-
-    let wm = WmSketchConfig::new(256, 4).lambda(1e-5).seed(21);
-    let template = WmSketch::new(wm).to_snapshot_bytes();
-    let server = start(ServeConfig::new(
-        WmSketchConfig::new(16, 1).heap_capacity(1),
-        1,
-    ));
-    let mut client = ServeClient::connect(server.addr()).unwrap();
-
-    let id = client
-        .create_model_deferred("fast", &template, 2, 128)
-        .unwrap();
-    client.set_model(id).unwrap();
-
-    let data = planted_stream(3000);
-    for chunk in data.chunks(500) {
-        client.update_batch(chunk).unwrap();
-    }
-    assert!(client.estimate(3).unwrap() > 0.2);
-    assert!(client.estimate(9).unwrap() < -0.2);
-    let top: Vec<u32> = client.top_k(2).unwrap().iter().map(|e| e.feature).collect();
-    assert!(top.contains(&3) && top.contains(&9), "top = {top:?}");
-
-    // The wire-created deferred pool is bit-identical to the in-process
-    // constructor fed the same stream (update_batch chunking invariance
-    // makes the server's frame boundaries immaterial).
-    let snap = client.snapshot().unwrap();
-    let mut local = sharded_wm(wm, ShardedLearnerConfig::new(2).candidates_per_shard(128));
-    for (x, y) in &data {
-        OnlineLearner::update(&mut local, x, *y);
-    }
-    local.sync();
-    assert_eq!(snap, DynLearner::snapshot(&mut local).unwrap());
-
-    // Deferred mode is WM-only: an AWM template is rejected from its
-    // kind byte, and an oversized candidate budget is rejected outright.
-    let awm = AwmSketch::new(AwmSketchConfig::new(8, 64).seed(5)).to_snapshot_bytes();
-    assert!(matches!(
-        client.create_model_deferred("bad-kind", &awm, 2, 128),
-        Err(ServeError::Remote(_))
-    ));
-    assert!(matches!(
-        client.create_model_deferred("bad-budget", &template, 2, u32::MAX),
-        Err(ServeError::Remote(_))
-    ));
-
-    server.shutdown();
-}
-
-#[test]
 fn stats_reports_backend_and_coalescing_counters() {
     let server = start(ServeConfig::new(WmSketchConfig::new(64, 2).seed(4), 1));
     let mut client = ServeClient::connect(server.addr()).unwrap();
@@ -675,8 +643,8 @@ fn stats_reports_backend_and_coalescing_counters() {
 #[test]
 fn pipelined_update_many_matches_blocking_ingest_bit_for_bit() {
     let wm = WmSketchConfig::new(256, 4).lambda(1e-5).seed(9);
-    let pipelined = start(ServeConfig::new(wm, 2));
-    let blocking = start(ServeConfig::new(wm, 2));
+    let pipelined = start(ServeConfig::new(wm, 1));
+    let blocking = start(ServeConfig::new(wm, 1));
     let data = planted_stream(4096);
 
     let mut cp = ServeClient::connect(pipelined.addr()).unwrap();

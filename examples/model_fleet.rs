@@ -10,7 +10,7 @@
 //! The node runs with a data directory and a resident-byte budget set to
 //! a quarter of what the whole fleet would occupy hot. CREATE admission
 //! charges each model against the budget and evicts the least-recently
-//! used unsharded models to disk as pressure mounts; any request that
+//! used models to disk as pressure mounts; any request that
 //! addresses a cold model revives it inline from its spill record before
 //! executing. Traffic is zipf-distributed, so a small hot set stays
 //! resident while the long tail cycles through disk — exactly the
@@ -70,8 +70,8 @@ fn main() {
         budget * 100 / hot_sum
     );
 
-    // Create every model unsharded (only unsharded models are spill
-    // candidates) and keep a local twin trained on the same stream.
+    // Create every model and keep a local twin trained on the same
+    // stream.
     let template = AwmSketch::new(model_cfg).to_snapshot_bytes();
     let mut ids = Vec::new();
     let mut twins: Vec<AwmSketch> = Vec::new();

@@ -14,13 +14,14 @@
 //! ship-and-merge stays *exact* for every kind: this example drives an
 //! AWM model and a 3-class multiclass model end to end over the wire
 //! (ingest → snapshot → merge → query) and asserts the aggregated models
-//! are bit-identical to single nodes that saw the whole streams.
+//! are bit-identical to an in-process 2-shard pool, with the same
+//! routing, that saw the whole streams.
 //!
 //! Exits non-zero if any parity assertion fails, so CI runs this as the
 //! registry round-trip check.
 
 use wmsketch::core::{
-    AwmSketch, AwmSketchConfig, MulticlassAwmSketch, MulticlassConfig, ShardedLearner,
+    AwmSketch, AwmSketchConfig, DynLearner, MulticlassAwmSketch, MulticlassConfig, ShardedLearner,
     ShardedLearnerConfig, SnapshotCodec, WmSketchConfig,
 };
 use wmsketch::learn::SparseVector;
@@ -74,44 +75,44 @@ fn client_with_model(
     Ok(c)
 }
 
-/// Drives one model kind end to end: whole stream into a single 2-shard
-/// node; the same stream partitioned by `shard_of` across two 1-shard
-/// ingest nodes whose snapshots merge into an aggregator; then asserts
-/// estimates, margins, predictions, and top-K are bit-identical.
+/// Drives one model kind end to end: the stream partitioned by
+/// `shard_of` across two ingest nodes whose snapshots merge into an
+/// aggregator, and the whole stream into `reference`, an in-process
+/// 2-shard pool with the same routing; then asserts estimates, margins,
+/// predictions, and top-K are bit-identical.
 fn parity<L>(
     label: &str,
     template: &[u8],
-    router: &ShardedLearner<L>,
+    mut reference: ShardedLearner<L>,
     stream: &[(SparseVector, i8)],
     probes: &[SparseVector],
 ) where
     L: wmsketch::learn::MergeableLearner + Clone + Send,
+    ShardedLearner<L>: DynLearner,
 {
-    // All four nodes' default WM model is irrelevant; keep it tiny.
+    // All three nodes' default WM model is irrelevant; keep it tiny.
     let host = ServeConfig::new(WmSketchConfig::new(16, 1).heap_capacity(1), 1);
-    let single = start(host.clone());
     let node_a = start(host.clone());
     let node_b = start(host.clone());
     let aggregator = start(host);
 
-    let mut single_client =
-        client_with_model(&single, label, template, 2).expect("create on single");
     let mut a = client_with_model(&node_a, label, template, 1).expect("create on A");
     let mut b = client_with_model(&node_b, label, template, 1).expect("create on B");
     let mut agg = client_with_model(&aggregator, label, template, 1).expect("create on agg");
 
-    // Partition exactly as the single node's 2-shard pool will.
+    // Partition exactly as the reference pool routes.
     let (mut sub_a, mut sub_b) = (Vec::new(), Vec::new());
     for (i, ex) in stream.iter().enumerate() {
-        if router.shard_of(i as u64) == 0 {
+        if reference.shard_of(i as u64) == 0 {
             sub_a.push(ex.clone());
         } else {
             sub_b.push(ex.clone());
         }
     }
     for chunk in stream.chunks(1024) {
-        single_client.update_batch(chunk).expect("ingest single");
+        DynLearner::update_batch(&mut reference, chunk);
     }
+    reference.sync();
     a.update_batch(&sub_a).expect("ingest A");
     b.update_batch(&sub_b).expect("ingest B");
 
@@ -123,7 +124,7 @@ fn parity<L>(
 
     for f in (0..64u32).chain([500, 1000, 4242]) {
         let lhs = agg.estimate(f).expect("agg estimate");
-        let rhs = single_client.estimate(f).expect("single estimate");
+        let rhs = DynLearner::estimate(&reference, f);
         assert!(
             lhs.to_bits() == rhs.to_bits(),
             "{label}: estimate parity broke at feature {f}: {lhs} vs {rhs}"
@@ -131,7 +132,10 @@ fn parity<L>(
     }
     for probe in probes {
         let (m1, p1) = agg.predict(probe).expect("agg predict");
-        let (m2, p2) = single_client.predict(probe).expect("single predict");
+        let (m2, p2) = (
+            DynLearner::margin(&reference, probe),
+            DynLearner::predict(&reference, probe),
+        );
         assert!(
             m1.to_bits() == m2.to_bits(),
             "{label}: margin parity {m1} vs {m2}"
@@ -139,15 +143,15 @@ fn parity<L>(
         assert_eq!(p1, p2, "{label}: prediction parity");
     }
     let t1 = agg.top_k(8).expect("agg top-k");
-    let t2 = single_client.top_k(8).expect("single top-k");
+    let t2 = DynLearner::recover_top_k(&reference, 8);
     assert_eq!(t1.len(), t2.len());
     for (x, y) in t1.iter().zip(&t2) {
         assert_eq!(x.feature, y.feature, "{label}: top-K order diverged");
         assert!(x.weight.to_bits() == y.weight.to_bits());
     }
-    println!("parity[{label}]: aggregated ≡ single-node, bit for bit ✓");
+    println!("parity[{label}]: aggregated ≡ in-process reference, bit for bit ✓");
 
-    for s in [single, node_a, node_b, aggregator] {
+    for s in [node_a, node_b, aggregator] {
         s.shutdown();
     }
 }
@@ -156,7 +160,7 @@ fn main() {
     // ── Part 1: several models on one node ─────────────────────────────
     let hub = start(ServeConfig::new(
         WmSketchConfig::new(256, 4).lambda(1e-5).seed(42),
-        2,
+        1,
     ));
     println!("hub node @ {}", hub.addr());
 
@@ -170,7 +174,7 @@ fn main() {
 
     let mut hub_client = ServeClient::connect(hub.addr()).expect("connect hub");
     let awm_id = hub_client
-        .create_model("spam-awm", &awm_template, 2)
+        .create_model("spam-awm", &awm_template, 0)
         .expect("create AWM");
     let mc_id = hub_client
         .create_model("topic-mc", &mc_template, 1)
@@ -205,19 +209,17 @@ fn main() {
     }
     println!("multiclass model: classes 0..3 separated over the wire ✓");
 
-    // The queries above synced every pool, so the registry clocks are
-    // current (LIST itself is read-only and never forces a merge).
-    println!("\nregistry after ingest (kind / shards / clock / memory):");
+    println!("\nregistry after ingest (kind / clock / memory):");
     for m in hub_client.list_models().expect("list") {
         println!(
-            "  #{:<2} {:<10} kind {:#04x}  x{}  clock {:>5}  {:>6} B",
-            m.id, m.name, m.kind, m.shards, m.clock, m.memory_bytes
+            "  #{:<2} {:<10} kind {:#04x}  clock {:>5}  {:>6} B",
+            m.id, m.name, m.kind, m.clock, m.memory_bytes
         );
     }
     hub.shutdown();
 
     // ── Part 2: distributed-vs-local parity per kind ───────────────────
-    let awm_router = ShardedLearner::new(
+    let awm_reference = ShardedLearner::new(
         ShardedLearnerConfig::new(2).candidates_per_shard(0),
         AwmSketch::new(awm_cfg),
         AwmSketch::new(awm_cfg),
@@ -225,7 +227,7 @@ fn main() {
     parity(
         "spam-awm",
         &awm_template,
-        &awm_router,
+        awm_reference,
         &binary_stream(8000),
         &[
             SparseVector::one_hot(7, 1.0),
@@ -233,7 +235,7 @@ fn main() {
             SparseVector::from_pairs(&[(7, 0.4), (13, 0.8)]),
         ],
     );
-    let mc_router = ShardedLearner::new(
+    let mc_reference = ShardedLearner::new(
         ShardedLearnerConfig::new(2).candidates_per_shard(0),
         MulticlassAwmSketch::new(mc_cfg),
         MulticlassAwmSketch::new(mc_cfg),
@@ -241,7 +243,7 @@ fn main() {
     parity(
         "topic-mc",
         &mc_template,
-        &mc_router,
+        mc_reference,
         &class_stream(8000),
         &[
             SparseVector::one_hot(10, 1.0),

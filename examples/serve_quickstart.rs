@@ -1,6 +1,6 @@
 //! Distributed ingest with exact aggregation: two ingest nodes ship
 //! `WMS1` snapshots into an aggregator whose model is **bit-identical**
-//! to a single node that saw the whole stream.
+//! to an in-process 2-shard learner that saw the whole stream.
 //!
 //! ```sh
 //! cargo run --release --example serve_quickstart
@@ -9,25 +9,21 @@
 //! The WM-Sketch is a linear sketch, so the sketch of two merged gradient
 //! streams equals the sum of the two sketches — shipping and summing
 //! snapshots is exact, not approximate. The one requirement is that the
-//! distributed partition matches the routing a single sharded node would
-//! have applied, which `ShardedLearner::shard_of` exposes.
+//! distributed partition matches the routing the reference
+//! `ShardedLearner` applies, which `ShardedLearner::shard_of` exposes.
 //!
 //! Exits non-zero if any parity assertion fails, so CI can run this as
 //! the serve round-trip check.
 
-use wmsketch::core::WmSketchConfig;
+use wmsketch::core::{DynLearner, ShardedLearner, ShardedLearnerConfig, WmSketch, WmSketchConfig};
 use wmsketch::learn::SparseVector;
 use wmsketch::serve::{ServeClient, ServeConfig, WmServer};
 
 fn main() {
     let wm = WmSketchConfig::new(256, 4).lambda(1e-5).seed(42);
 
-    // One "reference" node with a 2-shard pool, and a distributed layout:
-    // two single-shard ingest nodes plus an aggregator. All on ephemeral
-    // loopback ports.
-    let single = WmServer::bind("127.0.0.1:0", ServeConfig::new(wm, 2))
-        .expect("bind single node")
-        .spawn();
+    // The distributed layout: two ingest nodes plus an aggregator, all on
+    // ephemeral loopback ports.
     let node_cfg = ServeConfig::new(wm, 1);
     let node_a = WmServer::bind("127.0.0.1:0", node_cfg.clone())
         .expect("bind node A")
@@ -38,7 +34,6 @@ fn main() {
     let aggregator = WmServer::bind("127.0.0.1:0", node_cfg)
         .expect("bind aggregator")
         .spawn();
-    println!("single node  @ {}", single.addr());
     println!("ingest A     @ {}", node_a.addr());
     println!("ingest B     @ {}", node_b.addr());
     println!("aggregator   @ {}", aggregator.addr());
@@ -56,12 +51,17 @@ fn main() {
         })
         .collect();
 
-    // Partition the stream exactly as the single node's 2-shard router
-    // will, and feed each half to its ingest node.
-    let router = ServeConfig::new(wm, 2).build_learner();
+    // The reference: an in-process 2-shard pool (heap-carrying workers)
+    // that learns the whole stream. Partition the stream exactly as it
+    // routes, and feed each half to its ingest node.
+    let mut reference = ShardedLearner::new(
+        ShardedLearnerConfig::new(2).candidates_per_shard(0),
+        WmSketch::new(wm),
+        WmSketch::new(wm),
+    );
     let (mut sub_a, mut sub_b) = (Vec::new(), Vec::new());
     for (i, ex) in stream.iter().enumerate() {
-        if router.shard_of(i as u64) == 0 {
+        if reference.shard_of(i as u64) == 0 {
             sub_a.push(ex.clone());
         } else {
             sub_b.push(ex.clone());
@@ -72,13 +72,13 @@ fn main() {
     // per connection, which the event backend overlaps and coalesces.
     // The response ordering guarantee makes the returned counts the
     // exact cumulative sequence per-frame blocking calls would yield.
-    let mut single_client = ServeClient::connect(single.addr()).expect("connect single");
-    let counts = single_client
-        .update_many(&stream, 1024, 8)
-        .expect("ingest single");
-    assert_eq!(counts.last().copied(), Some(stream.len() as u64));
+    for chunk in stream.chunks(1024) {
+        DynLearner::update_batch(&mut reference, chunk);
+    }
+    reference.sync();
     let mut a = ServeClient::connect(node_a.addr()).expect("connect A");
-    a.update_many(&sub_a, 1024, 8).expect("ingest A");
+    let counts = a.update_many(&sub_a, 1024, 8).expect("ingest A");
+    assert_eq!(counts.last().copied(), Some(sub_a.len() as u64));
     let mut b = ServeClient::connect(node_b.addr()).expect("connect B");
     b.update_many(&sub_b, 1024, 8).expect("ingest B");
     println!(
@@ -101,11 +101,11 @@ fn main() {
     );
     assert_eq!(clock, stream.len() as u64);
 
-    // Parity: the aggregated model must match the single-node model bit
-    // for bit — estimates, margins, predictions, and top-K.
+    // Parity: the aggregated model must match the reference bit for bit
+    // — estimates, margins, predictions, and top-K.
     for f in (0..32u32).chain([7, 13, 1000, 250_000].iter().copied()) {
         let lhs = agg.estimate(f).expect("agg estimate");
-        let rhs = single_client.estimate(f).expect("single estimate");
+        let rhs = DynLearner::estimate(&reference, f);
         assert!(
             lhs.to_bits() == rhs.to_bits(),
             "estimate parity broke at feature {f}: {lhs} vs {rhs}"
@@ -117,18 +117,21 @@ fn main() {
         SparseVector::from_pairs(&[(7, 0.4), (13, 0.8)]),
     ] {
         let (m1, p1) = agg.predict(&probe).expect("agg predict");
-        let (m2, p2) = single_client.predict(&probe).expect("single predict");
+        let (m2, p2) = (
+            DynLearner::margin(&reference, &probe),
+            DynLearner::predict(&reference, &probe),
+        );
         assert!(m1.to_bits() == m2.to_bits(), "margin parity: {m1} vs {m2}");
         assert_eq!(p1, p2);
     }
     let t1 = agg.top_k(8).expect("agg top-k");
-    let t2 = single_client.top_k(8).expect("single top-k");
+    let t2 = DynLearner::recover_top_k(&reference, 8);
     assert_eq!(t1.len(), t2.len());
     for (x, y) in t1.iter().zip(&t2) {
         assert_eq!(x.feature, y.feature, "top-K feature order diverged");
         assert!(x.weight.to_bits() == y.weight.to_bits());
     }
-    println!("parity: aggregated model ≡ single-node model, bit for bit ✓");
+    println!("parity: aggregated model ≡ in-process reference, bit for bit ✓");
 
     let (margin, label) = agg
         .predict(&SparseVector::one_hot(7, 1.0))
@@ -139,7 +142,7 @@ fn main() {
         println!("  feature {:>7}  weight {:+.4}", e.feature, e.weight);
     }
 
-    for s in [single, node_a, node_b, aggregator] {
+    for s in [node_a, node_b, aggregator] {
         s.shutdown();
     }
 }

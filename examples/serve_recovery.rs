@@ -66,8 +66,8 @@ fn main() {
     ));
     println!("fault plan armed (seed {seed})");
 
-    // 1-shard bypass hosting: the mode whose checkpoint captures the
-    // learner's complete state, so recovery is trajectory-exact.
+    // A checkpoint captures a hosted learner's complete state, so
+    // recovery is trajectory-exact.
     let cfg = ServeConfig::new(WmSketchConfig::new(128, 2).lambda(1e-5).seed(7), 1)
         .data_dir(&dir)
         .checkpoint_every_ms(5);

@@ -8,8 +8,8 @@
 //! cargo run --release --example serve_replication
 //! ```
 //!
-//! Each node is authoritative for its own copy of the model (hosted
-//! *unsharded*, `shards = 0`) and keeps a replica of every other
+//! Each node is authoritative for its own copy of the model (one plain
+//! learner, like every hosted model) and keeps a replica of every other
 //! origin, advanced purely by pulled records: a full `WMS1` snapshot the
 //! first time, sparse delta records — just the cells touched since the
 //! replica's applied clock — afterwards. Reads then serve the canonical
@@ -45,7 +45,7 @@ fn main() {
         println!("node {} @ {}", i + 1, n.addr());
     }
 
-    // Host the shared model "m" unsharded on every node, and wire the
+    // Host the shared model "m" on every node, and wire the
     // full gossip mesh. PEER_JOIN is idempotent per (id, addr), so a
     // restarted node re-joins with its new address the same way.
     let mut clients: Vec<ServeClient> = nodes
