@@ -387,9 +387,9 @@ fn measure_serve_governor_ab(
 /// Many-clients/one-server saturation: [`SATURATION_CONNECTIONS`]
 /// concurrent connections each pipeline the full stream into the node's
 /// default model, and the row reports **aggregate** updates/sec — the
-/// event backend's cross-connection coalescing (one learner-lock
-/// acquisition per queued run of frames) is exactly what this row
-/// exercises. `ns_per_update` is wall time per aggregate update.
+/// event backend's per-model queue and executor pool under
+/// many-connection contention for one learner lock. `ns_per_update` is
+/// wall time per aggregate update.
 fn measure_serve_saturation(
     name: &str,
     wm_cfg: WmSketchConfig,
@@ -605,8 +605,8 @@ fn main() {
         ));
     }
     // v6: many clients, one node — aggregate throughput with
-    // SATURATION_CONNECTIONS pipelined connections coalescing into the
-    // default model.
+    // SATURATION_CONNECTIONS pipelined connections sharing the default
+    // model.
     results.push(measure_serve_saturation("serve_saturation", wm_cfg, &data));
     // v8: the governed model-fleet workload (scale via
     // WMSKETCH_FLEET_MODELS / _REQUESTS / _BACKEND; default 10k models,

@@ -613,10 +613,6 @@ impl MergeableLearner for AwmSketch {
         union.extend_from_slice(candidates);
         self.repromote(union);
     }
-
-    fn inherit_delta_stamps(&mut self, prev: &Self) {
-        self.dirty.inherit(&prev.dirty, &self.z, &prev.z, self.t);
-    }
 }
 
 /// Snapshot layout (after the `WMS1` envelope, kind [`KIND_AWM`]):

@@ -146,31 +146,6 @@ impl DirtyCells {
     pub(crate) fn heap_dirty(&self, since: u64) -> bool {
         self.heap_stamp > since
     }
-
-    /// Rebuilds tracking for a learner whose cells were reconstructed
-    /// from scratch (a sharded root after sync): where the new stored
-    /// bits equal the previous root's, the previous stamp is inherited —
-    /// so cells untouched across syncs stay clean — and every changed
-    /// cell is stamped `now`. No-op (tracking stays off) when the
-    /// previous tracker was off.
-    pub(crate) fn inherit(&mut self, prev: &Self, new_z: &[f64], prev_z: &[f64], now: u64) {
-        if !prev.enabled() || new_z.len() != prev_z.len() {
-            return;
-        }
-        self.stamps.clear();
-        self.stamps.extend(
-            new_z
-                .iter()
-                .zip(prev_z)
-                .zip(&prev.stamps)
-                .map(|((n, p), &s)| if n.to_bits() == p.to_bits() { s } else { now }),
-        );
-        // The heap is rebuilt wholesale at every sync; treat it as moved.
-        self.heap_stamp = now;
-        self.epoch = now;
-        self.external_epoch = prev.external_epoch;
-        self.full_required = prev.full_required;
-    }
 }
 
 #[cfg(test)]
@@ -216,24 +191,6 @@ mod tests {
         let z = [1.0, 0.0];
         assert_eq!(d.changed(&z, 6), vec![(0, 1.0f64.to_bits())]);
         assert_eq!(d.changed(&z, 7).len(), 0);
-    }
-
-    #[test]
-    fn inherit_keeps_stamps_for_bit_identical_cells() {
-        let mut prev = DirtyCells::off();
-        prev.enable(3, 5);
-        prev.set_epoch(8);
-        prev.touch(0); // dirty in prev, bit-identical across the rebuild
-        prev.touch(1);
-        let prev_z = [1.0, 2.0, 3.0];
-        let new_z = [1.0, 2.5, 3.0]; // cell 1 changed in the rebuild
-        let mut next = DirtyCells::off();
-        next.inherit(&prev, &new_z, &prev_z, 12);
-        // Watermark 8: only the rebuilt-and-changed cell.
-        let changed = next.changed(&new_z, 8);
-        assert_eq!(changed, vec![(1, 2.5f64.to_bits())]);
-        // Watermark 5 additionally picks up cell 0's inherited stamp 8.
-        assert_eq!(next.changed(&new_z, 5).len(), 1 + 1);
     }
 
     #[test]

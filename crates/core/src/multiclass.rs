@@ -426,15 +426,6 @@ impl MergeableLearner for MulticlassAwmSketch {
 
     // rebuild_top_k: default no-op — the per-class active sets are
     // integral model state and merge_from already rebuilds them.
-
-    fn inherit_delta_stamps(&mut self, prev: &Self) {
-        if self.sketches.len() != prev.sketches.len() {
-            return;
-        }
-        for (mine, old) in self.sketches.iter_mut().zip(&prev.sketches) {
-            mine.inherit_delta_stamps(old);
-        }
-    }
 }
 
 /// Snapshot layout (after the `WMS1` envelope, kind

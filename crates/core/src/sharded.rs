@@ -455,11 +455,6 @@ impl<L: MergeableLearner + Clone> ShardedLearner<L> {
             candidates.dedup();
             root.rebuild_top_k(&candidates);
         }
-        // The rebuilt root starts with delta tracking off; inherit the
-        // outgoing root's change stamps (where the stored bits agree) so a
-        // sync between two delta ships does not degrade every delta to a
-        // full snapshot.
-        root.inherit_delta_stamps(&self.root);
         self.root = root;
     }
 

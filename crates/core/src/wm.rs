@@ -581,10 +581,6 @@ impl MergeableLearner for WmSketch {
         *heap = wmsketch_hh::TopKWeights::from_heaviest(heap.capacity(), ranked);
         self.dirty.touch_heap();
     }
-
-    fn inherit_delta_stamps(&mut self, prev: &Self) {
-        self.dirty.inherit(&prev.dirty, &self.z, &prev.z, self.t);
-    }
 }
 
 /// Largest heap capacity a snapshot may declare. Constructing a sketch

@@ -92,18 +92,6 @@ pub trait MergeableLearner: OnlineLearner {
     fn rebuild_top_k(&mut self, candidates: &[u32]) {
         let _ = candidates;
     }
-
-    /// Carries delta-snapshot dirty-cell tracking across a from-scratch
-    /// rebuild of the model (a sharded root discarded and re-merged at
-    /// sync): implementations compare the rebuilt state against `prev` —
-    /// the instance being replaced — and inherit its change stamps where
-    /// the stored bits are identical, so unchanged cells stay out of the
-    /// next shipped delta. The default is a no-op, correct for learners
-    /// without delta tracking (their deltas always fall back to full
-    /// snapshots).
-    fn inherit_delta_stamps(&mut self, prev: &Self) {
-        let _ = prev;
-    }
 }
 
 /// Native retrieval of the most heavily-weighted features. Methods that

@@ -4,10 +4,7 @@
 //! A client addresses one model at a time ([`ServeClient::set_model`],
 //! default: the default model, id 0) and can create and enumerate models
 //! on the node ([`ServeClient::create_model`] /
-//! [`ServeClient::list_models`]). [`ServeClient::connect_legacy`] speaks
-//! the headerless version-1 framing — it exists so the
-//! backward-compatibility contract (legacy clients keep working against
-//! a registry server) stays executable in the test suite.
+//! [`ServeClient::list_models`]).
 //!
 //! [`SelfHealingClient`] wraps `ServeClient` with a [`RetryPolicy`]:
 //! bounded reconnect-and-retry with deterministic jittered backoff
@@ -26,10 +23,10 @@ use wmsketch_learn::{Label, SparseVector};
 
 use crate::error::ServeError;
 use crate::protocol::{
-    put_examples, put_features, read_frame, request, request_for_model, take_model_info,
-    write_frame, ModelInfo, DEFAULT_MODEL_ID, OP_ACK, OP_CHECKPOINT, OP_CREATE, OP_ESTIMATE,
-    OP_LIST, OP_MERGE, OP_METRICS, OP_PEER_JOIN, OP_PREDICT, OP_PULL_DELTA, OP_RESET, OP_RESTORE,
-    OP_SHUTDOWN, OP_SNAPSHOT, OP_STATS, OP_TOPK, OP_UPDATE, STATUS_OK,
+    put_examples, put_features, read_frame, request_for_model, take_model_info, write_frame,
+    ModelInfo, DEFAULT_MODEL_ID, OP_ACK, OP_CHECKPOINT, OP_CREATE, OP_ESTIMATE, OP_LIST, OP_MERGE,
+    OP_METRICS, OP_PEER_JOIN, OP_PREDICT, OP_PULL_DELTA, OP_RESET, OP_RESTORE, OP_SHUTDOWN,
+    OP_SNAPSHOT, OP_STATS, OP_TOPK, OP_UPDATE, STATUS_OK,
 };
 use crate::server::{ReplRow, ServeBackend, ServeStats};
 
@@ -43,15 +40,12 @@ pub struct ServeClient {
     stream: TcpStream,
     /// The model this client's requests address.
     model: u32,
-    /// When true, requests use the headerless version-1 framing (default
-    /// model only).
-    legacy: bool,
 }
 
 impl ServeClient {
-    /// Connects to a node, addressing the default model with version-2
-    /// (model-id) framing. The socket gets a default 30-second read/write
-    /// deadline (timeouts surface as [`ServeError::Io`]).
+    /// Connects to a node, addressing the default model. The socket gets a
+    /// default 30-second read/write deadline (timeouts surface as
+    /// [`ServeError::Io`]).
     ///
     /// # Errors
     /// Propagates socket errors.
@@ -68,7 +62,6 @@ impl ServeClient {
         Ok(Self {
             stream,
             model: DEFAULT_MODEL_ID,
-            legacy: false,
         })
     }
 
@@ -98,7 +91,6 @@ impl ServeClient {
                     return Ok(Self {
                         stream,
                         model: DEFAULT_MODEL_ID,
-                        legacy: false,
                     });
                 }
                 Err(e) => last = Some(e),
@@ -112,18 +104,6 @@ impl ServeClient {
         })))
     }
 
-    /// Connects speaking the legacy (version-1, headerless) framing a
-    /// pre-registry client would use. Such a session can only address the
-    /// default model; [`ServeClient::set_model`] returns an error.
-    ///
-    /// # Errors
-    /// Propagates socket errors.
-    pub fn connect_legacy(addr: impl ToSocketAddrs) -> Result<Self, ServeError> {
-        let mut c = Self::connect(addr)?;
-        c.legacy = true;
-        Ok(c)
-    }
-
     /// The model id this client's requests address.
     #[must_use]
     pub fn model(&self) -> u32 {
@@ -135,25 +115,15 @@ impl ServeClient {
     /// [`ServeClient::list_models`]).
     ///
     /// # Errors
-    /// [`ServeError::Protocol`] on a legacy connection, whose framing
-    /// carries no model id.
+    /// Never fails; the `Result` is kept for API stability.
     pub fn set_model(&mut self, model: u32) -> Result<(), ServeError> {
-        if self.legacy && model != DEFAULT_MODEL_ID {
-            return Err(ServeError::Protocol(
-                "legacy framing cannot address models beyond the default",
-            ));
-        }
         self.model = model;
         Ok(())
     }
 
-    /// Builds a request body in this client's framing.
+    /// Builds a request body addressing this client's model.
     fn body(&self, op: u8, payload: Writer) -> Vec<u8> {
-        if self.legacy {
-            request(op, payload)
-        } else {
-            request_for_model(self.model, op, payload)
-        }
+        request_for_model(self.model, op, payload)
     }
 
     /// One request/response round trip; unwraps the status byte.
@@ -238,8 +208,7 @@ impl ServeClient {
     /// `examples` is cut into frames of `frame_examples`, and up to
     /// `window` frames are on the wire before the first response is
     /// read. Against the event backend this keeps the node's decode,
-    /// learner, and socket work overlapped (and lets it coalesce the
-    /// frames' lock acquisitions); against the threaded backend it
+    /// learner, and socket work overlapped; against the threaded backend it
     /// degrades gracefully to streaming writes. Returns the model's
     /// cumulative ingested-example count after each frame, in frame
     /// order — the exact sequence [`ServeClient::update_batch`] calls
@@ -456,7 +425,7 @@ impl ServeClient {
         for _ in 0..count {
             models.push(take_model_info(&mut r)?);
         }
-        // The v6 tail (backend byte + coalescing counters) follows the
+        // The v6 tail (backend byte + UPDATE frame counters) follows the
         // registry rows; a pre-v6 node simply ends the payload here.
         let (backend, update_lock_acquisitions, update_frames) = if r.remaining() >= 17 {
             let b = ServeBackend::from_wire_byte(r.take_u8()?).unwrap_or(ServeBackend::Threaded);

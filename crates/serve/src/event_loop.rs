@@ -12,23 +12,20 @@
 //!             └────────┼──────────────────── per-model queues ─┘
 //!                      │ completions (eventfd wake)       │
 //!             ┌────────┴───────────  executor pool  ──────▼────┐
-//!             │ pop a model's run of UPDATE jobs → one learner │
-//!             │ lock → update_batch per frame → respond        │
+//!             │ pop one job from a queue → handle_request      │
+//!             │ (decode → learner lock → respond)              │
 //!             └─────────────────────────────────────────────────┘
 //! ```
 //!
 //! * **Pipelining** — a connection may send frame N+1 without waiting
-//!   for frame N's response; the loop decodes ahead while executors run
-//!   the learner. Responses are written back in request order per
-//!   connection (sequence-numbered slots), so a pipelined client reads
-//!   exactly the response stream a blocking client would.
-//! * **Coalescing** — every frame is queued under its *resolved* model
-//!   id; an executor claiming a model's queue takes the entire run of
-//!   consecutive UPDATE jobs and executes them under a **single**
-//!   learner-lock acquisition (one `update_batch` call per frame, in
-//!   per-connection arrival order; `update_batch` chunking invariance
-//!   makes the coalesced execution bit-identical to per-frame locking).
-//!   The observed coalescing factor is visible via STATS.
+//!   for frame N's response; the loop reads and queues ahead while
+//!   executors run the learner. Responses are written back in request
+//!   order per connection (sequence-numbered slots), so a pipelined
+//!   client reads exactly the response stream a blocking client would.
+//! * **One request path** — an executor claims one job at a time and
+//!   runs its body through the same `handle_request` the threaded
+//!   backend calls, so every op (UPDATE included) decodes, locks,
+//!   executes, and records telemetry identically on both backends.
 //! * **Ordering** — all ops addressing one model share that model's FIFO
 //!   queue, so `UPDATE … UPDATE, ESTIMATE` from one connection executes
 //!   in order even when pipelined. Registry-level ops (CREATE, LIST,
@@ -37,7 +34,7 @@
 //!   lands on the misc queue too (resolution fails until CREATE runs)
 //!   and therefore still executes after it.
 //! * **Backpressure** — a connection with [`MAX_PIPELINE_DEPTH`]
-//!   decoded-but-unanswered requests has its read interest dropped until
+//!   queued-but-unanswered requests has its read interest dropped until
 //!   responses drain; the kernel's TCP window then pushes back on the
 //!   client. Transient accept/registration failures (fd exhaustion) back
 //!   off for [`ACCEPT_BACKOFF`] with listener interest masked, so the
@@ -56,18 +53,15 @@ use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use wmsketch_hashing::codec::{Reader, Writer};
-use wmsketch_learn::{Label, SparseVector};
+use wmsketch_hashing::codec::Reader;
 
-use crate::metrics;
 use crate::poller::{Event, Poller, Waker, EVENT_READ, EVENT_WRITE};
 use crate::protocol::{
-    take_examples_into, take_request_head, ExamplesScratch, FrameAssembler, OP_CREATE, OP_LIST,
-    OP_METRICS, OP_PEER_JOIN, OP_SHUTDOWN, OP_UPDATE,
+    take_request_head, ExamplesScratch, FrameAssembler, OP_CREATE, OP_LIST, OP_METRICS,
+    OP_PEER_JOIN, OP_SHUTDOWN,
 };
 use crate::server::{
-    accept_loop, finalize_response, handle_request, is_shutdown_request, resolve_model, ModelEntry,
-    ServerState,
+    accept_loop, finalize_response, handle_request, is_shutdown_request, resolve_model, ServerState,
 };
 
 /// Token of the listening socket.
@@ -82,7 +76,7 @@ const FIRST_CONN_TOKEN: u64 = 2;
 /// listener interest masked so level triggering doesn't spin meanwhile.
 const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
 
-/// Most decoded-but-unanswered requests per connection before its read
+/// Most queued-but-unanswered requests per connection before its read
 /// interest is dropped (resumed at half).
 const MAX_PIPELINE_DEPTH: usize = 128;
 
@@ -110,40 +104,8 @@ struct Job {
     token: u64,
     /// Position in that connection's request order.
     seq: u64,
-    kind: JobKind,
-}
-
-enum JobKind {
-    /// A pre-decoded UPDATE: the hot path, eligible for coalescing.
-    Update {
-        entry: Arc<ModelEntry>,
-        examples: Vec<(SparseVector, Label)>,
-        /// Wire size of the original frame (length prefix included), so
-        /// per-model byte accounting matches the threaded backend even
-        /// though the body is dropped after pre-decode.
-        wire_bytes: u64,
-    },
-    /// Anything else (or an UPDATE that failed decode, replayed through
-    /// `handle_request` for the identical error response).
-    Other { body: Vec<u8> },
-}
-
-/// What an executor claimed from a queue in one pickup.
-enum Work {
-    /// The run of consecutive UPDATE jobs at a model queue's front —
-    /// executed under one learner-lock acquisition.
-    Updates { model: u32, jobs: Vec<Job> },
-    /// A single non-UPDATE job.
-    One { key: WorkKey, job: Job },
-}
-
-impl Work {
-    fn key(&self) -> WorkKey {
-        match self {
-            Work::Updates { model, .. } => WorkKey::Model(*model),
-            Work::One { key, .. } => *key,
-        }
-    }
+    /// The request frame body, undecoded.
+    body: Vec<u8>,
 }
 
 /// An executed job's response, routed back to its connection slot.
@@ -201,38 +163,27 @@ impl Queues {
         }
     }
 
-    fn take_work(&mut self) -> Option<Work> {
+    /// Claims the front job of the first ready queue, marking that queue
+    /// in service until [`Queues::release`].
+    fn take_job(&mut self) -> Option<(WorkKey, Job)> {
         while let Some(key) = self.ready.pop_front() {
             match key {
                 WorkKey::Model(id) => {
-                    let mq = self.models.get_mut(&id)?;
-                    mq.queued = false;
-                    if mq.jobs.is_empty() {
+                    let Some(mq) = self.models.get_mut(&id) else {
                         continue;
+                    };
+                    mq.queued = false;
+                    if let Some(job) = mq.jobs.pop_front() {
+                        mq.in_service = true;
+                        return Some((key, job));
                     }
-                    mq.in_service = true;
-                    if matches!(mq.jobs.front(), Some(j) if matches!(j.kind, JobKind::Update { .. }))
-                    {
-                        let mut jobs = Vec::new();
-                        while matches!(
-                            mq.jobs.front(),
-                            Some(j) if matches!(j.kind, JobKind::Update { .. })
-                        ) {
-                            jobs.push(mq.jobs.pop_front().expect("checked front"));
-                        }
-                        return Some(Work::Updates { model: id, jobs });
-                    }
-                    let job = mq.jobs.pop_front().expect("checked non-empty");
-                    return Some(Work::One { key, job });
                 }
                 WorkKey::Misc => {
                     self.misc_queued = false;
-                    if self.misc.is_empty() {
-                        continue;
+                    if let Some(job) = self.misc.pop_front() {
+                        self.misc_in_service = true;
+                        return Some((key, job));
                     }
-                    self.misc_in_service = true;
-                    let job = self.misc.pop_front().expect("checked non-empty");
-                    return Some(Work::One { key, job });
                 }
             }
         }
@@ -753,10 +704,10 @@ fn process_frames(
                     response: None,
                     shutdown: false,
                 });
-                let (key, job) = classify(shared, body, token, seq);
+                let key = classify(&shared.state, &body);
                 {
                     let mut q = shared.queues.lock().expect("queues");
-                    q.enqueue(key, job);
+                    q.enqueue(key, Job { token, seq, body });
                 }
                 shared.work_ready.notify_one();
                 *outstanding += 1;
@@ -773,25 +724,13 @@ fn process_frames(
     }
 }
 
-/// Routes one request body to its queue. UPDATE frames for resolvable
-/// models are decoded here (off the executor's critical path); all other
-/// model-addressed ops ride the same model queue as opaque bodies so
-/// per-model order is preserved. Registry ops and unresolvable requests
-/// go to the misc queue.
-fn classify(shared: &Shared, body: Vec<u8>, token: u64, seq: u64) -> (WorkKey, Job) {
-    let other = |body: Vec<u8>| JobKind::Other { body };
-    let head = match take_request_head(&mut Reader::new(&body)) {
-        Ok(h) => h,
-        Err(_) => {
-            return (
-                WorkKey::Misc,
-                Job {
-                    token,
-                    seq,
-                    kind: other(body),
-                },
-            )
-        }
+/// Routes one request body to its queue. Ops addressing a resolvable
+/// model ride that model's queue, so per-model order is preserved;
+/// registry ops, unresolvable models and malformed headers go to the
+/// misc queue.
+fn classify(state: &ServerState, body: &[u8]) -> WorkKey {
+    let Ok(head) = take_request_head(&mut Reader::new(body)) else {
+        return WorkKey::Misc;
     };
     // Registry-level ops (OP_PEER_JOIN included — it touches the peer
     // table, not a model; OP_METRICS scrapes the whole node) share the
@@ -802,193 +741,64 @@ fn classify(shared: &Shared, body: Vec<u8>, token: u64, seq: u64) -> (WorkKey, J
         head.op,
         OP_CREATE | OP_LIST | OP_SHUTDOWN | OP_PEER_JOIN | OP_METRICS
     ) {
-        return (
-            WorkKey::Misc,
-            Job {
-                token,
-                seq,
-                kind: other(body),
-            },
-        );
+        return WorkKey::Misc;
     }
-    let Ok(entry) = resolve_model(&shared.state, head.model) else {
-        return (
-            WorkKey::Misc,
-            Job {
-                token,
-                seq,
-                kind: other(body),
-            },
-        );
-    };
-    let key = WorkKey::Model(entry.id);
-    if head.op == OP_UPDATE {
-        let mut r = Reader::new(&body);
-        let _ = take_request_head(&mut r);
-        let mut scratch = ExamplesScratch::new();
-        let decoded =
-            take_examples_into(&mut r, &mut scratch, entry.label_domain).and_then(|()| r.finish());
-        if decoded.is_ok() {
-            let wire_bytes = body.len() as u64 + 4;
-            return (
-                key,
-                Job {
-                    token,
-                    seq,
-                    kind: JobKind::Update {
-                        entry,
-                        examples: scratch.into_examples(),
-                        wire_bytes,
-                    },
-                },
-            );
-        }
-        // Malformed UPDATE: replay through handle_request on the same
-        // queue for the identical error response, in order.
+    match resolve_model(state, head.model) {
+        Ok(entry) => WorkKey::Model(entry.id),
+        Err(_) => WorkKey::Misc,
     }
-    (
-        key,
-        Job {
-            token,
-            seq,
-            kind: other(body),
-        },
-    )
 }
 
-/// Executor thread: claim work, run it, publish completions, wake the
-/// loop. Exits when the stop flag is set *and* the backlog is empty.
+/// Executor thread: claim one job, run it through `handle_request`,
+/// publish the completion, wake the loop. Exits when the stop flag is set
+/// *and* the backlog is empty.
 fn executor_main(shared: &Shared) {
     let mut scratch = ExamplesScratch::new();
+    let mut finished: Option<WorkKey> = None;
     loop {
-        let work = {
+        let (key, job) = {
             let mut q = shared.queues.lock().expect("queues");
-            loop {
-                if let Some(w) = q.take_work() {
-                    break w;
+            // Releasing the last queue and claiming the next job under one
+            // lock lets this executor carry on with a busy model's queue
+            // itself; another executor is woken only for work left over,
+            // so one model's frames do not bounce between cores.
+            if let Some(key) = finished.take() {
+                q.release(key);
+            }
+            let claimed = loop {
+                if let Some(claimed) = q.take_job() {
+                    break claimed;
                 }
                 if q.stop {
                     return;
                 }
                 q = shared.work_ready.wait(q).expect("queues");
+            };
+            if !q.ready.is_empty() {
+                shared.work_ready.notify_one();
             }
+            claimed
         };
-        let key = work.key();
-        let comps = execute_work(shared, work, &mut scratch);
-        {
-            let mut out = shared.completions.lock().expect("completions");
-            out.extend(comps);
-        }
+        let result = handle_request(&job.body, &shared.state, &mut scratch);
+        let completion = Completion {
+            token: job.token,
+            seq: job.seq,
+            shutdown: result.is_ok() && is_shutdown_request(&job.body),
+            response: finalize_response(result),
+        };
+        shared
+            .completions
+            .lock()
+            .expect("completions")
+            .push(completion);
         shared.waker.wake();
-        {
-            let mut q = shared.queues.lock().expect("queues");
-            q.release(key);
-        }
-        shared.work_ready.notify_one();
+        finished = Some(key);
     }
 }
 
-/// Runs one claimed unit of work, producing a completion per job.
-fn execute_work(shared: &Shared, work: Work, scratch: &mut ExamplesScratch) -> Vec<Completion> {
-    match work {
-        Work::Updates { jobs, .. } => {
-            let entry = match &jobs[0].kind {
-                JobKind::Update { entry, .. } => Arc::clone(entry),
-                JobKind::Other { .. } => unreachable!("Updates run holds only Update jobs"),
-            };
-            let mut comps = Vec::with_capacity(jobs.len());
-            let frames = jobs.len() as u64;
-            let mut run_examples = 0u64;
-            // THE coalescing point: one lock acquisition covers the whole
-            // run, but each frame stays its own update_batch call, in
-            // arrival order. Latency is recorded per frame around its own
-            // update_batch call (these frames never pass through
-            // handle_request's wrapper), and the rate accountant is
-            // billed once per run, after the lock drops.
-            let mut learner = match entry.learner() {
-                Ok(guard) => guard,
-                // Revival failed (governed node, unreadable spill
-                // record): every job in the run gets the typed error —
-                // the connections stay up and the stub stays in place.
-                Err(e) => {
-                    let response = finalize_response(Err(e));
-                    return jobs
-                        .into_iter()
-                        .map(|job| Completion {
-                            token: job.token,
-                            seq: job.seq,
-                            response: response.clone(),
-                            shutdown: false,
-                        })
-                        .collect();
-                }
-            };
-            for job in jobs {
-                let JobKind::Update {
-                    examples,
-                    wire_bytes,
-                    ..
-                } = job.kind
-                else {
-                    unreachable!("Updates run holds only Update jobs");
-                };
-                let started = metrics::now_if_enabled();
-                learner.update_batch(&examples);
-                if let Some(t) = started {
-                    entry.telemetry.op_latency[metrics::CLASS_UPDATE].record_duration(t.elapsed());
-                }
-                entry.telemetry.request_bytes.add(wire_bytes);
-                entry.telemetry.update_examples.add(examples.len() as u64);
-                run_examples += examples.len() as u64;
-                let mut w = Writer::new();
-                w.put_u64(learner.examples_seen());
-                comps.push(Completion {
-                    token: job.token,
-                    seq: job.seq,
-                    response: finalize_response(Ok(w.into_bytes())),
-                    shutdown: false,
-                });
-            }
-            drop(learner);
-            shared
-                .state
-                .update_lock_acquisitions
-                .fetch_add(1, Ordering::Relaxed);
-            shared
-                .state
-                .update_frames
-                .fetch_add(frames, Ordering::Relaxed);
-            let nm = &shared.state.metrics;
-            nm.coalesce_run_len.record(frames);
-            nm.account_updates(entry.id, run_examples);
-            comps
-        }
-        Work::One { job, .. } => {
-            let JobKind::Other { body } = job.kind else {
-                unreachable!("One holds an Other job");
-            };
-            let result = handle_request(&body, &shared.state, scratch);
-            let shutdown = result.is_ok() && is_shutdown_request(&body);
-            vec![Completion {
-                token: job.token,
-                seq: job.seq,
-                response: finalize_response(result),
-                shutdown,
-            }]
-        }
-    }
-}
-
-/// Executor-pool size: `WMSKETCH_SERVE_EXECUTORS` override, else the
-/// host's parallelism capped at 4 (learner work is lock-serialized per
-/// model; a huge pool only adds contention).
+/// Executor-pool size: the host's parallelism capped at 4 (learner work
+/// is lock-serialized per model; a huge pool only adds contention).
 fn executor_count() -> usize {
-    if let Some(n) = std::env::var("WMSKETCH_SERVE_EXECUTORS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-    {
-        return n.clamp(1, 64);
-    }
     std::thread::available_parallelism()
         .map_or(1, std::num::NonZeroUsize::get)
         .clamp(1, 4)

@@ -98,25 +98,22 @@
 //!
 //! ```text
 //! frame    := len (u32, body bytes, <= 64 MiB) | body
-//! request  := F2 | model id (u32) | opcode (u8) | payload   (version 2)
-//!           | opcode (u8) | payload                         (version 1,
-//!             legacy: addressed to the default model, id 0)
+//! request  := F2 | model id (u32) | opcode (u8) | payload
 //! response := status (u8: 00 OK, 01 ERR) | payload
 //!             (ERR payload is a UTF-8 message)
 //! ```
 //!
-//! The first body byte selects the framing: `F2` (a value outside the
-//! opcode range; future header revisions get `F3`, …) introduces the
-//! **model-id header**, anything else is a legacy version-1 body whose
-//! first byte is the opcode. Legacy sessions therefore keep round-tripping
-//! against a registry server unchanged — they simply always speak to the
-//! default model, which [`WmServer::bind`] builds from its [`ServeConfig`]
-//! (registry id 0, name `"default"`, kind `03` WM).
+//! Every request body opens with the `F2` marker (a value outside the
+//! opcode range; future header revisions get `F3`, …) and the
+//! **model-id header**. A body that starts with any other byte is
+//! answered with a typed `ERR`, and the connection stays usable. Model
+//! id 0 is the default model, which [`WmServer::bind`] builds from its
+//! [`ServeConfig`] (name `"default"`, kind `03` WM).
 //!
 //! **Pipelining.** A connection may write request frame N+1 without
 //! waiting for frame N's response — both backends accept it (the event
-//! backend additionally overlaps decode and learner execution across
-//! the pipeline). The server guarantees **per-connection response
+//! backend additionally keeps reading and queueing a connection's frames
+//! while earlier ones execute). The server guarantees **per-connection response
 //! ordering**: responses come back in exactly the order the requests
 //! were framed, one response per request, so a pipelined reader pairs
 //! them by position — there are no response tags. Ops addressing the
@@ -165,7 +162,7 @@
 //! | `06` | CHECKPOINT | path | bytes written (u64) |
 //! | `07` | RESTORE | path | model clock (u64) |
 //! | `08` | ESTIMATE | feature (u32) | weight (f64) |
-//! | `09` | STATS | — | routed (u64) \| clock (u64) \| shards (u32) \| synced (u8) \| count (u32) \| count × model \| backend (u8) \| lock acquisitions (u64) \| update frames (u64) |
+//! | `09` | STATS | — | routed (u64) \| clock (u64) \| shards (u32) \| synced (u8) \| count (u32) \| count × model \| backend (u8) \| lock acquisitions (u64, equals update frames) \| update frames (u64) |
 //! | `0A` | RESET | — | — |
 //! | `0B` | SHUTDOWN | — | — (server drains afterwards; registry-level) |
 //! | `0C` | CREATE | name_len (u32) \| name \| shards (u32) \| template snapshot | model id (u32) (registry-level) |
@@ -195,10 +192,9 @@
 //! reading only through the rows is unaffected): the node's `backend`
 //! byte (`00` threaded, `01` event), then two node-wide counters —
 //! learner-lock acquisitions that served UPDATE frames, and UPDATE
-//! frames executed. On the threaded backend they are equal; on the event
-//! backend frames-per-acquisition is the observed **batching /
-//! coalescing factor**, which is how the event loop's cross-connection
-//! UPDATE coalescing is made visible on the wire.
+//! frames executed. Every UPDATE frame takes its model's lock exactly
+//! once on both backends, so the node writes the frame count into both
+//! slots.
 //!
 //! The v7 **replication tail** follows the v6 tail (again, older clients
 //! just stop reading earlier):
@@ -437,9 +433,7 @@
 //! | `bytes_tx_total` | counter | response bytes handed to the transport |
 //! | `connections_open` | gauge | currently open connections |
 //! | `paused_connections` | gauge | connections under pipeline backpressure (event backend) |
-//! | `executor_queue_depth` | gauge | decoded-but-unanswered requests (event backend) |
-//! | `coalesce_run_len_*` | histogram | UPDATE frames per learner-lock acquisition (event backend) |
-//! | `update_lock_acquisitions_total` | counter | mirror of the STATS tail counter |
+//! | `executor_queue_depth` | gauge | queued-but-unanswered requests (event backend) |
 //! | `update_frames_total` | counter | mirror of the STATS tail counter |
 //! | `gossip_rounds_total` | counter | gossip ticks started |
 //! | `gossip_attempts_total` | counter | per-peer exchanges attempted |
@@ -491,11 +485,10 @@
 //! * **Event** ([`ServeBackend::Event`]) — a readiness-driven
 //!   nonblocking loop over raw `epoll` (Linux only, where it is the
 //!   default): per-connection incremental frame reassembly, request
-//!   pipelining, and per-model work queues that coalesce consecutive
-//!   UPDATE frames — from any mix of connections — into a single
-//!   learner-lock acquisition (each frame stays its own `update_batch`
-//!   call, and `update_batch` chunking invariance makes the coalesced
-//!   run bit-identical to per-frame locking). Connections
+//!   pipelining, and per-model FIFO work queues drained by a small
+//!   executor pool. An executor runs one request at a time through the
+//!   same handler the threaded backend calls, so both backends decode,
+//!   lock, and record telemetry identically. Connections
 //!   cost no thread, so one node holds many thousands; a connection with
 //!   128 unanswered requests stops being read until it drains, and
 //!   accept/registration failures (fd exhaustion) back off for 10 ms

@@ -20,7 +20,7 @@ use std::time::Instant;
 
 use wmsketch_hashing::codec::Reader;
 use wmsketch_telemetry::{
-    CompactLatencyHistogram, Counter, ExpoWriter, Gauge, Journal, LatencyHistogram, RateAccountant,
+    CompactLatencyHistogram, Counter, ExpoWriter, Gauge, Journal, RateAccountant,
 };
 
 use crate::protocol::{
@@ -34,15 +34,11 @@ use crate::server::{ServeBackend, ServerState};
 /// opcode plus a trailing catch-all for unknown/malformed requests.
 pub(crate) const OP_CLASSES: usize = 18;
 
-/// Index of [`OP_UPDATE`]'s histogram (the event backend's coalesced
-/// path records here directly, without re-parsing the frame).
-pub(crate) const CLASS_UPDATE: usize = 0;
-
 /// Maps a wire opcode to its histogram slot (unknown opcodes share the
 /// trailing catch-all class).
 pub(crate) fn op_class(op: u8) -> usize {
     match op {
-        OP_UPDATE => CLASS_UPDATE,
+        OP_UPDATE => 0,
         OP_PREDICT => 1,
         OP_TOPK => 2,
         OP_SNAPSHOT => 3,
@@ -98,9 +94,8 @@ fn is_query_class(class: usize) -> bool {
 /// an array index away from the `Arc<ModelEntry>` the hot path already
 /// holds — no map lookups, no locks.
 pub(crate) struct ModelTelemetry {
-    /// Per-op-class service latency (nanoseconds on the execution path:
-    /// decode-to-response on the threaded backend, `update_batch` under
-    /// the coalesced lock on the event backend's UPDATE path). Compact
+    /// Per-op-class service latency (nanoseconds from decode to response
+    /// on the execution path, the same span on both backends). Compact
     /// histograms: this array is multiplied by every hosted model, and
     /// on a governed fleet node the registry's per-entry footprint is
     /// what bounds how many models fit under the memory budget (the full
@@ -144,12 +139,9 @@ pub(crate) struct NodeMetrics {
     /// Event backend: connections whose read interest is dropped because
     /// their pipeline hit `MAX_PIPELINE_DEPTH` (backpressure engaged).
     pub(crate) paused_connections: Gauge,
-    /// Event backend: decoded-but-unanswered requests across all
+    /// Event backend: queued-but-unanswered requests across all
     /// connections (the executor queue depth the I/O loop observes).
     pub(crate) queue_depth: Gauge,
-    /// Event backend: UPDATE frames claimed per single learner-lock
-    /// acquisition (the coalescing factor, as a distribution).
-    pub(crate) coalesce_run_len: LatencyHistogram,
     /// Coarse span journal: gossip ticks, delta pulls, drains, model
     /// builds.
     pub(crate) journal: Journal,
@@ -202,7 +194,6 @@ impl NodeMetrics {
             connections: Gauge::new(),
             paused_connections: Gauge::new(),
             queue_depth: Gauge::new(),
-            coalesce_run_len: LatencyHistogram::new(),
             journal: Journal::new(JOURNAL_CAPACITY),
             gossip_rounds: Counter::new(),
             gossip_attempts: Counter::new(),
@@ -257,10 +248,9 @@ pub(crate) fn now_if_enabled() -> Option<Instant> {
     wmsketch_telemetry::enabled().then(Instant::now)
 }
 
-/// Records one dispatched request (the threaded backend's every frame;
-/// the event backend's non-coalesced frames): latency, wire bytes,
-/// errors, and query-rate accounting, attributed to the addressed model
-/// or to the `_registry` pseudo-model.
+/// Records one dispatched request (every frame, on both backends):
+/// latency, wire bytes, errors, and query-rate accounting, attributed to
+/// the addressed model or to the `_registry` pseudo-model.
 pub(crate) fn record_request(state: &ServerState, body: &[u8], started: Instant, ok: bool) {
     let elapsed = started.elapsed();
     let wire_bytes = body.len() as u64 + 4;
@@ -323,16 +313,8 @@ pub(crate) fn render(state: &ServerState) -> String {
 
     // Scheduler (event backend; zero on the threaded backend).
     w.sample_i64("executor_queue_depth", &[], m.queue_depth.get());
-    w.histogram("coalesce_run_len", &[], &m.coalesce_run_len.snapshot());
 
-    // The always-on STATS counters, mirrored so one scrape carries both.
-    w.sample_u64(
-        "update_lock_acquisitions_total",
-        &[],
-        state
-            .update_lock_acquisitions
-            .load(std::sync::atomic::Ordering::Relaxed),
-    );
+    // The always-on STATS frame counter, mirrored so one scrape carries it.
     w.sample_u64(
         "update_frames_total",
         &[],

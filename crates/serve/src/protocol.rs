@@ -90,17 +90,16 @@ pub const STATUS_OK: u8 = 0x00;
 /// Response status: failure; the payload is a UTF-8 message.
 pub const STATUS_ERR: u8 = 0x01;
 
-/// Leading marker byte of a version-2 request body, which carries a
-/// model-id header: `0xF2 | model id (u32) | opcode (u8) | payload`.
+/// Leading marker byte of every request body, which carries a model-id
+/// header: `0xF2 | model id (u32) | opcode (u8) | payload`.
 ///
-/// Chosen outside the opcode range (opcodes grow upward from `0x01`) so
-/// the first body byte alone distinguishes framings: a body starting
-/// with an opcode byte is a **legacy** (version-1) request and is routed
-/// to the default model, id 0 — existing clients keep working against a
-/// registry server unchanged. Future header revisions get `0xF3`, ….
+/// Chosen outside the opcode range (opcodes grow upward from `0x01`), so
+/// a headerless body — one starting with an opcode byte — is rejected
+/// with a typed error rather than misread. Future header revisions get
+/// `0xF3`, ….
 pub const FRAME_V2: u8 = 0xF2;
 
-/// The model id legacy (headerless) requests address.
+/// The id of the default model every node builds at bind.
 pub const DEFAULT_MODEL_ID: u32 = 0;
 
 /// A parsed request header: which model the request addresses and the
@@ -114,25 +113,21 @@ pub struct RequestHead {
     pub op: u8,
 }
 
-/// Parses a request header, accepting both framings: a [`FRAME_V2`]
-/// marker introduces the model-id header, anything else is a legacy body
-/// whose first byte is the opcode (addressed to
-/// [`DEFAULT_MODEL_ID`]).
+/// Parses a request header: the [`FRAME_V2`] marker, the model id, and
+/// the opcode.
 ///
 /// # Errors
-/// [`CodecError::Truncated`] on an empty body or a cut-off v2 header.
+/// [`CodecError::Truncated`] on an empty body or a cut-off header;
+/// [`CodecError::Invalid`] when the first byte is not [`FRAME_V2`].
 pub fn take_request_head(r: &mut Reader<'_>) -> Result<RequestHead, CodecError> {
-    let first = r.take_u8()?;
-    if first == FRAME_V2 {
-        let model = r.take_u32()?;
-        let op = r.take_u8()?;
-        Ok(RequestHead { model, op })
-    } else {
-        Ok(RequestHead {
-            model: DEFAULT_MODEL_ID,
-            op: first,
-        })
+    if r.take_u8()? != FRAME_V2 {
+        return Err(CodecError::Invalid(
+            "request lacks the FRAME_V2 header marker",
+        ));
     }
+    let model = r.take_u32()?;
+    let op = r.take_u8()?;
+    Ok(RequestHead { model, op })
 }
 
 /// One registry row, as reported by [`OP_LIST`] and [`OP_STATS`].
@@ -471,18 +466,7 @@ pub fn take_examples_into(
     Ok(())
 }
 
-/// Builds a legacy (version-1, headerless) request body: opcode byte
-/// followed by an op-specific payload. Always addresses the default
-/// model.
-#[must_use]
-pub fn request(op: u8, payload: Writer) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.put_u8(op);
-    w.put_bytes(&payload.into_bytes());
-    w.into_bytes()
-}
-
-/// Builds a version-2 request body addressing `model`:
+/// Builds a request body addressing `model`:
 /// [`FRAME_V2`] marker, model id, opcode, payload.
 #[must_use]
 pub fn request_for_model(model: u32, op: u8, payload: Writer) -> Vec<u8> {
@@ -704,18 +688,13 @@ mod tests {
     }
 
     #[test]
-    fn request_head_accepts_both_framings() {
-        // Legacy: first byte is the opcode, default model addressed.
-        let legacy = request(OP_STATS, Writer::new());
-        let head = take_request_head(&mut Reader::new(&legacy)).unwrap();
-        assert_eq!(
-            head,
-            RequestHead {
-                model: DEFAULT_MODEL_ID,
-                op: OP_STATS
-            }
-        );
-        // v2: marker, model id, opcode.
+    fn request_head_requires_the_v2_marker() {
+        // A headerless body (first byte an opcode) is a typed error.
+        assert!(matches!(
+            take_request_head(&mut Reader::new(&[OP_STATS])),
+            Err(CodecError::Invalid(_))
+        ));
+        // Marker, model id, opcode.
         let mut payload = Writer::new();
         payload.put_u32(9);
         let v2 = request_for_model(7, OP_ESTIMATE, payload);

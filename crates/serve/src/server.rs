@@ -11,9 +11,9 @@
 //! * **Event** (Linux, the default there) — a readiness-driven
 //!   nonblocking loop (`crate::event_loop`) over a raw-`epoll` poller:
 //!   incremental frame reassembly, request pipelining with per-connection
-//!   response ordering, and per-model queues that coalesce UPDATE frames
-//!   from many connections into single `update_batch` calls under one
-//!   lock acquisition.
+//!   response ordering, and per-model FIFO queues drained by a small
+//!   executor pool, one request at a time through the same handler the
+//!   threaded backend runs.
 
 use std::collections::{BTreeMap, HashMap};
 use std::io::Read;
@@ -70,8 +70,10 @@ pub enum ServeBackend {
     /// Blocking accept loop, one thread per connection.
     Threaded,
     /// Readiness-driven nonblocking event loop (raw `epoll`; Linux only,
-    /// where it is the default). Adds request pipelining and cross-
-    /// connection UPDATE coalescing.
+    /// where it is the default). Connections cost no thread, and a
+    /// pipelined connection's requests are decoded while earlier ones
+    /// execute; every request runs through the same handler as on the
+    /// threaded backend.
     Event,
 }
 
@@ -128,7 +130,7 @@ impl ServeBackend {
 }
 
 /// Configuration of one serving node — specifically of its **default
-/// model** (id 0, the model legacy headerless frames address). Further
+/// model** (id 0, what a fresh client addresses). Further
 /// models of any registered kind are added at runtime via OP_CREATE.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -263,11 +265,9 @@ pub struct ServeStats {
     /// Which transport backend the node is running.
     pub backend: ServeBackend,
     /// Learner-lock acquisitions that served UPDATE frames, node-wide.
-    /// On the threaded backend this equals [`ServeStats::update_frames`];
-    /// on the event backend consecutive queued UPDATE frames for one
-    /// model execute under a single acquisition, so this lags it —
-    /// `update_frames / update_lock_acquisitions` is the observed
-    /// coalescing factor.
+    /// Every UPDATE frame takes the lock exactly once on both backends,
+    /// so this always equals [`ServeStats::update_frames`]; the wire slot
+    /// is kept so the STATS layout does not change.
     pub update_lock_acquisitions: u64,
     /// UPDATE frames executed node-wide (frames rejected at decode are
     /// not counted).
@@ -677,10 +677,7 @@ pub(crate) struct ServerState {
     pub(crate) addr: SocketAddr,
     pub(crate) shutdown: AtomicBool,
     pub(crate) backend: ServeBackend,
-    /// Learner-lock acquisitions that served UPDATE frames (see
-    /// [`ServeStats::update_lock_acquisitions`]).
-    pub(crate) update_lock_acquisitions: AtomicU64,
-    /// UPDATE frames executed.
+    /// UPDATE frames executed (reported in both STATS tail slots).
     pub(crate) update_frames: AtomicU64,
     /// This node's replication identity.
     pub(crate) node_id: u64,
@@ -813,7 +810,6 @@ impl WmServer {
             addr,
             shutdown: AtomicBool::new(false),
             backend,
-            update_lock_acquisitions: AtomicU64::new(0),
             update_frames: AtomicU64::new(0),
             node_id,
             gossip_interval_ms,
@@ -1284,8 +1280,7 @@ pub(crate) fn finalize_response(result: Result<Vec<u8>, ServeError>) -> Vec<u8> 
     response
 }
 
-/// Whether a (successfully handled) request body was an OP_SHUTDOWN, in
-/// either framing.
+/// Whether a (successfully handled) request body was an OP_SHUTDOWN.
 pub(crate) fn is_shutdown_request(body: &[u8]) -> bool {
     matches!(
         take_request_head(&mut Reader::new(body)),
@@ -1657,9 +1652,6 @@ fn dispatch_request(
                 learner.update_batch(scratch.examples());
                 learner.examples_seen()
             };
-            state
-                .update_lock_acquisitions
-                .fetch_add(1, Ordering::Relaxed);
             state.update_frames.fetch_add(1, Ordering::Relaxed);
             // Example-count telemetry for this frame (latency is recorded
             // by the `handle_request` wrapper); both no-ops when off, and
@@ -1769,10 +1761,13 @@ fn dispatch_request(
             }
             // v6 tail, after the registry rows so pre-v6 clients (which
             // stop reading after the rows) are unaffected: backend byte,
-            // then the node-wide UPDATE coalescing counters.
+            // then the UPDATE lock-acquisition and frame counters. Every
+            // UPDATE frame takes the learner lock once, so the frame
+            // count fills both slots.
+            let frames = state.update_frames.load(Ordering::Relaxed);
             out.put_u8(state.backend.wire_byte());
-            out.put_u64(state.update_lock_acquisitions.load(Ordering::Relaxed));
-            out.put_u64(state.update_frames.load(Ordering::Relaxed));
+            out.put_u64(frames);
+            out.put_u64(frames);
             // v7 replication tail, after the v6 tail: this node's id,
             // then the shipped-clock vector and applied watermarks of
             // every (model, peer) pair the node has exchanged state with.

@@ -1,6 +1,6 @@
 //! Concurrency stress for the serve backends: 64 pipelined connections
-//! (63 version-2 sessions on private models plus one legacy headerless
-//! session on the default model) hammering one node, asserting
+//! (63 sessions on private models plus one on the default model)
+//! hammering one node, asserting
 //! per-connection response ordering and bit-exact final-state parity
 //! with the same streams ingested over a single blocking connection —
 //! plus, on the event backend, thousands of idle connections coexisting
@@ -14,7 +14,8 @@ use wmsketch_core::{
 };
 use wmsketch_learn::{Label, SparseVector};
 use wmsketch_serve::protocol::{
-    put_examples, read_frame, request_for_model, write_frame, OP_MERGE, OP_UPDATE, STATUS_OK,
+    put_examples, read_frame, request_for_model, write_frame, OP_MERGE, OP_UPDATE, STATUS_ERR,
+    STATUS_OK,
 };
 use wmsketch_serve::{ServeBackend, ServeClient, ServeConfig, ServerHandle, WmServer};
 
@@ -69,8 +70,8 @@ fn create_model_for(server: &ServerHandle, i: usize) -> ServeClient {
 fn sixty_four_pipelined_connections_order_and_parity() {
     let stress = start(default_model());
 
-    // 63 v2 sessions in parallel threads; the legacy session runs on
-    // this thread concurrently, so both framings interleave on the node.
+    // 63 sessions on created models in parallel threads; the
+    // default-model session runs on this thread concurrently.
     let snapshots: Vec<(usize, Vec<u8>)> = std::thread::scope(|s| {
         let handles: Vec<_> = (1..CONNS)
             .map(|i| {
@@ -94,28 +95,28 @@ fn sixty_four_pipelined_connections_order_and_parity() {
             })
             .collect();
 
-        let mut legacy = ServeClient::connect_legacy(stress.addr()).unwrap();
-        let legacy_counts = legacy
+        let mut default = ServeClient::connect(stress.addr()).unwrap();
+        let default_counts = default
             .update_many(&stream_for(0), FRAME, FRAMES_PER_CONN)
             .unwrap();
-        for (k, &n) in legacy_counts.iter().enumerate() {
-            assert_eq!(n, (FRAME * (k + 1)) as u64, "legacy frame {k}");
+        for (k, &n) in default_counts.iter().enumerate() {
+            assert_eq!(n, (FRAME * (k + 1)) as u64, "default-model frame {k}");
         }
 
         let mut out: Vec<(usize, Vec<u8>)> = handles
             .into_iter()
             .map(|h| h.join().expect("stress connection"))
             .collect();
-        out.push((0, legacy.snapshot().unwrap()));
+        out.push((0, default.snapshot().unwrap()));
         out
     });
 
-    // Node-wide accounting: every frame from every connection executed.
+    // Node-wide accounting: every frame from every connection executed,
+    // each under exactly one learner-lock acquisition.
     let mut observer = ServeClient::connect(stress.addr()).unwrap();
     let stats = observer.stats().unwrap();
     assert_eq!(stats.update_frames, (CONNS * FRAMES_PER_CONN) as u64);
-    assert!(stats.update_lock_acquisitions >= 1);
-    assert!(stats.update_lock_acquisitions <= stats.update_frames);
+    assert_eq!(stats.update_lock_acquisitions, stats.update_frames);
 
     // Parity: one quiet node, one blocking connection, same models, same
     // streams, same frame boundaries — every model must match the
@@ -130,11 +131,11 @@ fn sixty_four_pipelined_connections_order_and_parity() {
             (i, c.snapshot().unwrap())
         })
         .collect();
-    let mut quiet_legacy = ServeClient::connect_legacy(quiet.addr()).unwrap();
+    let mut quiet_default = ServeClient::connect(quiet.addr()).unwrap();
     for chunk in stream_for(0).chunks(FRAME) {
-        quiet_legacy.update_batch(chunk).unwrap();
+        quiet_default.update_batch(chunk).unwrap();
     }
-    reference.push((0, quiet_legacy.snapshot().unwrap()));
+    reference.push((0, quiet_default.snapshot().unwrap()));
 
     let by_conn = |v: &mut Vec<(usize, Vec<u8>)>| v.sort_by_key(|(i, _)| *i);
     let mut got = snapshots;
@@ -205,6 +206,81 @@ fn read_ok_u64(stream: &mut TcpStream, what: &str) -> u64 {
         String::from_utf8_lossy(&resp[1..])
     );
     u64::from_le_bytes(resp[1..9].try_into().expect("u64 response"))
+}
+
+/// Reads one response and asserts it is an ERR.
+fn read_err(stream: &mut TcpStream, what: &str) {
+    let resp = read_frame(stream)
+        .expect("read response frame")
+        .unwrap_or_else(|| panic!("{what}: connection closed before the response"));
+    assert_eq!(resp[0], STATUS_ERR, "{what}: expected ERR");
+}
+
+/// Malformed UPDATE frames pipelined between valid ones — one cut short,
+/// one with a label outside the binary domain — each get their ERR in
+/// position, the valid frames around them are answered in order, and the
+/// model ends byte-equal to a twin fed only the valid frames.
+fn malformed_update_in_pipeline_case(backend: ServeBackend) {
+    let data = stream_for(6);
+    let chunks: Vec<_> = data.chunks(FRAME).take(4).collect();
+    let valid = |chunk: &[(SparseVector, Label)]| {
+        let mut w = wmsketch_hashing::codec::Writer::new();
+        put_examples(&mut w, chunk);
+        raw_frame(0, OP_UPDATE, w)
+    };
+    let mut truncated = request_for_model(0, OP_UPDATE, {
+        let mut w = wmsketch_hashing::codec::Writer::new();
+        put_examples(&mut w, chunks[0]);
+        w
+    });
+    truncated.pop();
+    let mut bad_label = wmsketch_hashing::codec::Writer::new();
+    put_examples(&mut bad_label, &[(SparseVector::one_hot(3, 1.0), 2)]);
+
+    let mut wire = Vec::new();
+    wire.extend_from_slice(&valid(chunks[0]));
+    wire.extend_from_slice(&valid(chunks[1]));
+    write_frame(&mut wire, &truncated).expect("in-memory frame");
+    wire.extend_from_slice(&valid(chunks[2]));
+    wire.extend_from_slice(&raw_frame(0, OP_UPDATE, bad_label));
+    wire.extend_from_slice(&valid(chunks[3]));
+
+    let server = start(default_model().backend(backend));
+    let mut raw = TcpStream::connect(server.addr()).unwrap();
+    raw.set_nodelay(true).unwrap();
+    raw.write_all(&wire).unwrap();
+    assert_eq!(read_ok_u64(&mut raw, "frame 0"), FRAME as u64);
+    assert_eq!(read_ok_u64(&mut raw, "frame 1"), 2 * FRAME as u64);
+    read_err(&mut raw, "truncated frame");
+    assert_eq!(read_ok_u64(&mut raw, "frame 2"), 3 * FRAME as u64);
+    read_err(&mut raw, "bad-label frame");
+    assert_eq!(read_ok_u64(&mut raw, "frame 3"), 4 * FRAME as u64);
+    drop(raw);
+
+    let twin = start(default_model().backend(backend));
+    let mut t = ServeClient::connect(twin.addr()).unwrap();
+    for chunk in &chunks {
+        t.update_batch(chunk).unwrap();
+    }
+    let mut c = ServeClient::connect(server.addr()).unwrap();
+    assert_eq!(
+        c.snapshot().unwrap(),
+        t.snapshot().unwrap(),
+        "{backend:?}: malformed frames changed the model"
+    );
+    server.shutdown();
+    twin.shutdown();
+}
+
+#[test]
+fn malformed_update_between_pipelined_updates_errs_in_position_threaded() {
+    malformed_update_in_pipeline_case(ServeBackend::Threaded);
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn malformed_update_between_pipelined_updates_errs_in_position_event() {
+    malformed_update_in_pipeline_case(ServeBackend::Event);
 }
 
 /// An OP_MERGE dropped into the middle of a pipelined burst of same-model

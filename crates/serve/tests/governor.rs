@@ -1,11 +1,18 @@
 //! End-to-end tests of the memory governor: budget admission,
 //! LRU spill-to-disk, transparent bit-identical revival, single-flight
-//! revival under concurrent access, corrupt-spill containment, and lazy
-//! startup recovery.
+//! revival under concurrent access, corrupt-spill containment and error
+//! accounting, and lazy startup recovery.
+
+use std::io::Write;
+use std::net::TcpStream;
 
 use wmsketch_core::{AwmSketch, AwmSketchConfig, OnlineLearner, SnapshotCodec, WmSketchConfig};
 use wmsketch_datagen::SyntheticClassification;
+use wmsketch_hashing::codec::Writer;
 use wmsketch_learn::{Label, SparseVector};
+use wmsketch_serve::protocol::{
+    put_examples, read_frame, request_for_model, write_frame, OP_UPDATE, STATUS_ERR,
+};
 use wmsketch_serve::{ServeBackend, ServeClient, ServeConfig, ServeError, ServerHandle, WmServer};
 
 /// A per-model planted stream (distinct per salt, deterministic).
@@ -324,7 +331,97 @@ fn create_rejects_models_that_cannot_fit_the_budget() {
 #[test]
 fn corrupt_spill_record_is_contained_and_reset_recovers() {
     wmsketch_telemetry::set_enabled(true);
-    let (server, dir) = governed("corrupt", TIGHT_BUDGET, ServeBackend::Threaded);
+    let (server, dir, mut client, victim_id, survivor_id) =
+        node_with_corrupt_spill("corrupt", ServeBackend::Threaded);
+
+    let err = client.estimate(3).unwrap_err();
+    assert!(
+        matches!(err, ServeError::Remote(_)),
+        "corrupt revival must be a typed remote error, got {err:?}"
+    );
+
+    // The node is alive: other models answer, and the failure is
+    // visible in the governor metrics.
+    client.set_model(survivor_id).unwrap();
+    client.estimate(10).unwrap();
+    let report = client.metrics().unwrap();
+    assert!(
+        report
+            .value("governor_revival_failures_total", &[])
+            .unwrap_or(0.0)
+            >= 1.0,
+        "revival failure must be counted"
+    );
+
+    // RESET replaces the slot without reading the spill record.
+    client.set_model(victim_id).unwrap();
+    client.reset().unwrap();
+    client.update_batch(&stream_for(0, 10)).unwrap();
+    assert_eq!(client.stats().unwrap().routed, 10);
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Pipelined UPDATEs to a model whose spill record is corrupt each get a
+/// typed ERR, and each is accounted like any failed request: one
+/// `op_errors_total` tick and one UPDATE latency sample per frame — on
+/// both backends.
+#[test]
+fn pipelined_updates_to_a_corrupt_spill_each_err_and_are_counted() {
+    const FRAMES: usize = 5;
+    wmsketch_telemetry::set_enabled(true);
+    for backend in [ServeBackend::Threaded, ServeBackend::Event] {
+        let (server, dir, mut client, victim_id, _) =
+            node_with_corrupt_spill("corruptpipe", backend);
+
+        let mut wire = Vec::new();
+        for salt in 0..FRAMES as u32 {
+            let mut w = Writer::new();
+            put_examples(&mut w, &stream_for(salt, 20));
+            write_frame(&mut wire, &request_for_model(victim_id, OP_UPDATE, w)).unwrap();
+        }
+        let mut raw = TcpStream::connect(server.addr()).unwrap();
+        raw.write_all(&wire).unwrap();
+        for k in 0..FRAMES {
+            let resp = read_frame(&mut raw)
+                .unwrap()
+                .unwrap_or_else(|| panic!("{backend:?}: closed before response {k}"));
+            assert_eq!(resp[0], STATUS_ERR, "{backend:?}: frame {k} was not an ERR");
+        }
+        drop(raw);
+
+        // The victim's one successful UPDATE (before it was spilled) plus
+        // every failed frame.
+        let report = client.metrics().unwrap();
+        let victim = [("model", "victim")];
+        assert_eq!(
+            report.value("op_errors_total", &victim),
+            Some(FRAMES as f64),
+            "{backend:?}: failed UPDATEs must count as errors"
+        );
+        assert_eq!(
+            report.value(
+                "op_latency_ns_count",
+                &[("model", "victim"), ("op", "update")]
+            ),
+            Some(FRAMES as f64 + 1.0),
+            "{backend:?}: failed UPDATEs must be timed"
+        );
+        server.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// A governed node whose model `"victim"` was trained, spilled by
+/// pressure from seven fresher models, and then had its spill record
+/// corrupted on disk. Returns the node, its data directory, a client
+/// addressing the victim, and the ids of the victim and of a healthy
+/// survivor.
+fn node_with_corrupt_spill(
+    tag: &str,
+    backend: ServeBackend,
+) -> (ServerHandle, std::path::PathBuf, ServeClient, u32, u32) {
+    let (server, dir) = governed(tag, TIGHT_BUDGET, backend);
     let mut client = ServeClient::connect(server.addr()).unwrap();
     let template = AwmSketch::new(awm_cfg()).to_snapshot_bytes();
 
@@ -352,32 +449,7 @@ fn corrupt_spill_record_is_contained_and_reset_recovers() {
     std::fs::write(&path, &bytes).unwrap();
 
     client.set_model(victim_id).unwrap();
-    let err = client.estimate(3).unwrap_err();
-    assert!(
-        matches!(err, ServeError::Remote(_)),
-        "corrupt revival must be a typed remote error, got {err:?}"
-    );
-
-    // The node is alive: other models answer, and the failure is
-    // visible in the governor metrics.
-    client.set_model(survivor_id).unwrap();
-    client.estimate(10).unwrap();
-    let report = client.metrics().unwrap();
-    assert!(
-        report
-            .value("governor_revival_failures_total", &[])
-            .unwrap_or(0.0)
-            >= 1.0,
-        "revival failure must be counted"
-    );
-
-    // RESET replaces the slot without reading the spill record.
-    client.set_model(victim_id).unwrap();
-    client.reset().unwrap();
-    client.update_batch(&stream_for(0, 10)).unwrap();
-    assert_eq!(client.stats().unwrap().routed, 10);
-    server.shutdown();
-    let _ = std::fs::remove_dir_all(&dir);
+    (server, dir, client, victim_id, survivor_id)
 }
 
 /// A governed restart recovers checkpoints **lazily**: models

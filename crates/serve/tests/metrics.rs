@@ -1,8 +1,8 @@
 //! Telemetry integration: the `OP_METRICS` scrape against live nodes.
 //!
 //! * Backend-uniform STATS counters: `update_frames` /
-//!   `update_lock_acquisitions` advance on both backends, with the
-//!   event backend's coalescing visible as acquisitions ≤ frames.
+//!   `update_lock_acquisitions` advance on both backends, one lock
+//!   acquisition per UPDATE frame.
 //! * A 16-connection pipelined stress run on each backend, asserting
 //!   the per-(model, op) latency-histogram counts equal the frames each
 //!   model processed — the scrape is the frame ledger.
@@ -47,10 +47,9 @@ fn template(seed: u64) -> Vec<u8> {
     WmSketch::new(WmSketchConfig::new(64, 2).lambda(1e-5).seed(seed)).to_snapshot_bytes()
 }
 
-/// Satellite: the STATS tail counters advance uniformly on every
-/// backend. N sequential (unpipelined) UPDATE frames must show exactly
-/// N frames on both backends; the threaded backend takes the lock once
-/// per frame, the event backend 1..=N times (coalescing).
+/// The STATS tail counters advance uniformly on every backend: N
+/// sequential (unpipelined) UPDATE frames show exactly N frames and N
+/// learner-lock acquisitions on both backends.
 fn stats_counters_case(backend: ServeBackend) {
     const N: u64 = 12;
     let server = start(default_model().backend(backend));
@@ -63,25 +62,14 @@ fn stats_counters_case(backend: ServeBackend) {
     let stats = c.stats().unwrap();
     assert_eq!(stats.backend, backend);
     assert_eq!(stats.update_frames, N, "every UPDATE frame is counted");
-    match backend {
-        ServeBackend::Threaded => assert_eq!(
-            stats.update_lock_acquisitions, N,
-            "threaded backend locks once per frame"
-        ),
-        ServeBackend::Event => assert!(
-            (1..=N).contains(&stats.update_lock_acquisitions),
-            "event backend coalesces: 1..={N} acquisitions, got {}",
-            stats.update_lock_acquisitions
-        ),
-    }
+    assert_eq!(
+        stats.update_lock_acquisitions, N,
+        "every UPDATE frame locks the learner once"
+    );
 
-    // The scrape mirrors the same counters, so one endpoint carries both.
+    // The scrape mirrors the frame counter, so one endpoint carries it.
     let report = c.metrics().unwrap();
     assert_eq!(report.value("update_frames_total", &[]), Some(N as f64));
-    assert_eq!(
-        report.value("update_lock_acquisitions_total", &[]),
-        Some(stats.update_lock_acquisitions as f64)
-    );
     server.shutdown();
 }
 
@@ -99,8 +87,8 @@ fn stats_counters_uniform_event() {
 /// The acceptance gate: 16 pipelined connections, each hammering its own
 /// model; the scrape's per-(model, op="update") histogram count must
 /// equal the frames that model processed, examples and Count-Min rate
-/// estimates must line up, and on the event backend the coalescing
-/// histogram's sum must equal the total frame count.
+/// estimates must line up, and STATS must show one learner-lock
+/// acquisition per frame.
 fn pipelined_stress_case(backend: ServeBackend) {
     let server = start(default_model().backend(backend));
 
@@ -167,18 +155,11 @@ fn pipelined_stress_case(backend: ServeBackend) {
     // The observer itself holds a connection open.
     assert!(report.value("connections_open", &[]).unwrap() >= 1.0);
 
+    let stats = observer.stats().unwrap();
+    assert_eq!(stats.update_frames, total_frames as u64);
+    assert_eq!(stats.update_lock_acquisitions, stats.update_frames);
+
     if backend == ServeBackend::Event {
-        // Coalescing conservation: every UPDATE frame belongs to exactly
-        // one run, so run lengths sum to the frame count, and there are
-        // exactly as many runs as lock acquisitions.
-        assert_eq!(
-            report.value("coalesce_run_len_sum", &[]),
-            Some(total_frames)
-        );
-        assert_eq!(
-            report.value("coalesce_run_len_count", &[]),
-            report.value("update_lock_acquisitions_total", &[])
-        );
         // Only the in-flight scrape itself may be outstanding.
         assert!(report.value("executor_queue_depth", &[]).unwrap() <= 1.0);
     }

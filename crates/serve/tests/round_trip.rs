@@ -1,15 +1,21 @@
 //! End-to-end tests of the ingest/query service: protocol round trips,
 //! snapshot shipping, checkpoint/restore, error behavior, the
 //! distributed-vs-local parity guarantee (for WM, AWM, and multiclass
-//! models through the registry), and legacy-framing compatibility.
+//! models through the registry), and rejection of headerless requests.
+
+use std::net::TcpStream;
 
 use wmsketch_core::{
     AwmSketch, AwmSketchConfig, MulticlassAwmSketch, MulticlassConfig, OnlineLearner,
     ShardedLearner, ShardedLearnerConfig, SnapshotCodec, WmSketch, WmSketchConfig,
 };
-use wmsketch_hashing::codec::{KIND_AWM, KIND_MULTICLASS_AWM, KIND_WM};
+use wmsketch_hashing::codec::{Writer, KIND_AWM, KIND_MULTICLASS_AWM};
 use wmsketch_learn::{Label, SparseVector};
-use wmsketch_serve::{ServeClient, ServeConfig, ServeError, ServerHandle, WmServer};
+use wmsketch_serve::protocol::{
+    put_examples, read_frame, request_for_model, write_frame, OP_STATS, OP_UPDATE, STATUS_ERR,
+    STATUS_OK,
+};
+use wmsketch_serve::{ServeBackend, ServeClient, ServeConfig, ServeError, ServerHandle, WmServer};
 
 fn planted_stream(n: usize) -> Vec<(SparseVector, Label)> {
     (0..n)
@@ -168,55 +174,48 @@ fn two_node_snapshot_merge_matches_single_node_bit_for_bit() {
     }
 }
 
-/// The backward-compatibility contract: a model-id-less (version-1)
-/// client session round-trips against the registry server, transparently
-/// addressing the default model — including interleaved with a v2 client
-/// on the same node.
-#[test]
-fn legacy_model_id_less_wm_session_round_trips() {
-    let server = start(ServeConfig::new(
-        WmSketchConfig::new(256, 4).lambda(1e-5).seed(3),
-        1,
-    ));
-    let mut legacy = ServeClient::connect_legacy(server.addr()).unwrap();
-    let mut v2 = ServeClient::connect(server.addr()).unwrap();
-
-    let data = planted_stream(3000);
-    let (head, tail) = data.split_at(1500);
-    assert_eq!(legacy.update_batch(head).unwrap(), 1500);
-    // A v2 client addressing model 0 shares the same model.
-    assert_eq!(v2.update_batch(tail).unwrap(), 3000);
-
-    // Queries through the legacy framing see everything.
-    assert!(legacy.estimate(3).unwrap() > 0.2);
-    assert!(legacy.estimate(9).unwrap() < -0.2);
-    let (margin, label) = legacy.predict(&SparseVector::one_hot(3, 1.0)).unwrap();
-    assert!(margin > 0.0);
-    assert_eq!(label, 1);
-    let top: Vec<u32> = legacy.top_k(2).unwrap().iter().map(|e| e.feature).collect();
-    assert!(top.contains(&3) && top.contains(&9), "top = {top:?}");
-
-    // Legacy and v2 sessions read bit-identical state.
-    for f in 0..50u32 {
-        assert!(legacy.estimate(f).unwrap().to_bits() == v2.estimate(f).unwrap().to_bits());
+/// Every request opens with the `FRAME_V2` model-id header. A headerless
+/// body — its first byte an opcode, as an old version-1 client would send
+/// — gets a typed ERR instead of being routed to the default model, and
+/// the connection stays usable: a proper request on it then succeeds.
+fn headerless_body_case(backend: ServeBackend) {
+    let server = start(
+        ServeConfig::new(WmSketchConfig::new(64, 2).lambda(1e-5).seed(3), 1).backend(backend),
+    );
+    let mut raw = TcpStream::connect(server.addr()).unwrap();
+    let mut examples = Writer::new();
+    put_examples(&mut examples, &planted_stream(10));
+    let mut headerless_update = vec![OP_UPDATE];
+    headerless_update.extend_from_slice(&examples.into_bytes());
+    for body in [vec![OP_STATS], headerless_update] {
+        write_frame(&mut raw, &body).unwrap();
+        let resp = read_frame(&mut raw).unwrap().expect("a response, not EOF");
+        assert_eq!(resp[0], STATUS_ERR, "{backend:?}: headerless body accepted");
+        assert!(
+            String::from_utf8_lossy(&resp[1..]).contains("malformed request header"),
+            "{backend:?}: {}",
+            String::from_utf8_lossy(&resp[1..])
+        );
     }
 
-    // Snapshot/merge still work through the legacy framing.
-    let snap = legacy.snapshot().unwrap();
-    assert!(WmSketch::from_snapshot_bytes(&snap).is_ok());
-    let stats = legacy.stats().unwrap();
-    assert_eq!(stats.routed, 3000);
-    assert_eq!(stats.shards, 0);
-    assert!(stats.synced);
-    // The registry tail is visible to the (new) parser even on a legacy
-    // connection; the default model is the whole registry here.
-    assert_eq!(stats.models.len(), 1);
-    assert_eq!(stats.models[0].name, "default");
-    assert_eq!(stats.models[0].kind, KIND_WM);
-
-    // A legacy session cannot address registry models.
-    assert!(legacy.set_model(7).is_err());
+    write_frame(&mut raw, &request_for_model(0, OP_STATS, Writer::new())).unwrap();
+    let resp = read_frame(&mut raw).unwrap().expect("a response, not EOF");
+    assert_eq!(resp[0], STATUS_OK, "{backend:?}: connection unusable");
+    // The headerless UPDATE never reached the default model.
+    let mut client = ServeClient::connect(server.addr()).unwrap();
+    assert_eq!(client.stats().unwrap().routed, 0);
     server.shutdown();
+}
+
+#[test]
+fn headerless_body_gets_typed_error_and_connection_survives_threaded() {
+    headerless_body_case(ServeBackend::Threaded);
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn headerless_body_gets_typed_error_and_connection_survives_event() {
+    headerless_body_case(ServeBackend::Event);
 }
 
 /// Registry lifecycle: CREATE/LIST/STATS report what the node hosts, and
@@ -632,11 +631,7 @@ fn stats_reports_backend_and_coalescing_counters() {
     let stats = client.stats().unwrap();
     assert_eq!(stats.backend, server.backend());
     assert_eq!(stats.update_frames, 6);
-    assert!(
-        (1..=6).contains(&stats.update_lock_acquisitions),
-        "lock acquisitions = {}",
-        stats.update_lock_acquisitions
-    );
+    assert_eq!(stats.update_lock_acquisitions, 6);
     server.shutdown();
 }
 

@@ -1,7 +1,7 @@
 //! Scraping a live cluster's telemetry over the wire: two gossiping
 //! nodes ingest a stream under pipelining, then the `METRICS` op pulls
 //! each node's `wmsketch-metrics/v1` exposition — per-op latency
-//! histograms whose counts are a frame ledger, transport and coalescing
+//! histograms whose counts are a frame ledger, transport and scheduler
 //! counters, the span journal, and the replication-lag gauges that
 //! drain to zero as anti-entropy catches the follower up.
 //!

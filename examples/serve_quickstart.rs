@@ -69,7 +69,7 @@ fn main() {
     }
 
     // Pipelined ingest: frames of 1024 examples with several in flight
-    // per connection, which the event backend overlaps and coalesces.
+    // per connection, which the event backend reads ahead of execution.
     // The response ordering guarantee makes the returned counts the
     // exact cumulative sequence per-frame blocking calls would yield.
     for chunk in stream.chunks(1024) {
