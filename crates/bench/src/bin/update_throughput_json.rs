@@ -3,9 +3,7 @@
 //! Measures WM-/AWM-Sketch update throughput at the paper's 8 KB Figure-7
 //! configuration on an RCV1-like stream, for the retained naive three-pass
 //! path (`update_naive`), the fused single-hash pipeline (`update` /
-//! `update_batch`), the sharded pipeline (`ShardedLearner` at 1, 2,
-//! 4, and 8 shards, merge included), and the end-to-end serve ingest
-//! paths (`serve_ingest`: a loopback `wmsketch-serve` node — its
+//! `update_batch`), and the end-to-end serve ingest paths (`serve_ingest`: a loopback `wmsketch-serve` node — its
 //! default WM model, one plain learner since v10, on the pipelined
 //! **event backend** — fed pipelined UPDATE frames, so
 //! framing, syscalls, and decode are all inside the timed region;
@@ -51,15 +49,18 @@
 //! `candidates_per_shard` keys. The in-process `WM_sharded_*` and
 //! `AWM_sharded_4` rows are unchanged.
 //!
+//! v11 drops the in-process `WM_sharded_{1,2,4,8}` and `AWM_sharded_4`
+//! rows, `config.shard_counts`, the `wm_sharded_over_fused` and
+//! `awm_sharded4_over_fused` ratios, and the per-row `shards` field: the
+//! worker pool those rows timed is gone, and every remaining row runs one
+//! learner.
+//!
 //! Usage: `update_throughput_json [OUTPUT_PATH]`
 //! (default output: `BENCH_update_throughput.json` in the working
 //! directory; see `crates/bench/README.md` for the schema).
 
 use std::time::Instant;
-use wmsketch_core::{
-    sharded_awm, sharded_wm, AwmSketch, AwmSketchConfig, OnlineLearner, ShardedLearnerConfig,
-    WmSketch, WmSketchConfig,
-};
+use wmsketch_core::{AwmSketch, AwmSketchConfig, OnlineLearner, WmSketch, WmSketchConfig};
 use wmsketch_datagen::SyntheticClassification;
 use wmsketch_learn::{Label, SparseVector};
 
@@ -72,13 +73,8 @@ const MEASURE_SECS: f64 = 1.0;
 /// Untimed passes before measurement (page in the stream, train the
 /// branch predictors). Emitted in the JSON config block.
 const WARMUP_PASSES: usize = 1;
-/// Shard counts for the sharded-pipeline speedup curve.
-const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 /// Examples per UPDATE frame on the serve ingest path.
 const SERVE_FRAME_EXAMPLES: usize = 1024;
-/// The `shards` value every serve row reports: each hosted model is one
-/// learner.
-const SERVE_ROW_SHARDS: usize = 0;
 /// UPDATE frames each client keeps in flight (pipelining depth). 1 would
 /// reproduce v5's blocking request/response cadence.
 const SERVE_PIPELINE_WINDOW: usize = 8;
@@ -87,9 +83,6 @@ const SATURATION_CONNECTIONS: usize = 16;
 
 struct Measurement {
     name: String,
-    /// Worker count for sharded variants; 1 for the sequential
-    /// in-process paths; 0 for serve rows (one learner per model).
-    shards: usize,
     /// Concurrent client connections (saturation rows only).
     connections: Option<usize>,
     ns_per_update: f64,
@@ -113,7 +106,6 @@ struct Measurement {
 /// deltas partly reflect that change — see the README.)
 fn measure<L>(
     name: &str,
-    shards: usize,
     data: &[(SparseVector, Label)],
     make: impl Fn() -> L,
     mut pass: impl FnMut(&mut L, &[(SparseVector, Label)]),
@@ -137,7 +129,6 @@ fn measure<L>(
     let ns_per_update = best * 1e9 / data.len() as f64;
     Measurement {
         name: name.to_string(),
-        shards,
         connections: None,
         ns_per_update,
         updates_per_sec: 1e9 / ns_per_update,
@@ -232,7 +223,6 @@ fn measure_serve_ingest(
     let ns_per_update = best * 1e9 / data.len() as f64;
     Measurement {
         name: name.to_string(),
-        shards: SERVE_ROW_SHARDS,
         connections: None,
         ns_per_update,
         updates_per_sec: 1e9 / ns_per_update,
@@ -296,7 +286,6 @@ fn measure_serve_telemetry_ab(
         let ns_per_update = best * 1e9 / data.len() as f64;
         Measurement {
             name: name.to_string(),
-            shards: SERVE_ROW_SHARDS,
             connections: None,
             ns_per_update,
             updates_per_sec: 1e9 / ns_per_update,
@@ -373,7 +362,6 @@ fn measure_serve_governor_ab(
     (
         Measurement {
             name: "serve_ingest_governed".to_string(),
-            shards: SERVE_ROW_SHARDS,
             connections: None,
             ns_per_update,
             updates_per_sec: 1e9 / ns_per_update,
@@ -434,7 +422,6 @@ fn measure_serve_saturation(
     let ns_per_update = best * 1e9 / aggregate as f64;
     Measurement {
         name: name.to_string(),
-        shards: SERVE_ROW_SHARDS,
         connections: Some(SATURATION_CONNECTIONS),
         ns_per_update,
         updates_per_sec: 1e9 / ns_per_update,
@@ -479,7 +466,6 @@ fn main() {
     let mut results = Vec::new();
     results.push(measure(
         "WM_naive",
-        1,
         &data,
         || WmSketch::new(wm_cfg),
         |m, d| {
@@ -490,7 +476,6 @@ fn main() {
     ));
     results.push(measure(
         "WM_fused",
-        1,
         &data,
         || WmSketch::new(wm_cfg),
         |m, d| {
@@ -501,31 +486,14 @@ fn main() {
     ));
     results.push(measure(
         "WM_fused_batch",
-        1,
         &data,
         || WmSketch::new(wm_cfg),
         |m, d| {
             m.update_batch(d);
         },
     ));
-    // Sharded pipeline: one update_batch over the whole stream plus the
-    // final merge into the queryable root — merge cost is inside the
-    // timed region.
-    for shards in SHARD_COUNTS {
-        results.push(measure(
-            &format!("WM_sharded_{shards}"),
-            shards,
-            &data,
-            || sharded_wm(wm_cfg, ShardedLearnerConfig::new(shards)),
-            |m, d| {
-                m.update_batch(d);
-                m.sync();
-            },
-        ));
-    }
     results.push(measure(
         "AWM_naive",
-        1,
         &data,
         || AwmSketch::new(awm_cfg),
         |m, d| {
@@ -536,7 +504,6 @@ fn main() {
     ));
     results.push(measure(
         "AWM_fused",
-        1,
         &data,
         || AwmSketch::new(awm_cfg),
         |m, d| {
@@ -547,21 +514,10 @@ fn main() {
     ));
     results.push(measure(
         "AWM_fused_batch",
-        1,
         &data,
         || AwmSketch::new(awm_cfg),
         |m, d| {
             m.update_batch(d);
-        },
-    ));
-    results.push(measure(
-        "AWM_sharded_4",
-        4,
-        &data,
-        || sharded_awm(awm_cfg, ShardedLearnerConfig::new(4)),
-        |m, d| {
-            m.update_batch(d);
-            m.sync();
         },
     ));
     // The serve node's default WM model runs on the event backend, and
@@ -623,7 +579,6 @@ fn main() {
     };
     let wm_speedup = get("WM_naive") / get("WM_fused");
     let awm_speedup = get("AWM_naive") / get("AWM_fused");
-    let awm_sharded_speedup = get("AWM_fused") / get("AWM_sharded_4");
     // The served WM path vs the in-process fused pipeline: the same
     // learner plus framing, syscalls, and decode on the wire.
     let serve_over_fused = get("WM_fused") / get("serve_ingest");
@@ -632,17 +587,10 @@ fn main() {
     // Registry-path overhead for an AWM model (wire + model-id dispatch
     // vs the in-process fused AWM pipeline).
     let awm_serve_over_fused = get("AWM_fused") / get("AWM_serve_ingest");
-    // The sharded curve is normalized to the 1-shard fused baseline
-    // (`WM_fused`); `WM_sharded_1` is the same sequential pipeline through
-    // the bypass path and should sit within noise of 1.0x.
-    let wm_curve: Vec<(usize, f64)> = SHARD_COUNTS
-        .iter()
-        .map(|&s| (s, get("WM_fused") / get(&format!("WM_sharded_{s}"))))
-        .collect();
 
     let mut json = String::new();
     json.push_str("{\n");
-    json.push_str("  \"schema\": \"wmsketch-update-throughput/v10\",\n");
+    json.push_str("  \"schema\": \"wmsketch-update-throughput/v11\",\n");
     json.push_str("  \"config\": {\n");
     json.push_str(&format!("    \"budget_bytes\": {BUDGET},\n"));
     json.push_str(&format!(
@@ -660,10 +608,6 @@ fn main() {
     ));
     json.push_str(&format!(
         "    \"measurement\": {{\"warmup_passes\": {WARMUP_PASSES}, \"measure_secs\": {MEASURE_SECS:.1}, \"host_cpus\": {host_cpus}}},\n"
-    ));
-    json.push_str(&format!(
-        "    \"shard_counts\": [{}],\n",
-        SHARD_COUNTS.map(|s| s.to_string()).join(", ")
     ));
     json.push_str(&format!(
         "    \"serve\": {{\"backend\": \"event\", \"frame_examples\": {SERVE_FRAME_EXAMPLES}, \"pipeline_window\": {SERVE_PIPELINE_WINDOW}, \"saturation_connections\": {SATURATION_CONNECTIONS}, \"transport\": \"tcp-loopback\", \"registry_variant\": \"AWM_serve_ingest\"}}\n"
@@ -687,25 +631,14 @@ fn main() {
             format!("{{\"p50\": {p50}, \"p90\": {p90}, \"p99\": {p99}}}")
         });
         json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"shards\": {}, {connections}\"host_cpus\": {host_cpus}, \"ns_per_update\": {:.1}, \"updates_per_sec\": {:.0}, \"updates_timed\": {}, \"latency_ns\": {latency}}}{comma}\n",
-            m.name, m.shards, m.ns_per_update, m.updates_per_sec, m.updates_timed
+            "    {{\"name\": \"{}\", {connections}\"host_cpus\": {host_cpus}, \"ns_per_update\": {:.1}, \"updates_per_sec\": {:.0}, \"updates_timed\": {}, \"latency_ns\": {latency}}}{comma}\n",
+            m.name, m.ns_per_update, m.updates_per_sec, m.updates_timed
         ));
     }
     json.push_str("  ],\n");
     json.push_str("  \"speedup\": {\n");
     json.push_str(&format!(
         "    \"wm_fused_over_naive\": {wm_speedup:.2},\n    \"awm_fused_over_naive\": {awm_speedup:.2},\n"
-    ));
-    json.push_str(&format!(
-        "    \"wm_sharded_over_fused\": {{{}}},\n",
-        wm_curve
-            .iter()
-            .map(|(s, x)| format!("\"{s}\": {x:.2}"))
-            .collect::<Vec<_>>()
-            .join(", ")
-    ));
-    json.push_str(&format!(
-        "    \"awm_sharded4_over_fused\": {awm_sharded_speedup:.2},\n"
     ));
     json.push_str(&format!(
         "    \"serve_ingest_over_fused\": {serve_over_fused:.2},\n"
@@ -740,10 +673,6 @@ fn main() {
         );
     }
     eprintln!("WM fused over naive: {wm_speedup:.2}x; AWM: {awm_speedup:.2}x");
-    for (s, x) in &wm_curve {
-        eprintln!("WM sharded x{s} over fused: {x:.2}x");
-    }
-    eprintln!("AWM sharded x4 over fused: {awm_sharded_speedup:.2}x");
     eprintln!("serve ingest over fused (loopback, {host_cpus} cpu): {serve_over_fused:.2}x");
     eprintln!(
         "serve saturation over fused ({SATURATION_CONNECTIONS} connections, aggregate): {saturation_over_fused:.2}x"

@@ -317,7 +317,7 @@ impl AwmSketch {
     /// Callers must have spilled every current active weight into the
     /// sketch first (or included it in `candidates` *after* a spill) —
     /// exact weights not represented in the sketch when this runs would
-    /// be lost. `merge_from` and `rebuild_top_k` uphold that invariant.
+    /// be lost. `merge_from` upholds that invariant.
     fn repromote(&mut self, mut candidates: Vec<u32>) {
         candidates.sort_unstable();
         candidates.dedup();
@@ -596,22 +596,6 @@ impl MergeableLearner for AwmSketch {
         candidates.extend(other_active);
         self.repromote(candidates);
         self.t += other.t;
-    }
-
-    /// Rebuilds the active set around `candidates` without losing exact
-    /// state: every current active weight is first spilled into the sketch
-    /// as an eviction residual, then the heaviest estimates among the old
-    /// active features and `candidates` are re-promoted.
-    fn rebuild_top_k(&mut self, candidates: &[u32]) {
-        let mut union: Vec<u32> = self.active.iter().map(|e| e.feature).collect();
-        union.sort_unstable();
-        for &f in &union {
-            let w = self.active.get(f).expect("feature from active iter");
-            let residual = w - self.query_stored(f);
-            self.sketch_add(f, residual);
-        }
-        union.extend_from_slice(candidates);
-        self.repromote(union);
     }
 }
 
@@ -1040,28 +1024,6 @@ mod tests {
             "merged {} vs sum {expected}",
             a.estimate(5)
         );
-    }
-
-    #[test]
-    fn rebuild_top_k_spills_exact_weights_before_repromoting() {
-        // Capacity-2 active set holds two exact heavy weights; rebuilding
-        // around a disjoint, untrained candidate set must not lose them —
-        // they spill into the (collision-free) sketch, out-rank the
-        // zero-mass candidates as estimates, and return to the active set
-        // with their values intact.
-        let mut awm = AwmSketch::new(AwmSketchConfig::new(2, 2048).lambda(0.0).seed(9));
-        for _ in 0..40 {
-            awm.update(&SparseVector::one_hot(1, 1.0), 1);
-        }
-        for _ in 0..20 {
-            awm.update(&SparseVector::one_hot(2, 1.0), -1);
-        }
-        let (w1, w2) = (awm.estimate(1), awm.estimate(2));
-        assert!(w1 > 0.0 && w2 < 0.0);
-        awm.rebuild_top_k(&[50, 60]);
-        assert!(awm.in_active_set(1) && awm.in_active_set(2));
-        assert!((awm.estimate(1) - w1).abs() < 1e-9);
-        assert!((awm.estimate(2) - w2).abs() < 1e-9);
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //!
 //! This module is where the workspace's *one* model layer is assembled:
 //! the object-safe facade defined in `wmsketch_learn::dyn_learner` is
-//! implemented here for the WM-/AWM-Sketch, the multiclass model, the
-//! sharded wrapper, and all four exact-state baselines, and
+//! implemented here for the WM-/AWM-Sketch, the multiclass model and
+//! all four exact-state baselines, and
 //! [`decode_any_learner`] turns any `WMS1` buffer into a live
 //! `Box<dyn DynLearner>` by its kind byte. Everything downstream — the
 //! experiment harness's `AnyLearner`, the serve crate's model registry —
@@ -24,7 +24,6 @@ use wmsketch_learn::{
 use crate::awm::AwmSketch;
 use crate::frequent::{CountMinClassifier, SpaceSavingClassifier};
 use crate::multiclass::MulticlassAwmSketch;
-use crate::sharded::ShardedLearner;
 use crate::truncation::{ProbabilisticTruncation, SimpleTruncation};
 use crate::wm::WmSketch;
 
@@ -231,160 +230,6 @@ impl_dyn_baseline!(ProbabilisticTruncation, KIND_PROB_TRUNCATION, "PTrun");
 impl_dyn_baseline!(SpaceSavingClassifier, KIND_SPACE_SAVING, "SS");
 impl_dyn_baseline!(CountMinClassifier, KIND_CM_CLASSIFIER, "CM-FF");
 
-impl<L> DynLearner for ShardedLearner<L>
-where
-    L: MergeableLearner
-        + Clone
-        + Send
-        + WeightEstimator
-        + TopKRecovery
-        + SnapshotCodec
-        + DynLearner
-        + 'static,
-{
-    /// The wrapped learner's kind: a sharded node snapshots and absorbs
-    /// plain `L` snapshots (its root), so on the wire it *is* an `L`.
-    fn kind(&self) -> u8 {
-        self.root().kind()
-    }
-
-    /// The inner name with an `x<shards>` suffix when actually fanned
-    /// out (e.g. `"WMx4"`); the 1-shard bypass is the sequential learner
-    /// and names itself accordingly.
-    fn method_name(&self) -> String {
-        let base = self.root().method_name();
-        if self.num_shards() > 1 {
-            format!("{base}x{}", self.num_shards())
-        } else {
-            base
-        }
-    }
-
-    fn label_domain(&self) -> LabelDomain {
-        self.root().label_domain()
-    }
-
-    fn update(&mut self, x: &SparseVector, y: Label) {
-        OnlineLearner::update(self, x, y);
-    }
-
-    fn update_batch(&mut self, batch: &[(SparseVector, Label)]) {
-        OnlineLearner::update_batch(self, batch);
-    }
-
-    fn margin(&self, x: &SparseVector) -> f64 {
-        OnlineLearner::margin(self, x)
-    }
-
-    /// The root's prediction (argmax class for a sharded multiclass
-    /// model, margin sign for binary learners).
-    fn predict(&self, x: &SparseVector) -> Label {
-        DynLearner::predict(self.root(), x)
-    }
-
-    fn estimate(&self, feature: u32) -> f64 {
-        WeightEstimator::estimate(self, feature)
-    }
-
-    /// Locally routed examples only (absorbed peers live in
-    /// [`DynLearner::clock`]).
-    fn examples_seen(&self) -> u64 {
-        OnlineLearner::examples_seen(self)
-    }
-
-    /// The pool's replication clock — locally routed examples plus every
-    /// absorbed peer's clock ([`ShardedLearner::merged_clock`]).
-    ///
-    /// Deliberately *not* the root's own clock: the root only reflects
-    /// absorbed and routed state as of the last sync, so a root-derived
-    /// clock would go stale between syncs and a replication layer keyed
-    /// on it would re-ship (or skip) work. The pool-level counters move
-    /// at absorb/route time, so this clock is always current.
-    fn clock(&self) -> u64 {
-        self.merged_clock()
-    }
-
-    fn recover_top_k(&self, k: usize) -> Vec<WeightEntry> {
-        TopKRecovery::recover_top_k(self, k)
-    }
-
-    fn top_k_estimates(&self, k: usize, dim: u32) -> Vec<WeightEntry> {
-        self.root().top_k_estimates(k, dim)
-    }
-
-    /// Root plus every worker replica plus the candidate trackers at
-    /// their high-water bound — scale-out buys throughput with
-    /// replicated memory, and the accounting says so.
-    fn memory_bytes(&self) -> usize {
-        DynLearner::memory_bytes(self.root())
-            + self
-                .shard_learners()
-                .map(DynLearner::memory_bytes)
-                .sum::<usize>()
-            + self.tracker_memory_bound_bytes()
-    }
-
-    /// Truthful resident accounting for the whole pool: the root's and
-    /// every worker replica's actual footprint (hash tables and scratch
-    /// included — replicated per shard) plus the candidate trackers at
-    /// their *current* allocated capacity (the high-water bound belongs
-    /// in [`DynLearner::memory_bytes`], not here).
-    fn resident_bytes(&self) -> usize {
-        DynLearner::resident_bytes(self.root())
-            + self
-                .shard_learners()
-                .map(DynLearner::resident_bytes)
-                .sum::<usize>()
-            + self.tracker_resident_bytes()
-    }
-
-    /// Merges the workers into the queryable root.
-    fn finalize(&mut self) {
-        self.sync();
-    }
-
-    fn is_synced(&self) -> bool {
-        ShardedLearner::is_synced(self)
-    }
-
-    /// A snapshot of the synced root — a plain `L` snapshot, so any node
-    /// hosting the same `L` configuration can absorb it, sharded or not.
-    fn snapshot(&mut self) -> Result<Vec<u8>, CodecError> {
-        self.sync();
-        Ok(self.root().to_snapshot_bytes())
-    }
-
-    /// Decodes a peer `L` snapshot and folds it into the sync base (the
-    /// peer survives later worker merges — see [`ShardedLearner::absorb`]).
-    fn absorb_snapshot(&mut self, bytes: &[u8]) -> Result<(), CodecError> {
-        let peer = L::from_snapshot_bytes(bytes)?;
-        if !self.root().merge_compatible(&peer) {
-            return Err(CodecError::Invalid(
-                "peer snapshot is not merge-compatible with this model",
-            ));
-        }
-        self.absorb(&peer);
-        Ok(())
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    /// Folds an already decoded peer — a plain `L`, this node's wire
-    /// kind — into the sync base.
-    fn absorb_peer(&mut self, peer: &dyn DynLearner) -> Result<(), CodecError> {
-        let peer = downcast_peer::<L>(DynLearner::kind(self), peer)?;
-        if !self.root().merge_compatible(peer) {
-            return Err(CodecError::Invalid(
-                "peer model is not merge-compatible with this model",
-            ));
-        }
-        self.absorb(peer);
-        Ok(())
-    }
-}
-
 fn boxed_decode<L>(bytes: &[u8]) -> Result<Box<dyn DynLearner>, CodecError>
 where
     L: SnapshotCodec + DynLearner + 'static,
@@ -471,10 +316,6 @@ mod tests {
             Box::new(AwmSketch::new(
                 AwmSketchConfig::with_budget_bytes(4096).seed(1),
             )),
-            Box::new(crate::sharded::sharded_wm(
-                WmSketchConfig::with_budget_bytes(4096).seed(1),
-                crate::sharded::ShardedLearnerConfig::new(4),
-            )),
         ]
     }
 
@@ -490,8 +331,6 @@ mod tests {
                 };
                 l.update(&x, y);
             }
-            l.finalize();
-            assert!(l.is_synced(), "{}", l.method_name());
             assert_eq!(l.examples_seen(), 400, "{}", l.method_name());
             assert_eq!(l.clock(), 400, "{}", l.method_name());
             assert!(
@@ -516,7 +355,6 @@ mod tests {
             ("Hash", codec::KIND_FEATURE_HASHING),
             ("WM", KIND_WM),
             ("AWM", KIND_AWM),
-            ("WMx4", KIND_WM),
         ];
         for (l, (name, kind)) in all_binary_learners().iter().zip(expect) {
             assert_eq!(l.method_name(), name);

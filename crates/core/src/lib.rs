@@ -19,10 +19,10 @@
 //! except feature hashing implement [`TopKRecovery`]; the experiment
 //! harnesses are written against those traits.
 //!
-//! Beyond the paper's method matrix, [`ShardedLearner`] (module
-//! [`sharded`]) scales any [`MergeableLearner`] across a worker pool with
-//! exact linearity-backed merges — see the module docs for the
-//! deferred-heap-maintenance design.
+//! The sketch learners also implement [`MergeableLearner`]: a linear
+//! sketch of two gradient streams is the cell-wise sum of their sketches,
+//! so two models merge exactly — the basis of snapshot merge and
+//! replication.
 
 #![warn(missing_docs)]
 
@@ -32,7 +32,6 @@ pub(crate) mod delta;
 pub mod dyn_learner;
 pub mod frequent;
 pub mod multiclass;
-pub mod sharded;
 pub mod theory;
 pub mod truncation;
 pub mod wm;
@@ -49,7 +48,6 @@ pub use frequent::{
     SpaceSavingClassifierConfig,
 };
 pub use multiclass::{MulticlassAwmSketch, MulticlassConfig, MAX_MULTICLASS_CLASSES};
-pub use sharded::{sharded_awm, sharded_wm, ShardedLearner, ShardedLearnerConfig};
 pub use theory::GuaranteeParams;
 pub use truncation::{ProbabilisticTruncation, SimpleTruncation, TruncationConfig};
 pub use wm::{WmSketch, WmSketchConfig, MAX_HEAP_CAPACITY};

@@ -18,9 +18,9 @@
 //! indices — see [`wmsketch_learn::LabelDomain::Classes`]),
 //! [`MergeableLearner`] (per-class merges, exact by sketch linearity),
 //! and `SnapshotCodec` (kind
-//! [`wmsketch_hashing::codec::KIND_MULTICLASS_AWM`]), so sharded
-//! training, snapshot ship-and-merge, and the serving registry all work
-//! for it exactly as they do for the binary sketches.
+//! [`wmsketch_hashing::codec::KIND_MULTICLASS_AWM`]), so snapshot
+//! ship-and-merge, replication and the serving registry all work for it
+//! exactly as they do for the binary sketches.
 
 use crate::awm::{AwmSketch, AwmSketchConfig};
 use wmsketch_hashing::codec::{
@@ -423,9 +423,6 @@ impl MergeableLearner for MulticlassAwmSketch {
         }
         self.t = t_new;
     }
-
-    // rebuild_top_k: default no-op — the per-class active sets are
-    // integral model state and merge_from already rebuilds them.
 }
 
 /// Snapshot layout (after the `WMS1` envelope, kind

@@ -158,7 +158,7 @@ impl WmSketchConfig {
 /// The Weight-Median Sketch (see module docs).
 ///
 /// Cloning copies the full model (hash functions included), so a clone is
-/// merge-compatible with its source — the basis of sharded training.
+/// merge-compatible with its source.
 #[derive(Clone)]
 pub struct WmSketch {
     cfg: WmSketchConfig,
@@ -486,13 +486,46 @@ impl WmSketch {
         }
         Ok(self.t)
     }
+
+    /// Rebuilds the passive heap with the heaviest of `candidates` *and*
+    /// the features currently tracked — the heap is passive (stale
+    /// estimates, no exact state), so the union is re-estimated from the
+    /// current cells and only the ranking survives. Keeping the current
+    /// features in the candidate pool means a rebuild can only improve
+    /// the heap. A no-op when the heap is disabled. Candidate order does
+    /// not matter: entries are ranked by `(|estimate| desc, feature asc)`
+    /// before insertion, so the result is deterministic.
+    fn rebuild_top_k(&mut self, candidates: &[u32]) {
+        if self.heap.is_none() {
+            return;
+        }
+        let mut union: Vec<u32> = self
+            .heap
+            .iter()
+            .flat_map(wmsketch_hh::TopKWeights::iter)
+            .map(|e| e.feature)
+            .collect();
+        union.extend_from_slice(candidates);
+        union.sort_unstable();
+        union.dedup();
+        let ranked: Vec<WeightEntry> = union
+            .iter()
+            .map(|&f| WeightEntry {
+                feature: f,
+                weight: signed_median_estimate(&self.hashers, &self.z, u64::from(f), self.sqrt_s),
+            })
+            .collect();
+        let heap = self.heap.as_mut().expect("checked above");
+        *heap = wmsketch_hh::TopKWeights::from_heaviest(heap.capacity(), ranked);
+        self.dirty.touch_heap();
+    }
 }
 
 impl MergeableLearner for WmSketch {
     /// Merge compatibility requires the same sketch shape, hash family,
     /// and seed (so both models live in the same projected space). Heap
-    /// capacity and hyperparameters may differ — e.g. a sharded root with
-    /// a query heap merging heap-free workers.
+    /// capacity and hyperparameters may differ — e.g. a model with a
+    /// query heap absorbing a heap-free peer.
     fn merge_compatible(&self, other: &Self) -> bool {
         self.cfg.width == other.cfg.width
             && self.cfg.depth == other.cfg.depth
@@ -507,7 +540,7 @@ impl MergeableLearner for WmSketch {
     /// *logical* cells, so the merged sketch is exactly the sketch of the
     /// two concatenated (post-decay) gradient streams. The passive top-K
     /// heap is then rebuilt from the union of both heaps' features,
-    /// re-estimated against the merged cells — stale per-shard estimates
+    /// re-estimated against the merged cells — stale per-model estimates
     /// are never merged directly.
     fn merge_from(&mut self, other: &Self) {
         assert!(
@@ -544,42 +577,6 @@ impl MergeableLearner for WmSketch {
                 .collect();
             self.rebuild_top_k(&feats);
         }
-    }
-
-    /// Rebuilds the passive heap with the heaviest of `candidates` *and*
-    /// the features currently tracked — the heap is passive (stale
-    /// estimates, no exact state), so the union is re-estimated from the
-    /// current cells and only the ranking survives. Keeping the current
-    /// features in the candidate pool means a rebuild can only improve
-    /// the heap: features carried in by a merge (e.g. a shipped snapshot
-    /// absorbed between syncs) are never silently dropped by a later
-    /// tracker-driven rebuild. A no-op when the heap is disabled.
-    /// Candidate order does not matter: entries are ranked by
-    /// `(|estimate| desc, feature asc)` before insertion, so the result is
-    /// deterministic.
-    fn rebuild_top_k(&mut self, candidates: &[u32]) {
-        if self.heap.is_none() {
-            return;
-        }
-        let mut union: Vec<u32> = self
-            .heap
-            .iter()
-            .flat_map(wmsketch_hh::TopKWeights::iter)
-            .map(|e| e.feature)
-            .collect();
-        union.extend_from_slice(candidates);
-        union.sort_unstable();
-        union.dedup();
-        let ranked: Vec<WeightEntry> = union
-            .iter()
-            .map(|&f| WeightEntry {
-                feature: f,
-                weight: signed_median_estimate(&self.hashers, &self.z, u64::from(f), self.sqrt_s),
-            })
-            .collect();
-        let heap = self.heap.as_mut().expect("checked above");
-        *heap = wmsketch_hh::TopKWeights::from_heaviest(heap.capacity(), ranked);
-        self.dirty.touch_heap();
     }
 }
 

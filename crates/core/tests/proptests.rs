@@ -2,9 +2,8 @@
 
 use proptest::prelude::*;
 use wmsketch_core::{
-    sharded_wm, AwmSketch, AwmSketchConfig, LogisticRegression, LogisticRegressionConfig,
-    OnlineLearner, ShardedLearnerConfig, SimpleTruncation, TopKRecovery, TruncationConfig,
-    WeightEstimator, WmSketch, WmSketchConfig,
+    AwmSketch, AwmSketchConfig, LogisticRegression, LogisticRegressionConfig, OnlineLearner,
+    SimpleTruncation, TopKRecovery, TruncationConfig, WeightEstimator, WmSketch, WmSketchConfig,
 };
 use wmsketch_learn::{LearningRate, SparseVector};
 
@@ -107,26 +106,6 @@ proptest! {
         prop_assert!(top.len() <= cap);
         for e in &top {
             prop_assert!((trun.estimate(e.feature) - e.weight).abs() < 1e-12);
-        }
-    }
-
-    /// A 1-shard ShardedLearner is bit-identical to the sequential fused
-    /// WM-Sketch on any stream — the bypass path adds nothing.
-    #[test]
-    fn one_shard_equals_sequential_wm(stream in stream_strategy(), seed in 0u64..16) {
-        let cfg = WmSketchConfig::new(64, 3).lambda(1e-4).seed(seed);
-        let mut sequential = WmSketch::new(cfg);
-        let mut sharded = sharded_wm(cfg, ShardedLearnerConfig::new(1));
-        for (pairs, y) in &stream {
-            let x = SparseVector::from_pairs(pairs);
-            sequential.update(&x, *y);
-            sharded.update(&x, *y);
-        }
-        for f in 0..16u32 {
-            prop_assert!(
-                sharded.estimate(f).to_bits() == sequential.estimate(f).to_bits(),
-                "f{}: sharded {} vs sequential {}", f, sharded.estimate(f), sequential.estimate(f)
-            );
         }
     }
 

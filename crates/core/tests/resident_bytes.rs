@@ -10,8 +10,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use wmsketch_core::{
-    sharded_wm, AwmSketch, AwmSketchConfig, DynLearner, MulticlassAwmSketch, MulticlassConfig,
-    ShardedLearnerConfig, WmSketch, WmSketchConfig,
+    AwmSketch, AwmSketchConfig, DynLearner, MulticlassAwmSketch, MulticlassConfig, WmSketch,
+    WmSketchConfig,
 };
 use wmsketch_learn::SparseVector;
 
@@ -73,7 +73,6 @@ fn measure(build: impl FnOnce() -> Box<dyn DynLearner>) -> (usize, usize) {
             learner.update(&x, (t % 3) as i8);
         }
     }
-    learner.finalize();
     let measured = live_bytes().saturating_sub(before);
     let reported = learner.resident_bytes();
     drop(learner);
@@ -133,15 +132,6 @@ fn resident_bytes_tracks_measured_allocations() {
                     classes: 3,
                     per_class: AwmSketchConfig::with_budget_bytes(2048).seed(7),
                 }))
-            }),
-        ),
-        (
-            "WMx4",
-            Box::new(|| {
-                Box::new(sharded_wm(
-                    WmSketchConfig::with_budget_bytes(4096).seed(7),
-                    ShardedLearnerConfig::new(4),
-                ))
             }),
         ),
     ];

@@ -6,8 +6,7 @@
 //! `wmsketch-bench` (`cargo bench -p wmsketch-bench`).
 
 use wmsketch_experiments::{
-    scaled, train_and_score, train_reference, Dataset, Method, MethodConfig, Table, FIGURE_METHODS,
-    WM_SHARDS,
+    scaled, train_and_score, train_reference, Dataset, MethodConfig, Table, FIGURE_METHODS,
 };
 
 fn main() {
@@ -17,10 +16,7 @@ fn main() {
     // Train the reference and time it.
     let (_, _, lr_secs) = train_reference(Dataset::Rcv1, lambda, n, 0);
     let mut t = Table::new(&["Method", "2KB", "8KB", "32KB"]);
-    // The paper's method matrix, plus the sharded WM pipeline (a scale-out
-    // extension, not a paper method: WM_SHARDS heap-free workers with
-    // deferred heap maintenance and periodic merges by sketch linearity).
-    for method in FIGURE_METHODS.into_iter().chain([Method::WmSharded]) {
+    for method in FIGURE_METHODS {
         let mut cells = vec![method.name().to_string()];
         for budget in [2048usize, 8192, 32768] {
             let cfg = MethodConfig::new(method, budget, lambda, 1);
@@ -33,6 +29,4 @@ fn main() {
     println!("\nLR baseline: {lr_secs:.2}s for {n} examples.");
     println!("paper shape: Hash fastest (~2x LR); AWM ~2x Hash; WM slowest, growing with");
     println!("depth (larger budgets → deeper sketches → more hashing per update).");
-    println!("WMx4 is the sharded WM pipeline ({WM_SHARDS} workers, merge by linearity);");
-    println!("its per-update cost drops the heap-maintenance medians from the hot loop.");
 }

@@ -8,9 +8,7 @@
 pub mod methods;
 pub mod table;
 
-pub use methods::{
-    AnyLearner, Method, MethodConfig, ALL_BUDGETED_METHODS, FIGURE_METHODS, WM_SHARDS,
-};
+pub use methods::{AnyLearner, Method, MethodConfig, ALL_BUDGETED_METHODS, FIGURE_METHODS};
 pub use table::Table;
 
 use wmsketch_core::{LogisticRegression, LogisticRegressionConfig, OnlineLearner};
@@ -129,9 +127,6 @@ pub fn train_and_score(
         err.record(learner.predict(&x), y);
         learner.update(&x, y);
     }
-    // Merge any deferred sharded state (inside the timed region: the final
-    // merge is part of the training cost) before scoring recovery.
-    learner.finalize();
     let seconds = start.elapsed().as_secs_f64();
     let rel_err = if w_star.is_empty() {
         f64::NAN
@@ -168,7 +163,6 @@ pub fn train_and_score_multi(
         err.record(learner.predict(&x), y);
         learner.update(&x, y);
     }
-    learner.finalize();
     let seconds = start.elapsed().as_secs_f64();
     let max_k = ks.iter().copied().max().unwrap_or(0);
     let estimated = learner.top_k_estimates(max_k, dataset.dim());

@@ -1,11 +1,10 @@
 //! The method matrix of the paper's figures, behind one uniform API.
 
 use wmsketch_core::{
-    sharded_wm, AwmSketch, AwmSketchConfig, CountMinClassifier, CountMinClassifierConfig,
-    DynLearner, FeatureHashingClassifier, FeatureHashingConfig, Label, OnlineLearner,
-    ProbabilisticTruncation, ShardedLearnerConfig, SimpleTruncation, SpaceSavingClassifier,
-    SpaceSavingClassifierConfig, TruncationConfig, WeightEntry, WeightEstimator, WmSketch,
-    WmSketchConfig,
+    AwmSketch, AwmSketchConfig, CountMinClassifier, CountMinClassifierConfig, DynLearner,
+    FeatureHashingClassifier, FeatureHashingConfig, Label, OnlineLearner, ProbabilisticTruncation,
+    SimpleTruncation, SpaceSavingClassifier, SpaceSavingClassifierConfig, TruncationConfig,
+    WeightEntry, WeightEstimator, WmSketch, WmSketchConfig,
 };
 use wmsketch_learn::SparseVector;
 
@@ -26,23 +25,7 @@ pub enum Method {
     Wm,
     /// Active-Set Weight-Median Sketch (Algorithm 2).
     Awm,
-    /// WM-Sketch behind the sharded update pipeline
-    /// ([`wmsketch_core::ShardedLearner`], [`WM_SHARDS`] workers, deferred
-    /// heap maintenance). Not part of the paper's method matrix — an
-    /// extension measuring the scale-out path — so it is excluded from
-    /// [`FIGURE_METHODS`] / [`ALL_BUDGETED_METHODS`]; `fig7` adds it as an
-    /// extra runtime row.
-    WmSharded,
 }
-
-/// Worker count for [`Method::WmSharded`].
-pub const WM_SHARDS: usize = 4;
-
-/// Merge cadence for [`Method::WmSharded`] under per-example harness
-/// streams: the queryable root lags the workers by at most this many
-/// examples (the usual asynchrony of a sharded/parameter-mixing deployment;
-/// recovery scoring always happens after a final merge).
-pub const WM_SHARDED_SYNC_EVERY: u64 = 1024;
 
 /// The methods shown in the paper's main figures (CM-FF omitted there as
 /// dominated by SS, matching Fig. 3's caption).
@@ -78,7 +61,6 @@ impl Method {
             Method::Hash => "Hash",
             Method::Wm => "WM",
             Method::Awm => "AWM",
-            Method::WmSharded => "WMx4",
         }
     }
 }
@@ -115,10 +97,8 @@ impl MethodConfig {
 /// A thin newtype over the workspace's one model layer,
 /// `Box<dyn DynLearner>`: construction picks the concrete method, and
 /// every per-method behavior difference — native top-K versus feature
-/// hashing's domain scan, the sharded learner's deferred sync and
-/// replica-inclusive memory accounting — lives on the concrete types'
-/// `DynLearner` impls in `wmsketch-core`, not in per-method match ladders
-/// here.
+/// hashing's domain scan — lives on the concrete types' `DynLearner` impls
+/// in `wmsketch-core`, not in per-method match ladders here.
 pub struct AnyLearner(Box<dyn DynLearner>);
 
 impl AnyLearner {
@@ -162,24 +142,8 @@ impl AnyLearner {
                 c.seed = cfg.seed;
                 Box::new(AwmSketch::new(c))
             }
-            Method::WmSharded => {
-                let mut c = WmSketchConfig::with_budget_bytes(b);
-                c.lambda = cfg.lambda;
-                c.seed = cfg.seed;
-                Box::new(sharded_wm(
-                    c,
-                    ShardedLearnerConfig::new(WM_SHARDS).sync_every(WM_SHARDED_SYNC_EVERY),
-                ))
-            }
         };
         AnyLearner(learner)
-    }
-
-    /// Flushes deferred state before scoring: the sharded learner merges
-    /// its workers into the queryable root; every other method is already
-    /// consistent and this is a no-op.
-    pub fn finalize(&mut self) {
-        self.0.finalize();
     }
 
     /// Instantiates a WM/AWM shape directly (Table 2 sweeps).
@@ -200,11 +164,7 @@ impl AnyLearner {
         self.0.method_name()
     }
 
-    /// Memory cost in bytes under the §7.1 model. For the sharded learner
-    /// this totals the root, every worker replica, *and* the per-shard
-    /// candidate trackers at their high-water bound (the trackers dominate
-    /// — scale-out buys throughput with replicated memory, and the
-    /// accounting says so).
+    /// Memory cost in bytes under the §7.1 model.
     #[must_use]
     pub fn memory_bytes(&self) -> usize {
         self.0.memory_bytes()
@@ -286,68 +246,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_wm_method_learns_and_recovers_after_finalize() {
-        let mut l = AnyLearner::build(&MethodConfig::new(Method::WmSharded, 8192, 1e-6, 1));
-        assert_eq!(l.name(), "WMx4");
-        for t in 0..400 {
-            let (x, y) = if t % 2 == 0 {
-                (SparseVector::one_hot(3, 1.0), 1)
-            } else {
-                (SparseVector::one_hot(7, 1.0), -1)
-            };
-            l.update(&x, y);
-        }
-        assert_eq!(l.examples_seen(), 400);
-        l.finalize();
-        assert!(
-            l.estimate(3) > 0.0 && l.estimate(7) < 0.0,
-            "w3={} w7={}",
-            l.estimate(3),
-            l.estimate(7)
-        );
-        let top: Vec<u32> = l.top_k_estimates(2, 64).iter().map(|e| e.feature).collect();
-        assert!(top.contains(&3) && top.contains(&7), "top = {top:?}");
-    }
-
-    #[test]
-    fn sharded_wm_memory_accounts_for_replicas_and_trackers() {
-        let l = AnyLearner::build(&MethodConfig::new(Method::WmSharded, 8192, 1e-6, 1));
-        let root_only = AnyLearner::build(&MethodConfig::new(Method::Wm, 8192, 1e-6, 1));
-        // Root plus WM_SHARDS heap-free replicas (cells only) plus the
-        // candidate trackers at their high-water bound — the trackers
-        // dominate, and hiding them would make WMx4 look budget-comparable
-        // to the sequential methods when it is not.
-        let wm_cfg = WmSketchConfig::with_budget_bytes(8192);
-        let worker_bytes =
-            wmsketch_core::wm_bytes(0, wm_cfg.width as usize * wm_cfg.depth as usize);
-        let reference = wmsketch_core::sharded_wm(
-            wm_cfg,
-            ShardedLearnerConfig::new(WM_SHARDS).sync_every(WM_SHARDED_SYNC_EVERY),
-        );
-        let tracker_bytes = reference.tracker_memory_bound_bytes();
-        assert!(tracker_bytes > 0);
-        assert_eq!(
-            l.memory_bytes(),
-            root_only.memory_bytes() + WM_SHARDS * worker_bytes + tracker_bytes
-        );
-        assert!(
-            tracker_bytes > WM_SHARDS * worker_bytes,
-            "trackers ({tracker_bytes} B) are expected to dominate the sketch replicas"
-        );
-    }
-
-    #[test]
-    fn finalize_is_a_noop_for_sequential_methods() {
-        for method in ALL_BUDGETED_METHODS {
-            let mut l = AnyLearner::build(&MethodConfig::new(method, 4096, 1e-6, 2));
-            l.update(&SparseVector::one_hot(1, 1.0), 1);
-            let before = l.estimate(1);
-            l.finalize();
-            assert!(before.to_bits() == l.estimate(1).to_bits(), "{}", l.name());
-        }
-    }
-
-    #[test]
     fn top_k_estimates_nonempty_for_all_methods() {
         for method in ALL_BUDGETED_METHODS {
             let mut l = AnyLearner::build(&MethodConfig::new(method, 4096, 1e-6, 2));
@@ -366,7 +264,7 @@ mod tests {
     fn names_match_the_method_enum() {
         // The facade's per-type names must agree with `Method::name`, the
         // string the figure tables print.
-        for method in ALL_BUDGETED_METHODS.into_iter().chain([Method::WmSharded]) {
+        for method in ALL_BUDGETED_METHODS {
             let l = AnyLearner::build(&MethodConfig::new(method, 8192, 1e-6, 1));
             assert_eq!(l.name(), method.name());
         }

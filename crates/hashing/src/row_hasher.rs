@@ -265,8 +265,8 @@ impl Rows {
 /// The full set of row hashers for a depth-`s` sketch.
 ///
 /// Cloning copies the row hash functions byte for byte, so a clone assigns
-/// every key the same cells and signs — the property sharded learners rely
-/// on to keep per-shard sketches merge-compatible.
+/// every key the same cells and signs, so sketches built from clones
+/// stay merge-compatible.
 #[derive(Clone)]
 pub struct RowHashers {
     rows: Rows,

@@ -74,7 +74,7 @@ pub trait DynLearner: Send {
     fn kind(&self) -> u8;
 
     /// Display name, matching the paper's figure legends (`"WM"`,
-    /// `"AWM"`, `"Trun"`, …; sharded wrappers append `x<shards>`).
+    /// `"AWM"`, `"Trun"`, …).
     fn method_name(&self) -> String;
 
     /// The labels [`DynLearner::update`] accepts. Callers on trust
@@ -118,8 +118,7 @@ pub trait DynLearner: Send {
     fn examples_seen(&self) -> u64;
 
     /// The model clock including absorbed peer models (defaults to
-    /// [`DynLearner::examples_seen`]; sharded wrappers report the merged
-    /// root's clock).
+    /// [`DynLearner::examples_seen`]).
     fn clock(&self) -> u64 {
         self.examples_seen()
     }
@@ -151,19 +150,7 @@ pub trait DynLearner: Send {
         self.memory_bytes()
     }
 
-    /// Flushes deferred state before queries or snapshots (sharded
-    /// wrappers merge their workers into the queryable root); a no-op
-    /// for learners that are always consistent.
-    fn finalize(&mut self) {}
-
-    /// Whether queries already reflect every observed example (i.e.
-    /// [`DynLearner::finalize`] would be a no-op).
-    fn is_synced(&self) -> bool {
-        true
-    }
-
-    /// Serializes the model as a complete `WMS1` snapshot (finalizing
-    /// first where that matters).
+    /// Serializes the model as a complete `WMS1` snapshot.
     ///
     /// # Errors
     /// [`CodecError::Invalid`] for learner kinds without a snapshot
@@ -213,8 +200,7 @@ pub trait DynLearner: Send {
     /// switches on dirty-cell tracking.
     ///
     /// # Errors
-    /// [`CodecError::Invalid`] for learner kinds without a snapshot codec
-    /// and for sharded pools (replication ships plain learners).
+    /// [`CodecError::Invalid`] for learner kinds without a snapshot codec.
     fn encode_delta_since(&mut self, since: u64) -> Result<Vec<u8>, CodecError> {
         let _ = since;
         Err(NO_SNAPSHOT_CODEC)
@@ -229,8 +215,7 @@ pub trait DynLearner: Send {
     /// equal this model's clock (the model is unchanged; re-pull with the
     /// right watermark); any other [`CodecError`] for malformed records
     /// (state then unspecified — discard the replica);
-    /// [`CodecError::Invalid`] for kinds that cannot apply deltas (no
-    /// codec, or sharded pools — deltas apply to plain learners).
+    /// [`CodecError::Invalid`] for kinds without a snapshot codec.
     fn apply_delta(&mut self, bytes: &[u8]) -> Result<u64, CodecError> {
         let _ = bytes;
         Err(NO_SNAPSHOT_CODEC)
@@ -355,7 +340,6 @@ mod tests {
         assert_eq!(l.label_domain(), LabelDomain::Binary);
         assert_eq!(l.examples_seen(), 400);
         assert_eq!(l.clock(), 400);
-        assert!(l.is_synced());
         assert!(l.estimate(10) > 0.0 && l.estimate(20) < 0.0);
         assert_eq!(l.predict(&SparseVector::one_hot(10, 1.0)), 1);
         // No native recovery, but the domain scan finds the signal.

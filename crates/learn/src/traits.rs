@@ -56,7 +56,8 @@ pub trait WeightEstimator {
 }
 
 /// A learner whose model state can be combined with another instance's —
-/// the interface behind sharded/parallel training.
+/// the interface behind snapshot merge (the serve layer's MERGE op) and
+/// replication.
 ///
 /// The sketched learners implement this by Count-Sketch linearity: the
 /// sketch of the sum of two gradient streams is the cell-wise sum of the
@@ -79,19 +80,6 @@ pub trait MergeableLearner: OnlineLearner {
     /// Implementations panic if the learners are not
     /// [`MergeableLearner::merge_compatible`].
     fn merge_from(&mut self, other: &Self);
-
-    /// Rebuilds query-side top-K state by re-estimating `candidates` from
-    /// the current model and retaining the heaviest.
-    ///
-    /// Sharded training uses this after a merge: workers track candidate
-    /// features cheaply (no per-update median recovery) and the merged
-    /// root re-estimates them here. The default is a no-op, for learners
-    /// whose recovery state is integral to the model (e.g. the AWM-Sketch
-    /// active set, which [`MergeableLearner::merge_from`] already
-    /// rebuilds).
-    fn rebuild_top_k(&mut self, candidates: &[u32]) {
-        let _ = candidates;
-    }
 }
 
 /// Native retrieval of the most heavily-weighted features. Methods that

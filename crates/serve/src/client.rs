@@ -426,9 +426,10 @@ impl ServeClient {
             models.push(take_model_info(&mut r)?);
         }
         // The v6 tail (backend byte + UPDATE frame counters) follows the
-        // registry rows; a pre-v6 node simply ends the payload here.
+        // registry rows; a pre-v6 node simply ends the payload here. An
+        // unknown backend byte is a corrupt reply, not a threaded node.
         let (backend, update_lock_acquisitions, update_frames) = if r.remaining() >= 17 {
-            let b = ServeBackend::from_wire_byte(r.take_u8()?).unwrap_or(ServeBackend::Threaded);
+            let b = ServeBackend::from_wire_byte(r.take_u8()?)?;
             (b, r.take_u64()?, r.take_u64()?)
         } else {
             (ServeBackend::Threaded, 0, 0)

@@ -61,7 +61,7 @@ use crate::protocol::{
     OP_PEER_JOIN, OP_SHUTDOWN,
 };
 use crate::server::{
-    accept_loop, finalize_response, handle_request, is_shutdown_request, resolve_model, ServerState,
+    accept_loop, encode_response, handle_request, is_shutdown_request, resolve_model, ServerState,
 };
 
 /// Token of the listening socket.
@@ -784,7 +784,7 @@ fn executor_main(shared: &Shared) {
             token: job.token,
             seq: job.seq,
             shutdown: result.is_ok() && is_shutdown_request(&job.body),
-            response: finalize_response(result),
+            response: encode_response(result),
         };
         shared
             .completions

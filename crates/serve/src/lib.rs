@@ -7,10 +7,11 @@
 //! snapshot shipped from one node and cell-wise added on another is
 //! *exactly* the sketch of the combined gradient streams (the
 //! turnstile/linear-sketch equivalence of Kallaugher & Price) — so a
-//! fleet of ingest nodes can train independently and an aggregator can
-//! recover the same model a single node would have produced under the
-//! same routing. This crate externalizes that: a versioned binary
-//! snapshot format plus a TCP service speaking it.
+//! fleet of ingest nodes can train independently, and an aggregator that
+//! merges their snapshots in a fixed order holds, bit for bit, the model
+//! an in-process `merge_from` of the same per-node learners gives. This
+//! crate externalizes that: a versioned binary snapshot format plus a
+//! TCP service speaking it.
 //!
 //! * [`WmServer`] / [`ServerHandle`] — a TCP node with two transport
 //!   [backends](#backends) (a threaded accept loop and a

@@ -1234,7 +1234,7 @@ fn serve_connection(mut stream: TcpStream, state: &Arc<ServerState>) -> Result<(
         // actually honored — a malformed shutdown frame gets an ERR
         // response on a connection that stays open, like any other error.
         let shutdown = result.is_ok() && is_shutdown_request(&body);
-        let response = finalize_response(result);
+        let response = encode_response(result);
         state.metrics.bytes_tx.add(response.len() as u64 + 4);
         // `net.frame_write` failpoint: the request was *applied* but the
         // response is lost and the connection dies — exactly the ambiguity
@@ -1256,7 +1256,7 @@ fn serve_connection(mut stream: TcpStream, state: &Arc<ServerState>) -> Result<(
 /// typed ERR for oversized payloads (e.g. a SNAPSHOT of a sketch too
 /// large for one frame) instead of letting `write_frame` drop the
 /// connection. Shared by both backends so response bytes are identical.
-pub(crate) fn finalize_response(result: Result<Vec<u8>, ServeError>) -> Vec<u8> {
+pub(crate) fn encode_response(result: Result<Vec<u8>, ServeError>) -> Vec<u8> {
     let mut response = match result {
         Ok(payload) => {
             let mut w = Writer::new();

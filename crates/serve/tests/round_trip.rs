@@ -6,8 +6,8 @@
 use std::net::TcpStream;
 
 use wmsketch_core::{
-    AwmSketch, AwmSketchConfig, MulticlassAwmSketch, MulticlassConfig, OnlineLearner,
-    ShardedLearner, ShardedLearnerConfig, SnapshotCodec, WmSketch, WmSketchConfig,
+    AwmSketch, AwmSketchConfig, DynLearner, MergeableLearner, MulticlassAwmSketch,
+    MulticlassConfig, SnapshotCodec, WmSketch, WmSketchConfig,
 };
 use wmsketch_hashing::codec::{Writer, KIND_AWM, KIND_MULTICLASS_AWM};
 use wmsketch_learn::{Label, SparseVector};
@@ -75,15 +75,42 @@ fn ingest_then_query_round_trip() {
     server.shutdown();
 }
 
-/// The acceptance-criteria parity test: two ingest nodes, each fed the
-/// exact substream a local 2-shard learner would route to its worker,
-/// ship snapshots into an aggregator; the aggregator's estimates,
-/// predictions, and top-K must be bit-identical to an in-process 2-shard
-/// pool (heap-carrying workers, the same routing) that ingested the whole
-/// stream.
+/// Splits `data` by position: even examples to the first half, odd to
+/// the second — the fixed routing every parity test below applies to its
+/// two ingest nodes and to its in-process reference alike.
+fn split_even_odd(data: &[(SparseVector, Label)]) -> [Vec<(SparseVector, Label)>; 2] {
+    let mut sub: [Vec<(SparseVector, Label)>; 2] = [Vec::new(), Vec::new()];
+    for (i, ex) in data.iter().enumerate() {
+        sub[i % 2].push(ex.clone());
+    }
+    sub
+}
+
+/// The in-process twin of an aggregator that merges two ingest nodes'
+/// snapshots in node order: two clones of `fresh` trained on the halves
+/// (uneven chunks on purpose), merged into `fresh` itself.
+fn merged_reference<L>(fresh: L, halves: &[Vec<(SparseVector, Label)>; 2]) -> L
+where
+    L: MergeableLearner + DynLearner + Clone,
+{
+    let mut reference = fresh.clone();
+    for half in halves {
+        let mut node = fresh.clone();
+        for chunk in half.chunks(997) {
+            DynLearner::update_batch(&mut node, chunk);
+        }
+        reference.merge_from(&node);
+    }
+    reference
+}
+
+/// The acceptance-criteria parity test: two ingest nodes, fed the even
+/// and odd positions of one stream, ship snapshots into an aggregator;
+/// the aggregator's estimates, predictions, top-K, and clock must be
+/// bit-identical to the in-process merge of two plain learners trained
+/// on the same halves.
 #[test]
 fn two_node_snapshot_merge_matches_single_node_bit_for_bit() {
-    use wmsketch_core::DynLearner;
     let wm = WmSketchConfig::new(256, 4).lambda(1e-5).seed(11);
     let node_cfg = ServeConfig::new(wm, 1);
 
@@ -93,29 +120,8 @@ fn two_node_snapshot_merge_matches_single_node_bit_for_bit() {
 
     let data = planted_stream(6000);
 
-    // The router is deterministic: partition the stream exactly as the
-    // reference pool routes it.
-    let mut reference = ShardedLearner::new(
-        ShardedLearnerConfig::new(2).candidates_per_shard(0),
-        WmSketch::new(wm),
-        WmSketch::new(wm),
-    );
-    let mut sub_a = Vec::new();
-    let mut sub_b = Vec::new();
-    for (i, ex) in data.iter().enumerate() {
-        if reference.shard_of(i as u64) == 0 {
-            sub_a.push(ex.clone());
-        } else {
-            sub_b.push(ex.clone());
-        }
-    }
-
-    // Whole stream into the reference (uneven chunks on purpose);
-    // substreams into the ingest nodes.
-    for chunk in data.chunks(997) {
-        OnlineLearner::update_batch(&mut reference, chunk);
-    }
-    reference.sync();
+    let [sub_a, sub_b] = split_even_odd(&data);
+    let reference = merged_reference(WmSketch::new(wm), &[sub_a.clone(), sub_b.clone()]);
     let mut a_client = ServeClient::connect(node_a.addr()).unwrap();
     for chunk in sub_a.chunks(512) {
         a_client.update_batch(chunk).unwrap();
@@ -123,7 +129,7 @@ fn two_node_snapshot_merge_matches_single_node_bit_for_bit() {
     let mut b_client = ServeClient::connect(node_b.addr()).unwrap();
     b_client.update_batch(&sub_b).unwrap();
 
-    // Ship both snapshots into the aggregator, in shard order.
+    // Ship both snapshots into the aggregator, in node order.
     let snap_a = a_client.snapshot().unwrap();
     let snap_b = b_client.snapshot().unwrap();
     let mut agg_client = ServeClient::connect(aggregator.addr()).unwrap();
@@ -164,6 +170,7 @@ fn two_node_snapshot_merge_matches_single_node_bit_for_bit() {
         assert_eq!(a.feature, b.feature);
         assert!(a.weight.to_bits() == b.weight.to_bits());
     }
+    assert_eq!(root_clock, DynLearner::clock(&reference));
 
     // And the shipped model really carries the planted signal.
     assert!(agg_client.estimate(3).unwrap() > 0.2);
@@ -342,25 +349,22 @@ fn serve_config_refuses_a_default_model_pool() {
     let _ = ServeConfig::new(WmSketchConfig::new(64, 2), 2);
 }
 
-/// The generic registry parity harness: the stream partitioned by
-/// `shard_of` across two nodes whose snapshots merge into an aggregator,
-/// and the whole stream into `reference`, an in-process 2-shard pool with
-/// the same routing; then estimates, margins, predictions, and top-K must
-/// be bit-identical between aggregator and reference. One harness for
-/// every registered kind — the parity contract is the same, so the code
-/// proving it is too.
+/// The generic registry parity harness: the stream split by position
+/// across two nodes whose snapshots merge into an aggregator, and the
+/// same halves into [`merged_reference`] built from `fresh`; then
+/// estimates, margins, predictions, top-K, and clock must be bit-identical
+/// between aggregator and reference. One harness for every registered
+/// kind — the parity contract is the same, so the code proving it is too.
 fn registry_parity_matches_single_node<L>(
     name: &str,
     template: &[u8],
-    mut reference: ShardedLearner<L>,
+    fresh: L,
     data: &[(SparseVector, Label)],
     probes: &[SparseVector],
 ) -> (ServeClient, Vec<ServerHandle>)
 where
-    L: wmsketch_core::MergeableLearner + Clone + Send,
-    ShardedLearner<L>: wmsketch_core::DynLearner,
+    L: MergeableLearner + DynLearner + Clone,
 {
-    use wmsketch_core::DynLearner;
     // The host nodes' default WM model is irrelevant here; keep it tiny.
     let host = ServeConfig::new(WmSketchConfig::new(16, 1).heap_capacity(1), 1);
     let node_a = start(host.clone());
@@ -377,15 +381,8 @@ where
     let mut b = with_model(&node_b, 1);
     let mut agg = with_model(&aggregator, 1);
 
-    // Partition the stream exactly as the reference pool routes it.
-    let mut sub: [Vec<(SparseVector, Label)>; 2] = [Vec::new(), Vec::new()];
-    for (i, ex) in data.iter().enumerate() {
-        sub[reference.shard_of(i as u64)].push(ex.clone());
-    }
-    for chunk in data.chunks(997) {
-        DynLearner::update_batch(&mut reference, chunk);
-    }
-    reference.sync();
+    let sub = split_even_odd(data);
+    let reference = merged_reference(fresh, &sub);
     a.update_batch(&sub[0]).unwrap();
     b.update_batch(&sub[1]).unwrap();
 
@@ -417,6 +414,7 @@ where
         assert_eq!(x.feature, y.feature);
         assert!(x.weight.to_bits() == y.weight.to_bits());
     }
+    assert_eq!(clock, DynLearner::clock(&reference));
     (agg, vec![node_a, node_b, aggregator])
 }
 
@@ -426,15 +424,10 @@ where
 fn awm_registry_nodes_match_single_node_bit_for_bit() {
     let awm = AwmSketchConfig::new(16, 256).lambda(1e-5).seed(11);
     let template = AwmSketch::new(awm).to_snapshot_bytes();
-    let reference = ShardedLearner::new(
-        ShardedLearnerConfig::new(2).candidates_per_shard(0),
-        AwmSketch::new(awm),
-        AwmSketch::new(awm),
-    );
     let (mut agg, servers) = registry_parity_matches_single_node(
         "awm",
         &template,
-        reference,
+        AwmSketch::new(awm),
         &planted_stream(4000),
         &[
             SparseVector::one_hot(3, 1.0),
@@ -460,11 +453,6 @@ fn multiclass_registry_nodes_match_single_node_bit_for_bit() {
         per_class: AwmSketchConfig::new(8, 128).lambda(1e-5).seed(7),
     };
     let template = MulticlassAwmSketch::new(mc_cfg).to_snapshot_bytes();
-    let reference = ShardedLearner::new(
-        ShardedLearnerConfig::new(2).candidates_per_shard(0),
-        MulticlassAwmSketch::new(mc_cfg),
-        MulticlassAwmSketch::new(mc_cfg),
-    );
     // Class c is signalled by feature 10+c plus shared noise; labels on
     // the wire are class indices.
     let data: Vec<(SparseVector, Label)> = (0..4500)
@@ -480,7 +468,7 @@ fn multiclass_registry_nodes_match_single_node_bit_for_bit() {
     let (mut agg, servers) = registry_parity_matches_single_node(
         "mc",
         &template,
-        reference,
+        MulticlassAwmSketch::new(mc_cfg),
         &data,
         &[
             SparseVector::one_hot(10, 1.0),
@@ -633,6 +621,35 @@ fn stats_reports_backend_and_coalescing_counters() {
     assert_eq!(stats.update_frames, 6);
     assert_eq!(stats.update_lock_acquisitions, 6);
     server.shutdown();
+}
+
+/// A STATS reply whose backend byte names no known backend is a typed
+/// protocol error at the client, not a silently threaded node. A one-shot
+/// fake node answers the request with a well-formed v6 payload whose only
+/// fault is backend byte 7.
+#[test]
+fn stats_rejects_an_unknown_backend_byte() {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let node = std::thread::spawn(move || {
+        let (mut conn, _) = listener.accept().unwrap();
+        read_frame(&mut conn).unwrap().expect("a STATS request");
+        let mut w = Writer::new();
+        w.put_u8(STATUS_OK);
+        w.put_u64(0); // routed
+        w.put_u64(0); // clock
+        w.put_u32(0); // shards
+        w.put_u8(1); // synced
+        w.put_u32(0); // no registry rows
+        w.put_u8(7); // backend: neither threaded (0) nor event (1)
+        w.put_u64(0); // lock acquisitions
+        w.put_u64(0); // update frames
+        write_frame(&mut conn, &w.into_bytes()).unwrap();
+    });
+    let mut client = ServeClient::connect(addr).unwrap();
+    let err = client.stats().expect_err("corrupt backend byte accepted");
+    assert!(matches!(err, ServeError::Protocol(_)), "{err:?}");
+    node.join().unwrap();
 }
 
 #[test]

@@ -14,15 +14,15 @@
 //! ship-and-merge stays *exact* for every kind: this example drives an
 //! AWM model and a 3-class multiclass model end to end over the wire
 //! (ingest → snapshot → merge → query) and asserts the aggregated models
-//! are bit-identical to an in-process 2-shard pool, with the same
-//! routing, that saw the whole streams.
+//! are bit-identical to the in-process merge of two learners trained on
+//! the same halves of the streams.
 //!
 //! Exits non-zero if any parity assertion fails, so CI runs this as the
 //! registry round-trip check.
 
 use wmsketch::core::{
-    AwmSketch, AwmSketchConfig, DynLearner, MulticlassAwmSketch, MulticlassConfig, ShardedLearner,
-    ShardedLearnerConfig, SnapshotCodec, WmSketchConfig,
+    AwmSketch, AwmSketchConfig, DynLearner, MergeableLearner, MulticlassAwmSketch,
+    MulticlassConfig, SnapshotCodec, WmSketchConfig,
 };
 use wmsketch::learn::SparseVector;
 use wmsketch::serve::{ServeClient, ServeConfig, ServeError, ServerHandle, WmServer};
@@ -75,20 +75,19 @@ fn client_with_model(
     Ok(c)
 }
 
-/// Drives one model kind end to end: the stream partitioned by
-/// `shard_of` across two ingest nodes whose snapshots merge into an
-/// aggregator, and the whole stream into `reference`, an in-process
-/// 2-shard pool with the same routing; then asserts estimates, margins,
-/// predictions, and top-K are bit-identical.
+/// Drives one model kind end to end: the stream split by position (even
+/// examples to node A, odd to B) across two ingest nodes whose snapshots
+/// merge into an aggregator, and the same halves into two clones of
+/// `fresh` merged in process into a third, in node order; then asserts
+/// estimates, margins, predictions, top-K, and clock are bit-identical.
 fn parity<L>(
     label: &str,
     template: &[u8],
-    mut reference: ShardedLearner<L>,
+    fresh: L,
     stream: &[(SparseVector, i8)],
     probes: &[SparseVector],
 ) where
-    L: wmsketch::learn::MergeableLearner + Clone + Send,
-    ShardedLearner<L>: DynLearner,
+    L: MergeableLearner + DynLearner + Clone,
 {
     // All three nodes' default WM model is irrelevant; keep it tiny.
     let host = ServeConfig::new(WmSketchConfig::new(16, 1).heap_capacity(1), 1);
@@ -100,19 +99,20 @@ fn parity<L>(
     let mut b = client_with_model(&node_b, label, template, 1).expect("create on B");
     let mut agg = client_with_model(&aggregator, label, template, 1).expect("create on agg");
 
-    // Partition exactly as the reference pool routes.
     let (mut sub_a, mut sub_b) = (Vec::new(), Vec::new());
     for (i, ex) in stream.iter().enumerate() {
-        if reference.shard_of(i as u64) == 0 {
+        if i % 2 == 0 {
             sub_a.push(ex.clone());
         } else {
             sub_b.push(ex.clone());
         }
     }
-    for chunk in stream.chunks(1024) {
-        DynLearner::update_batch(&mut reference, chunk);
-    }
-    reference.sync();
+    let (mut ref_a, mut ref_b) = (fresh.clone(), fresh.clone());
+    DynLearner::update_batch(&mut ref_a, &sub_a);
+    DynLearner::update_batch(&mut ref_b, &sub_b);
+    let mut reference = fresh;
+    reference.merge_from(&ref_a);
+    reference.merge_from(&ref_b);
     a.update_batch(&sub_a).expect("ingest A");
     b.update_batch(&sub_b).expect("ingest B");
 
@@ -149,6 +149,11 @@ fn parity<L>(
         assert_eq!(x.feature, y.feature, "{label}: top-K order diverged");
         assert!(x.weight.to_bits() == y.weight.to_bits());
     }
+    assert_eq!(
+        clock,
+        DynLearner::clock(&reference),
+        "{label}: clock parity"
+    );
     println!("parity[{label}]: aggregated ≡ in-process reference, bit for bit ✓");
 
     for s in [node_a, node_b, aggregator] {
@@ -219,15 +224,10 @@ fn main() {
     hub.shutdown();
 
     // ── Part 2: distributed-vs-local parity per kind ───────────────────
-    let awm_reference = ShardedLearner::new(
-        ShardedLearnerConfig::new(2).candidates_per_shard(0),
-        AwmSketch::new(awm_cfg),
-        AwmSketch::new(awm_cfg),
-    );
     parity(
         "spam-awm",
         &awm_template,
-        awm_reference,
+        AwmSketch::new(awm_cfg),
         &binary_stream(8000),
         &[
             SparseVector::one_hot(7, 1.0),
@@ -235,15 +235,10 @@ fn main() {
             SparseVector::from_pairs(&[(7, 0.4), (13, 0.8)]),
         ],
     );
-    let mc_reference = ShardedLearner::new(
-        ShardedLearnerConfig::new(2).candidates_per_shard(0),
-        MulticlassAwmSketch::new(mc_cfg),
-        MulticlassAwmSketch::new(mc_cfg),
-    );
     parity(
         "topic-mc",
         &mc_template,
-        mc_reference,
+        MulticlassAwmSketch::new(mc_cfg),
         &class_stream(8000),
         &[
             SparseVector::one_hot(10, 1.0),

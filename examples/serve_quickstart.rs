@@ -1,6 +1,6 @@
 //! Distributed ingest with exact aggregation: two ingest nodes ship
 //! `WMS1` snapshots into an aggregator whose model is **bit-identical**
-//! to an in-process 2-shard learner that saw the whole stream.
+//! to the in-process merge of two learners trained on the same halves.
 //!
 //! ```sh
 //! cargo run --release --example serve_quickstart
@@ -8,14 +8,15 @@
 //!
 //! The WM-Sketch is a linear sketch, so the sketch of two merged gradient
 //! streams equals the sum of the two sketches — shipping and summing
-//! snapshots is exact, not approximate. The one requirement is that the
-//! distributed partition matches the routing the reference
-//! `ShardedLearner` applies, which `ShardedLearner::shard_of` exposes.
+//! snapshots is exact, not approximate. The reference splits the stream
+//! by the same fixed rule as the ingest nodes (even positions to A, odd to
+//! B), trains two plain learners, and merges both into a fresh learner in
+//! node order, as the aggregator does.
 //!
 //! Exits non-zero if any parity assertion fails, so CI can run this as
 //! the serve round-trip check.
 
-use wmsketch::core::{DynLearner, ShardedLearner, ShardedLearnerConfig, WmSketch, WmSketchConfig};
+use wmsketch::core::{DynLearner, MergeableLearner, WmSketch, WmSketchConfig};
 use wmsketch::learn::SparseVector;
 use wmsketch::serve::{ServeClient, ServeConfig, WmServer};
 
@@ -51,31 +52,29 @@ fn main() {
         })
         .collect();
 
-    // The reference: an in-process 2-shard pool (heap-carrying workers)
-    // that learns the whole stream. Partition the stream exactly as it
-    // routes, and feed each half to its ingest node.
-    let mut reference = ShardedLearner::new(
-        ShardedLearnerConfig::new(2).candidates_per_shard(0),
-        WmSketch::new(wm),
-        WmSketch::new(wm),
-    );
+    // Split the stream by position: even examples go to node A, odd to B.
     let (mut sub_a, mut sub_b) = (Vec::new(), Vec::new());
     for (i, ex) in stream.iter().enumerate() {
-        if reference.shard_of(i as u64) == 0 {
+        if i % 2 == 0 {
             sub_a.push(ex.clone());
         } else {
             sub_b.push(ex.clone());
         }
     }
 
+    // The reference: one plain learner per half, merged into a fresh
+    // learner in node order — the in-process twin of the aggregator.
+    let (mut ref_a, mut ref_b) = (WmSketch::new(wm), WmSketch::new(wm));
+    DynLearner::update_batch(&mut ref_a, &sub_a);
+    DynLearner::update_batch(&mut ref_b, &sub_b);
+    let mut reference = WmSketch::new(wm);
+    reference.merge_from(&ref_a);
+    reference.merge_from(&ref_b);
+
     // Pipelined ingest: frames of 1024 examples with several in flight
     // per connection, which the event backend reads ahead of execution.
     // The response ordering guarantee makes the returned counts the
     // exact cumulative sequence per-frame blocking calls would yield.
-    for chunk in stream.chunks(1024) {
-        DynLearner::update_batch(&mut reference, chunk);
-    }
-    reference.sync();
     let mut a = ServeClient::connect(node_a.addr()).expect("connect A");
     let counts = a.update_many(&sub_a, 1024, 8).expect("ingest A");
     assert_eq!(counts.last().copied(), Some(sub_a.len() as u64));
@@ -88,7 +87,7 @@ fn main() {
         sub_b.len()
     );
 
-    // Ship both snapshots into the aggregator (shard order).
+    // Ship both snapshots into the aggregator (node order).
     let snap_a = a.snapshot().expect("snapshot A");
     let snap_b = b.snapshot().expect("snapshot B");
     let mut agg = ServeClient::connect(aggregator.addr()).expect("connect aggregator");
@@ -131,6 +130,7 @@ fn main() {
         assert_eq!(x.feature, y.feature, "top-K feature order diverged");
         assert!(x.weight.to_bits() == y.weight.to_bits());
     }
+    assert_eq!(clock, DynLearner::clock(&reference), "clock parity");
     println!("parity: aggregated model ≡ in-process reference, bit for bit ✓");
 
     let (margin, label) = agg
