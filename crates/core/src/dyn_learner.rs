@@ -109,7 +109,7 @@ macro_rules! impl_dyn_mergeable {
 
             dyn_learner_common!($ty);
 
-            fn snapshot(&mut self) -> Result<Vec<u8>, CodecError> {
+            fn snapshot(&self) -> Result<Vec<u8>, CodecError> {
                 Ok(SnapshotCodec::to_snapshot_bytes(self))
             }
 
@@ -174,7 +174,7 @@ macro_rules! impl_dyn_baseline {
 
             dyn_learner_common!($ty);
 
-            fn snapshot(&mut self) -> Result<Vec<u8>, CodecError> {
+            fn snapshot(&self) -> Result<Vec<u8>, CodecError> {
                 Err(NO_SNAPSHOT_CODEC)
             }
 
@@ -406,7 +406,7 @@ mod tests {
                 LabelDomain::Classes(3),
             ),
         ] {
-            let mut revived = decode_any_learner(&bytes).expect("decode_any");
+            let revived = decode_any_learner(&bytes).expect("decode_any");
             assert_eq!(revived.kind(), kind);
             assert_eq!(revived.method_name(), name);
             assert_eq!(revived.label_domain(), domain);
@@ -445,7 +445,7 @@ mod tests {
             }
             OnlineLearner::update(&mut whole, &x, y);
         }
-        let snap_b = DynLearner::snapshot(&mut b).unwrap();
+        let snap_b = DynLearner::snapshot(&b).unwrap();
         let dyn_a: &mut dyn DynLearner = &mut a;
         dyn_a.absorb_snapshot(&snap_b).unwrap();
         assert_eq!(dyn_a.clock(), 1000);
@@ -455,8 +455,8 @@ mod tests {
             assert!(merged.is_finite());
         }
         // Kind mismatch and incompatibility are typed errors.
-        let mut awm = AwmSketch::new(AwmSketchConfig::new(8, 64).seed(3));
-        let snap_awm = DynLearner::snapshot(&mut awm).unwrap();
+        let awm = AwmSketch::new(AwmSketchConfig::new(8, 64).seed(3));
+        let snap_awm = DynLearner::snapshot(&awm).unwrap();
         assert!(matches!(
             dyn_a.absorb_snapshot(&snap_awm),
             Err(CodecError::WrongKind { .. })

@@ -62,7 +62,7 @@ fn wm_buffer_via_decode_any_is_bit_identical_to_typed_decode() {
     let bytes = wm.to_snapshot_bytes();
 
     let typed = WmSketch::from_snapshot_bytes(&bytes).expect("typed decode");
-    let mut dynamic = decode_any_learner(&bytes).expect("decode_any");
+    let dynamic = decode_any_learner(&bytes).expect("decode_any");
 
     assert_eq!(dynamic.kind(), KIND_WM);
     assert_eq!(dynamic.examples_seen(), typed.examples_seen());
@@ -164,9 +164,9 @@ proptest! {
             let pos = (pos_frac as usize * bytes.len()) / 10_000;
             let mut damaged = bytes.clone();
             damaged[pos] = damaged[pos].wrapping_add(delta);
-            if let Ok(mut l) = decode_any_learner(&damaged) {
+            if let Ok(l) = decode_any_learner(&damaged) {
                 let canonical = l.snapshot().unwrap();
-                let mut back = decode_any_learner(&canonical).expect("canonical re-decode");
+                let back = decode_any_learner(&canonical).expect("canonical re-decode");
                 prop_assert_eq!(back.snapshot().unwrap(), canonical);
             }
         }

@@ -155,7 +155,7 @@ pub trait DynLearner: Send {
     /// # Errors
     /// [`CodecError::Invalid`] for learner kinds without a snapshot
     /// codec.
-    fn snapshot(&mut self) -> Result<Vec<u8>, CodecError>;
+    fn snapshot(&self) -> Result<Vec<u8>, CodecError>;
 
     /// Decodes `bytes` as a peer model of this learner's own kind and
     /// merges it in (exact by sketch linearity).
@@ -289,7 +289,7 @@ impl DynLearner for FeatureHashingClassifier {
         FeatureHashingClassifier::memory_bytes(self)
     }
 
-    fn snapshot(&mut self) -> Result<Vec<u8>, CodecError> {
+    fn snapshot(&self) -> Result<Vec<u8>, CodecError> {
         Err(NO_SNAPSHOT_CODEC)
     }
 

@@ -23,12 +23,12 @@ use wmsketch_learn::{Label, SparseVector};
 
 use crate::error::ServeError;
 use crate::protocol::{
-    put_examples, put_features, read_frame, request_for_model, take_model_info, write_frame,
-    ModelInfo, DEFAULT_MODEL_ID, OP_ACK, OP_CHECKPOINT, OP_CREATE, OP_ESTIMATE, OP_LIST, OP_MERGE,
-    OP_METRICS, OP_PEER_JOIN, OP_PREDICT, OP_PULL_DELTA, OP_RESET, OP_RESTORE, OP_SHUTDOWN,
-    OP_SNAPSHOT, OP_STATS, OP_TOPK, OP_UPDATE, STATUS_OK,
+    put_examples, put_features, read_frame, request_for_model, take_model_info, take_stats,
+    write_frame, ModelInfo, DEFAULT_MODEL_ID, MODEL_INFO_MIN_LEN, OP_ACK, OP_CHECKPOINT, OP_CREATE,
+    OP_ESTIMATE, OP_LIST, OP_MERGE, OP_METRICS, OP_PEER_JOIN, OP_PREDICT, OP_PULL_DELTA, OP_RESET,
+    OP_RESTORE, OP_SHUTDOWN, OP_SNAPSHOT, OP_STATS, OP_TOPK, OP_UPDATE, STATUS_OK,
 };
-use crate::server::{ReplRow, ServeBackend, ServeStats};
+use crate::server::ServeStats;
 
 /// Default per-operation socket deadline: every connection made through
 /// this module reads and writes under a timeout, so a wedged or
@@ -184,7 +184,7 @@ impl ServeClient {
         let resp = self.call_op(OP_LIST, Writer::new())?;
         let mut r = Reader::new(&resp);
         let count = r.take_u32()?;
-        let mut out = Vec::with_capacity((count as usize).min(r.remaining() / 29));
+        let mut out = Vec::with_capacity((count as usize).min(r.remaining() / MODEL_INFO_MIN_LEN));
         for _ in 0..count {
             out.push(take_model_info(&mut r)?);
         }
@@ -320,7 +320,7 @@ impl ServeClient {
         Ok(out)
     }
 
-    /// A `WMS1` snapshot of the addressed model's synced state.
+    /// A `WMS1` snapshot of the addressed model.
     ///
     /// # Errors
     /// Any [`ServeError`].
@@ -415,83 +415,7 @@ impl ServeClient {
     /// Any [`ServeError`].
     pub fn stats(&mut self) -> Result<ServeStats, ServeError> {
         let resp = self.call_op(OP_STATS, Writer::new())?;
-        let mut r = Reader::new(&resp);
-        let routed = r.take_u64()?;
-        let root_examples = r.take_u64()?;
-        let shards = r.take_u32()?;
-        let synced = r.take_u8()? != 0;
-        let count = r.take_u32()?;
-        let mut models = Vec::with_capacity((count as usize).min(r.remaining() / 29));
-        for _ in 0..count {
-            models.push(take_model_info(&mut r)?);
-        }
-        // The v6 tail (backend byte + UPDATE frame counters) follows the
-        // registry rows; a pre-v6 node simply ends the payload here. An
-        // unknown backend byte is a corrupt reply, not a threaded node.
-        let (backend, update_lock_acquisitions, update_frames) = if r.remaining() >= 17 {
-            let b = ServeBackend::from_wire_byte(r.take_u8()?)?;
-            (b, r.take_u64()?, r.take_u64()?)
-        } else {
-            (ServeBackend::Threaded, 0, 0)
-        };
-        // The v7 replication tail (node id + shipped-clock/applied rows)
-        // follows the v6 tail; a pre-v7 node ends the payload here.
-        let (node_id, replication) = if r.remaining() >= 12 {
-            let node_id = r.take_u64()?;
-            let count = r.take_u32()?;
-            let mut rows = Vec::with_capacity((count as usize).min(r.remaining() / 28));
-            for _ in 0..count {
-                rows.push(ReplRow {
-                    model: r.take_u32()?,
-                    peer: r.take_u64()?,
-                    acked: r.take_u64()?,
-                    applied: r.take_u64()?,
-                });
-            }
-            (node_id, rows)
-        } else {
-            (0, Vec::new())
-        };
-        // The v8 memory-governor tail (budget + residency gauges +
-        // spill/revival counters) follows the v7 tail; a pre-v8 node
-        // ends the payload here and every governor field reads 0.
-        let (
-            memory_budget,
-            resident_models,
-            spilled_models,
-            resident_bytes,
-            evictions_total,
-            revivals_total,
-        ) = if r.remaining() >= 40 {
-            (
-                r.take_u64()?,
-                r.take_u32()?,
-                r.take_u32()?,
-                r.take_u64()?,
-                r.take_u64()?,
-                r.take_u64()?,
-            )
-        } else {
-            (0, 0, 0, 0, 0, 0)
-        };
-        Ok(ServeStats {
-            routed,
-            root_examples,
-            shards,
-            synced,
-            models,
-            backend,
-            update_lock_acquisitions,
-            update_frames,
-            node_id,
-            replication,
-            memory_budget,
-            resident_models,
-            spilled_models,
-            resident_bytes,
-            evictions_total,
-            revivals_total,
-        })
+        Ok(take_stats(&resp)?)
     }
 
     /// Scrapes the node's telemetry (`OP_METRICS`, registry-level) and

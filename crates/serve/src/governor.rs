@@ -270,7 +270,7 @@ impl MemoryGovernor {
         let Ok(mut slot) = entry.slot.try_lock() else {
             return false;
         };
-        let ModelSlot::Resident(learner) = &mut *slot else {
+        let ModelSlot::Resident(learner) = &*slot else {
             return false; // already a stub
         };
         let clock = learner.clock();

@@ -99,17 +99,19 @@
 //!
 //! ```text
 //! frame    := len (u32, body bytes, <= 64 MiB) | body
-//! request  := F2 | model id (u32) | opcode (u8) | payload
+//! request  := F3 | model id (u32) | opcode (u8) | payload
 //! response := status (u8: 00 OK, 01 ERR) | payload
 //!             (ERR payload is a UTF-8 message)
 //! ```
 //!
-//! Every request body opens with the `F2` marker (a value outside the
-//! opcode range; future header revisions get `F3`, …) and the
-//! **model-id header**. A body that starts with any other byte is
-//! answered with a typed `ERR`, and the connection stays usable. Model
-//! id 0 is the default model, which [`WmServer::bind`] builds from its
-//! [`ServeConfig`] (name `"default"`, kind `03` WM).
+//! Every request body opens with the `F3` marker (a value outside the
+//! opcode range; future header revisions get `F4`, …) and the
+//! **model-id header**. A body that starts with any other byte — an
+//! opcode, or the `F2` of the previous revision, whose STATS and LIST
+//! rows carried two more fields — is answered with a typed `ERR`, and
+//! the connection stays usable. Model id 0 is the default model, which
+//! [`WmServer::bind`] builds from its [`ServeConfig`] (name
+//! `"default"`, kind `03` WM).
 //!
 //! **Pipelining.** A connection may write request frame N+1 without
 //! waiting for frame N's response — both backends accept it (the event
@@ -139,8 +141,7 @@
 //! batch    := count (u32) | count x example
 //! path     := len (u32) | UTF-8 bytes
 //! model    := id (u32) | name_len (u32) | name (UTF-8)
-//!           | kind (u8) | shards (u32) | clock (u64)
-//!           | memory_bytes (u64)
+//!           | kind (u8) | clock (u64) | memory_bytes (u64)
 //! ```
 //!
 //! Feature values must be finite, and labels must lie in the addressed
@@ -163,7 +164,7 @@
 //! | `06` | CHECKPOINT | path | bytes written (u64) |
 //! | `07` | RESTORE | path | model clock (u64) |
 //! | `08` | ESTIMATE | feature (u32) | weight (f64) |
-//! | `09` | STATS | — | routed (u64) \| clock (u64) \| shards (u32) \| synced (u8) \| count (u32) \| count × model \| backend (u8) \| lock acquisitions (u64, equals update frames) \| update frames (u64) |
+//! | `09` | STATS | — | stats (below) |
 //! | `0A` | RESET | — | — |
 //! | `0B` | SHUTDOWN | — | — (server drains afterwards; registry-level) |
 //! | `0C` | CREATE | name_len (u32) \| name \| shards (u32) \| template snapshot | model id (u32) (registry-level) |
@@ -189,31 +190,34 @@
 //! the addressed model, and a mismatch or merge-incompatible peer is a
 //! typed error.
 //!
-//! STATS' three-field tail follows the registry rows (a pre-v6 client
-//! reading only through the rows is unaffected): the node's `backend`
-//! byte (`00` threaded, `01` event), then two node-wide counters —
-//! learner-lock acquisitions that served UPDATE frames, and UPDATE
-//! frames executed. Every UPDATE frame takes its model's lock exactly
-//! once on both backends, so the node writes the frame count into both
-//! slots.
-//!
-//! The v7 **replication tail** follows the v6 tail (again, older clients
-//! just stop reading earlier):
+//! The STATS reply reports the addressed model, the registry, and
+//! node-wide counters, replication and governor state:
 //!
 //! ```text
-//! node id (u64) | row count (u32)
-//! | count × (model id (u32) | peer id (u64)
-//!            | acked clock (u64, shipped-clock vector entry)
-//!            | applied clock (u64, this node's replica of that origin))
+//! stats := routed (u64) | clock (u64)
+//!        | count (u32) | count x model
+//!        | backend (u8: 00 threaded, 01 event)
+//!        | lock acquisitions (u64) | update frames (u64)
+//!        | node id (u64) | row count (u32)
+//!        | row count x (model id (u32) | peer id (u64)
+//!                       | acked clock (u64, shipped-clock vector entry)
+//!                       | applied clock (u64, this node's replica
+//!                                        of that origin))
+//!        | budget (u64) | resident models (u32) | spilled models (u32)
+//!        | resident bytes (u64) | evictions (u64) | revivals (u64)
 //! ```
+//!
+//! Every UPDATE frame takes its model's lock exactly once on both
+//! backends, so the node writes the frame count into both counter slots.
+//! The six governor fields are all zero on an ungoverned node. The layout
+//! is frozen: new node-wide figures go into `OP_METRICS`, not STATS. The
+//! client decodes it strictly ([`protocol::take_stats`]): a reply that
+//! ends early or carries a trailing byte is a typed error.
 //!
 //! Every response reflects every example ingested before it. MERGE
 //! folds the peer model into the addressed model and composes with live
-//! ingest. The STATS tail and LIST report the registry — per-model kind,
-//! update clock, and memory — so operators can see what a node is
-//! hosting. The wire keeps two fields from when a model could be a
-//! worker pool: `shards` (STATS and LIST) always reads 0 and `synced`
-//! (STATS) always reads 1.
+//! ingest. STATS and LIST report the registry — per-model kind, update
+//! clock, and memory — so operators can see what a node is hosting.
 //!
 //! ## Merge clock semantics
 //!
@@ -384,14 +388,11 @@
 //!   admission never evicts (a mid-recovery entry still holds its fresh
 //!   template build; spilling it would overwrite the real checkpoint).
 //!
-//! STATS grows a v8 **governor tail** after the replication tail (older
-//! clients stop reading earlier, as ever): budget (u64) | resident
-//! models (u32) | spilled models (u32) | resident bytes (u64) |
-//! evictions (u64) | revivals (u64) — all zero on an ungoverned node.
-//! The `model_fleet` bench bin and the `fleet` block of
-//! `BENCH_update_throughput.json` drive ~10k governed models under a
-//! quarter-of-hot-sum budget with zipf traffic and spot-check
-//! bit-identity against an all-hot reference node.
+//! STATS reports the budget, the residency gauges and the spill/revival
+//! counters (its last six fields). The `model_fleet` bench bin and the
+//! `fleet` block of `BENCH_update_throughput.json` drive ~10k governed
+//! models under a quarter-of-hot-sum budget with zipf traffic and
+//! spot-check bit-identity against an all-hot reference node.
 //!
 //! ## Telemetry: the `OP_METRICS` exposition
 //!
@@ -417,11 +418,11 @@
 //! `WMSKETCH_TELEMETRY` environment variable (`off`/`0`/`false` disable;
 //! default on) or `wmsketch_telemetry::set_enabled` — and the hot path
 //! records through relaxed atomics only (fixed histogram arrays hanging
-//! off each registry entry; no locks, no allocation per frame). The
-//! per-(model, op) latency histograms use the compact clamped-range
-//! form (`wmsketch_telemetry::CompactLatencyHistogram`) so a governed
-//! node hosting tens of thousands of models pays ~150 B per op class
-//! per model rather than ~530 B — the exposition is unchanged.
+//! off each registry entry; no locks, no allocation per frame). Every
+//! latency histogram is a `wmsketch_telemetry::LatencyHistogram`: 144
+//! bytes of log2 buckets clamped to `[32 ns, ~137 s)`, so a governed
+//! node hosting tens of thousands of models pays 144 B per op class per
+//! model.
 //!
 //! Metric-name registry (labels in parentheses):
 //!
@@ -435,7 +436,7 @@
 //! | `connections_open` | gauge | currently open connections |
 //! | `paused_connections` | gauge | connections under pipeline backpressure (event backend) |
 //! | `executor_queue_depth` | gauge | queued-but-unanswered requests (event backend) |
-//! | `update_frames_total` | counter | mirror of the STATS tail counter |
+//! | `update_frames_total` | counter | mirror of the STATS update-frame counter |
 //! | `gossip_rounds_total` | counter | gossip ticks started |
 //! | `gossip_attempts_total` | counter | per-peer exchanges attempted |
 //! | `gossip_failures_total` | counter | exchanges failed (peer enters backoff) |

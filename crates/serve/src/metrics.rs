@@ -19,9 +19,7 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use wmsketch_hashing::codec::Reader;
-use wmsketch_telemetry::{
-    CompactLatencyHistogram, Counter, ExpoWriter, Gauge, Journal, RateAccountant,
-};
+use wmsketch_telemetry::{Counter, ExpoWriter, Gauge, Journal, LatencyHistogram, RateAccountant};
 
 use crate::protocol::{
     take_request_head, OP_ACK, OP_CHECKPOINT, OP_CREATE, OP_ESTIMATE, OP_LIST, OP_MERGE,
@@ -95,12 +93,11 @@ fn is_query_class(class: usize) -> bool {
 /// holds — no map lookups, no locks.
 pub(crate) struct ModelTelemetry {
     /// Per-op-class service latency (nanoseconds from decode to response
-    /// on the execution path, the same span on both backends). Compact
-    /// histograms: this array is multiplied by every hosted model, and
-    /// on a governed fleet node the registry's per-entry footprint is
-    /// what bounds how many models fit under the memory budget (the full
-    /// 65-bucket array was ~9.5 KB per entry — the dominant term).
-    pub(crate) op_latency: [CompactLatencyHistogram; OP_CLASSES],
+    /// on the execution path, the same span on both backends). This
+    /// array is multiplied by every hosted model, and on a governed fleet
+    /// node the registry's per-entry footprint bounds how many models fit
+    /// under the memory budget — hence the 144-byte histogram.
+    pub(crate) op_latency: [LatencyHistogram; OP_CLASSES],
     /// Wire bytes (frame header included) of requests addressing this
     /// model.
     pub(crate) request_bytes: Counter,
@@ -113,7 +110,7 @@ pub(crate) struct ModelTelemetry {
 impl ModelTelemetry {
     pub(crate) fn new() -> Self {
         ModelTelemetry {
-            op_latency: [const { CompactLatencyHistogram::new() }; OP_CLASSES],
+            op_latency: [const { LatencyHistogram::new() }; OP_CLASSES],
             request_bytes: Counter::new(),
             update_examples: Counter::new(),
             errors: Counter::new(),

@@ -11,6 +11,7 @@ use wmsketch_learn::{Label, LabelDomain, SparseVector};
 use wmsketch_hashing::codec::{CodecError, Reader, Writer};
 
 use crate::error::ServeError;
+use crate::server::{ReplRow, ServeBackend, ServeStats};
 
 /// Hard upper bound on a frame body, protecting both sides from corrupted
 /// or hostile length prefixes. 64 MiB comfortably holds the largest
@@ -27,7 +28,7 @@ pub const OP_UPDATE: u8 = 0x01;
 pub const OP_PREDICT: u8 = 0x02;
 /// Request opcode: recover the top-K weighted features.
 pub const OP_TOPK: u8 = 0x03;
-/// Request opcode: return a `WMS1` snapshot of the synced model.
+/// Request opcode: return a `WMS1` snapshot of the model.
 pub const OP_SNAPSHOT: u8 = 0x04;
 /// Request opcode: fold a peer snapshot into this node (exact by sketch
 /// linearity).
@@ -44,7 +45,8 @@ pub const OP_CHECKPOINT: u8 = 0x06;
 pub const OP_RESTORE: u8 = 0x07;
 /// Request opcode: point estimate of one feature's weight.
 pub const OP_ESTIMATE: u8 = 0x08;
-/// Request opcode: counters and sync status.
+/// Request opcode: the addressed model's counters, the registry, and
+/// node-wide state (layout at [`put_stats`]).
 pub const OP_STATS: u8 = 0x09;
 /// Request opcode: discard all model state and start fresh.
 pub const OP_RESET: u8 = 0x0A;
@@ -91,13 +93,16 @@ pub const STATUS_OK: u8 = 0x00;
 pub const STATUS_ERR: u8 = 0x01;
 
 /// Leading marker byte of every request body, which carries a model-id
-/// header: `0xF2 | model id (u32) | opcode (u8) | payload`.
+/// header: `0xF3 | model id (u32) | opcode (u8) | payload`.
 ///
 /// Chosen outside the opcode range (opcodes grow upward from `0x01`), so
 /// a headerless body — one starting with an opcode byte — is rejected
-/// with a typed error rather than misread. Future header revisions get
-/// `0xF3`, ….
-pub const FRAME_V2: u8 = 0xF2;
+/// with a typed error rather than misread. The previous revision,
+/// `0xF2`, framed requests whose STATS and LIST rows carried two more
+/// fields; its requests are rejected the same way, so a peer on that
+/// layout gets an ERR instead of misaligned rows. Future header
+/// revisions get `0xF4`, ….
+pub const FRAME_V3: u8 = 0xF3;
 
 /// The id of the default model every node builds at bind.
 pub const DEFAULT_MODEL_ID: u32 = 0;
@@ -113,16 +118,16 @@ pub struct RequestHead {
     pub op: u8,
 }
 
-/// Parses a request header: the [`FRAME_V2`] marker, the model id, and
+/// Parses a request header: the [`FRAME_V3`] marker, the model id, and
 /// the opcode.
 ///
 /// # Errors
 /// [`CodecError::Truncated`] on an empty body or a cut-off header;
-/// [`CodecError::Invalid`] when the first byte is not [`FRAME_V2`].
+/// [`CodecError::Invalid`] when the first byte is not [`FRAME_V3`].
 pub fn take_request_head(r: &mut Reader<'_>) -> Result<RequestHead, CodecError> {
-    if r.take_u8()? != FRAME_V2 {
+    if r.take_u8()? != FRAME_V3 {
         return Err(CodecError::Invalid(
-            "request lacks the FRAME_V2 header marker",
+            "request lacks the FRAME_V3 header marker",
         ));
     }
     let model = r.take_u32()?;
@@ -140,24 +145,26 @@ pub struct ModelInfo {
     /// The model's `WMS1` kind byte (`0x03` WM, `0x04` AWM, `0x05`
     /// multiclass AWM).
     pub kind: u8,
-    /// Always 0 from this node: the wire field once carried a
-    /// worker-pool size, and every model is now one learner.
-    pub shards: u32,
     /// The model's update clock (absorbed peers included).
     pub clock: u64,
     /// Memory cost in bytes under the paper's §7.1 model.
     pub memory_bytes: u64,
 }
 
+/// Bytes of the smallest [`put_model_info`] row (an empty name). Row
+/// decodes clamp their reservations to what the remaining bytes can hold
+/// at this size, so a hostile row count cannot demand an absurd
+/// allocation.
+pub const MODEL_INFO_MIN_LEN: usize = 25;
+
 /// Encodes one registry row:
-/// `id (u32) | name_len (u32) | name | kind (u8) | shards (u32)
-/// | clock (u64) | memory_bytes (u64)`.
+/// `id (u32) | name_len (u32) | name | kind (u8) | clock (u64)
+/// | memory_bytes (u64)`.
 pub fn put_model_info(w: &mut Writer, info: &ModelInfo) {
     w.put_u32(info.id);
     w.put_u32(info.name.len() as u32);
     w.put_bytes(info.name.as_bytes());
     w.put_u8(info.kind);
-    w.put_u32(info.shards);
     w.put_u64(info.clock);
     w.put_u64(info.memory_bytes);
 }
@@ -176,10 +183,106 @@ pub fn take_model_info(r: &mut Reader<'_>) -> Result<ModelInfo, CodecError> {
         id,
         name,
         kind: r.take_u8()?,
-        shards: r.take_u32()?,
         clock: r.take_u64()?,
         memory_bytes: r.take_u64()?,
     })
+}
+
+/// Bytes of one [`ReplRow`] on the wire.
+const REPL_ROW_LEN: usize = 28;
+
+/// Encodes a STATS reply:
+///
+/// ```text
+/// routed (u64) | clock (u64) | count (u32) | count x model
+/// | backend (u8: 0 threaded, 1 event)
+/// | update lock acquisitions (u64) | update frames (u64)
+/// | node id (u64) | row count (u32)
+/// | row count x (model (u32) | peer (u64) | acked (u64) | applied (u64))
+/// | memory budget (u64) | resident models (u32) | spilled models (u32)
+/// | resident bytes (u64) | evictions (u64) | revivals (u64)
+/// ```
+///
+/// The layout is frozen; new node-wide figures go into [`OP_METRICS`].
+pub fn put_stats(w: &mut Writer, stats: &ServeStats) {
+    w.put_u64(stats.routed);
+    w.put_u64(stats.root_examples);
+    w.put_u32(stats.models.len() as u32);
+    for row in &stats.models {
+        put_model_info(w, row);
+    }
+    w.put_u8(match stats.backend {
+        ServeBackend::Threaded => 0,
+        ServeBackend::Event => 1,
+    });
+    w.put_u64(stats.update_lock_acquisitions);
+    w.put_u64(stats.update_frames);
+    w.put_u64(stats.node_id);
+    w.put_u32(stats.replication.len() as u32);
+    for row in &stats.replication {
+        w.put_u32(row.model);
+        w.put_u64(row.peer);
+        w.put_u64(row.acked);
+        w.put_u64(row.applied);
+    }
+    w.put_u64(stats.memory_budget);
+    w.put_u32(stats.resident_models);
+    w.put_u32(stats.spilled_models);
+    w.put_u64(stats.resident_bytes);
+    w.put_u64(stats.evictions_total);
+    w.put_u64(stats.revivals_total);
+}
+
+/// Decodes a whole STATS reply payload written by [`put_stats`].
+///
+/// # Errors
+/// [`CodecError`] when the payload ends early, carries trailing bytes,
+/// names an unknown backend, or holds a non-UTF-8 model name.
+pub fn take_stats(payload: &[u8]) -> Result<ServeStats, CodecError> {
+    let mut r = Reader::new(payload);
+    let routed = r.take_u64()?;
+    let root_examples = r.take_u64()?;
+    let count = r.take_u32()? as usize;
+    let mut models = Vec::with_capacity(count.min(r.remaining() / MODEL_INFO_MIN_LEN));
+    for _ in 0..count {
+        models.push(take_model_info(&mut r)?);
+    }
+    let backend = match r.take_u8()? {
+        0 => ServeBackend::Threaded,
+        1 => ServeBackend::Event,
+        _ => return Err(CodecError::Invalid("unknown backend byte in STATS")),
+    };
+    let update_lock_acquisitions = r.take_u64()?;
+    let update_frames = r.take_u64()?;
+    let node_id = r.take_u64()?;
+    let count = r.take_u32()? as usize;
+    let mut replication = Vec::with_capacity(count.min(r.remaining() / REPL_ROW_LEN));
+    for _ in 0..count {
+        replication.push(ReplRow {
+            model: r.take_u32()?,
+            peer: r.take_u64()?,
+            acked: r.take_u64()?,
+            applied: r.take_u64()?,
+        });
+    }
+    let stats = ServeStats {
+        routed,
+        root_examples,
+        models,
+        backend,
+        update_lock_acquisitions,
+        update_frames,
+        node_id,
+        replication,
+        memory_budget: r.take_u64()?,
+        resident_models: r.take_u32()?,
+        spilled_models: r.take_u32()?,
+        resident_bytes: r.take_u64()?,
+        evictions_total: r.take_u64()?,
+        revivals_total: r.take_u64()?,
+    };
+    r.finish()?;
+    Ok(stats)
 }
 
 /// Writes one length-prefixed frame.
@@ -467,11 +570,11 @@ pub fn take_examples_into(
 }
 
 /// Builds a request body addressing `model`:
-/// [`FRAME_V2`] marker, model id, opcode, payload.
+/// [`FRAME_V3`] marker, model id, opcode, payload.
 #[must_use]
 pub fn request_for_model(model: u32, op: u8, payload: Writer) -> Vec<u8> {
     let mut w = Writer::new();
-    w.put_u8(FRAME_V2);
+    w.put_u8(FRAME_V3);
     w.put_u32(model);
     w.put_u8(op);
     w.put_bytes(&payload.into_bytes());
@@ -688,17 +791,20 @@ mod tests {
     }
 
     #[test]
-    fn request_head_requires_the_v2_marker() {
-        // A headerless body (first byte an opcode) is a typed error.
-        assert!(matches!(
-            take_request_head(&mut Reader::new(&[OP_STATS])),
-            Err(CodecError::Invalid(_))
-        ));
+    fn request_head_requires_the_v3_marker() {
+        // A headerless body (first byte an opcode) and a body framed by
+        // the previous header revision are typed errors.
+        for first in [OP_STATS, 0xF2] {
+            assert!(matches!(
+                take_request_head(&mut Reader::new(&[first, 0, 0, 0, 0, OP_STATS])),
+                Err(CodecError::Invalid(_))
+            ));
+        }
         // Marker, model id, opcode.
         let mut payload = Writer::new();
         payload.put_u32(9);
-        let v2 = request_for_model(7, OP_ESTIMATE, payload);
-        let mut r = Reader::new(&v2);
+        let body = request_for_model(7, OP_ESTIMATE, payload);
+        let mut r = Reader::new(&body);
         let head = take_request_head(&mut r).unwrap();
         assert_eq!(
             head,
@@ -709,8 +815,8 @@ mod tests {
         );
         assert_eq!(r.take_u32().unwrap(), 9);
         r.finish().unwrap();
-        // A truncated v2 header is a typed error.
-        assert!(take_request_head(&mut Reader::new(&[FRAME_V2, 1, 2])).is_err());
+        // A truncated header is a typed error.
+        assert!(take_request_head(&mut Reader::new(&[FRAME_V3, 1, 2])).is_err());
         assert!(take_request_head(&mut Reader::new(&[])).is_err());
     }
 
@@ -720,13 +826,13 @@ mod tests {
             id: 3,
             name: "mc-traffic".to_string(),
             kind: 0x05,
-            shards: 4,
             clock: 123_456,
             memory_bytes: 98_304,
         };
         let mut w = Writer::new();
         put_model_info(&mut w, &info);
         let bytes = w.into_bytes();
+        assert_eq!(bytes.len(), MODEL_INFO_MIN_LEN + info.name.len());
         let mut r = Reader::new(&bytes);
         assert_eq!(take_model_info(&mut r).unwrap(), info);
         r.finish().unwrap();
@@ -734,5 +840,71 @@ mod tests {
         for n in 0..bytes.len() {
             assert!(take_model_info(&mut Reader::new(&bytes[..n])).is_err());
         }
+    }
+
+    #[test]
+    fn stats_round_trip() {
+        let stats = ServeStats {
+            routed: 41,
+            root_examples: 42,
+            models: vec![
+                ModelInfo {
+                    id: 0,
+                    name: "default".to_string(),
+                    kind: 0x03,
+                    clock: 42,
+                    memory_bytes: 8_192,
+                },
+                ModelInfo {
+                    id: 3,
+                    name: "mc-traffic".to_string(),
+                    kind: 0x05,
+                    clock: 7,
+                    memory_bytes: 98_304,
+                },
+            ],
+            backend: ServeBackend::Event,
+            update_lock_acquisitions: 9,
+            update_frames: 9,
+            node_id: 0xABCD,
+            replication: vec![
+                ReplRow {
+                    model: 0,
+                    peer: 2,
+                    acked: 40,
+                    applied: 0,
+                },
+                ReplRow {
+                    model: 3,
+                    peer: 5,
+                    acked: 0,
+                    applied: 6,
+                },
+            ],
+            memory_budget: 1 << 20,
+            resident_models: 1,
+            spilled_models: 1,
+            resident_bytes: 12_345,
+            evictions_total: 4,
+            revivals_total: 3,
+        };
+        let mut w = Writer::new();
+        put_stats(&mut w, &stats);
+        let bytes = w.into_bytes();
+        assert_eq!(take_stats(&bytes).unwrap(), stats);
+        // Every strict prefix is a typed error, never a shorter reply.
+        for n in 0..bytes.len() {
+            assert!(
+                take_stats(&bytes[..n]).is_err(),
+                "a {n}-byte prefix decoded"
+            );
+        }
+        // So is one trailing byte.
+        let mut long = bytes;
+        long.push(0);
+        assert!(matches!(
+            take_stats(&long),
+            Err(CodecError::TrailingBytes(1))
+        ));
     }
 }

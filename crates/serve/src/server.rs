@@ -110,23 +110,6 @@ impl ServeBackend {
             Self::Threaded
         }
     }
-
-    /// The STATS wire byte for this backend.
-    pub(crate) fn wire_byte(self) -> u8 {
-        match self {
-            Self::Threaded => 0,
-            Self::Event => 1,
-        }
-    }
-
-    /// Decodes a STATS wire byte.
-    pub(crate) fn from_wire_byte(b: u8) -> Result<Self, ServeError> {
-        match b {
-            0 => Ok(Self::Threaded),
-            1 => Ok(Self::Event),
-            _ => Err(ServeError::Protocol("unknown backend byte in STATS")),
-        }
-    }
 }
 
 /// Configuration of one serving node — specifically of its **default
@@ -244,7 +227,8 @@ impl ServeConfig {
     }
 }
 
-/// Counters reported by the STATS op.
+/// Counters reported by the STATS op (wire layout at
+/// [`protocol::put_stats`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServeStats {
     /// The addressed model's example count. Absorbed peer snapshots
@@ -253,14 +237,8 @@ pub struct ServeStats {
     pub routed: u64,
     /// The addressed model's own clock (includes absorbed peers).
     pub root_examples: u64,
-    /// Always 0: the wire field once carried a worker-pool size, and
-    /// every model is now one learner.
-    pub shards: u32,
-    /// Always `true`: a plain learner's queries reflect every ingested
-    /// example.
-    pub synced: bool,
-    /// The whole registry, one row per hosted model (kind, shards,
-    /// update clock, memory) — what this node is hosting, at a glance.
+    /// The whole registry, one row per hosted model (kind, update clock,
+    /// memory) — what this node is hosting, at a glance.
     pub models: Vec<ModelInfo>,
     /// Which transport backend the node is running.
     pub backend: ServeBackend,
@@ -296,7 +274,7 @@ pub struct ServeStats {
     pub revivals_total: u64,
 }
 
-/// One row of the STATS replication tail.
+/// One row of the STATS replication table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReplRow {
     /// The model the row describes.
@@ -644,7 +622,6 @@ impl ModelEntry {
             id: self.id,
             name: self.name.clone(),
             kind: self.kind,
-            shards: 0,
             clock,
             memory_bytes,
         }
@@ -772,7 +749,7 @@ impl WmServer {
         // The default model is hosted like any created model: its
         // template is its own fresh snapshot (encoded, not decoded, so
         // bind pays no decode).
-        let mut learner: Box<dyn DynLearner> = Box::new(WmSketch::new(cfg.wm));
+        let learner: Box<dyn DynLearner> = Box::new(WmSketch::new(cfg.wm));
         let template = learner
             .snapshot()
             .expect("a WM learner always has a snapshot codec");
@@ -1043,8 +1020,8 @@ fn checkpoint_pass(state: &ServerState, last_persisted: &mut HashMap<u32, (u64, 
         // from eviction for the duration.)
         let _ckpt_io = entry.ckpt_io.lock().expect("checkpoint io mutex");
         let snapshot = {
-            let mut slot = entry.slot.lock().expect("slot mutex");
-            let learner = match &mut *slot {
+            let slot = entry.slot.lock().expect("slot mutex");
+            let learner = match &*slot {
                 ModelSlot::Resident(l) => l,
                 ModelSlot::Spilled(_) => {
                     state.metrics.checkpoints_skipped.inc();
@@ -1497,13 +1474,13 @@ fn handle_create(r: &mut Reader<'_>, state: &ServerState) -> Result<u32, ServeEr
 fn serve_query<R>(
     entry: &ModelEntry,
     node_id: u64,
-    f: impl FnOnce(&mut dyn DynLearner) -> R,
+    f: impl FnOnce(&dyn DynLearner) -> R,
 ) -> Result<R, ServeError> {
-    let mut learner = entry.learner()?;
-    let mut repl = entry.repl.lock().expect("repl mutex");
+    let learner = entry.learner()?;
+    let repl = entry.repl.lock().expect("repl mutex");
     if repl.origins.is_empty() {
         drop(repl);
-        return Ok(f(learner.as_mut()));
+        return Ok(f(learner.as_ref()));
     }
     let mut basis: Vec<(u64, u64)> = Vec::with_capacity(repl.origins.len() + 1);
     basis.push((node_id, learner.clock()));
@@ -1515,7 +1492,7 @@ fn serve_query<R>(
     if merged.view.is_none() || merged.basis != basis {
         let mut snaps: Vec<(u64, Vec<u8>)> = Vec::with_capacity(repl.origins.len() + 1);
         snaps.push((node_id, learner.snapshot()?));
-        for (&origin, replica) in repl.origins.iter_mut() {
+        for (&origin, replica) in &repl.origins {
             snaps.push((origin, replica.learner.snapshot()?));
         }
         snaps.sort_by_key(|&(origin, _)| origin);
@@ -1526,11 +1503,11 @@ fn serve_query<R>(
         merged.basis = basis;
         merged.view = Some(view);
     }
-    let view = merged.view.as_mut().expect("view just built");
-    Ok(f(view.as_mut()))
+    let view = merged.view.as_ref().expect("view just built");
+    Ok(f(view.as_ref()))
 }
 
-/// The STATS replication tail rows: the union of acked peers and held
+/// The STATS replication rows: the union of acked peers and held
 /// origin replicas, for every hosted model.
 fn replication_rows(state: &ServerState) -> Vec<ReplRow> {
     let mut rows = Vec::new();
@@ -1718,10 +1695,7 @@ fn dispatch_request(
             // must not be clobbered by this older state (lock order
             // ckpt_io → slot, same as the background checkpointer).
             let _ckpt_io = entry.ckpt_io.lock().expect("checkpoint io mutex");
-            let bytes = {
-                let mut learner = entry.learner()?;
-                learner.snapshot()?
-            };
+            let bytes = entry.learner()?.snapshot()?;
             // Atomic replace-on-rename: a crash mid-write leaves the
             // previous checkpoint intact plus a stale `.tmp`, never a
             // torn file under the final name.
@@ -1744,65 +1718,32 @@ fn dispatch_request(
             r.finish()?;
             // Stub-aware: STATS is the monitoring op and must never
             // revive a cold model; a stub's spill-time clock stands in
-            // for both counters. The `shards` and `synced` wire fields
-            // are constant: every model is one always-current learner.
-            let (routed, clock) = match &*entry.slot.lock().expect("slot mutex") {
+            // for both counters.
+            let (routed, root_examples) = match &*entry.slot.lock().expect("slot mutex") {
                 ModelSlot::Resident(l) => (l.examples_seen(), l.clock()),
                 ModelSlot::Spilled(stub) => (stub.clock, stub.clock),
             };
-            out.put_u64(routed);
-            out.put_u64(clock);
-            out.put_u32(0);
-            out.put_u8(1);
-            let rows = registry_rows(state);
-            out.put_u32(rows.len() as u32);
-            for row in &rows {
-                protocol::put_model_info(&mut out, row);
-            }
-            // v6 tail, after the registry rows so pre-v6 clients (which
-            // stop reading after the rows) are unaffected: backend byte,
-            // then the UPDATE lock-acquisition and frame counters. Every
-            // UPDATE frame takes the learner lock once, so the frame
-            // count fills both slots.
-            let frames = state.update_frames.load(Ordering::Relaxed);
-            out.put_u8(state.backend.wire_byte());
-            out.put_u64(frames);
-            out.put_u64(frames);
-            // v7 replication tail, after the v6 tail: this node's id,
-            // then the shipped-clock vector and applied watermarks of
-            // every (model, peer) pair the node has exchanged state with.
-            out.put_u64(state.node_id);
-            let rows = replication_rows(state);
-            out.put_u32(rows.len() as u32);
-            for row in &rows {
-                out.put_u32(row.model);
-                out.put_u64(row.peer);
-                out.put_u64(row.acked);
-                out.put_u64(row.applied);
-            }
-            // v8 memory-governor tail, after the v7 tail: the budget
-            // (0 = governor disabled) followed by the node-wide
-            // residency gauges and spill/revival counters. Always
-            // written — ungoverned nodes report zeros — so the client
-            // decode needs no flag byte.
-            match &state.governor {
-                Some(gov) => {
-                    out.put_u64(gov.budget());
-                    out.put_u32(gov.resident_models() as u32);
-                    out.put_u32(gov.spilled_models() as u32);
-                    out.put_u64(gov.resident_bytes());
-                    out.put_u64(gov.evictions());
-                    out.put_u64(gov.revivals());
-                }
-                None => {
-                    out.put_u64(0);
-                    out.put_u32(0);
-                    out.put_u32(0);
-                    out.put_u64(0);
-                    out.put_u64(0);
-                    out.put_u64(0);
-                }
-            }
+            // Every UPDATE frame takes the learner lock once, so the
+            // frame count fills both counter slots.
+            let update_frames = state.update_frames.load(Ordering::Relaxed);
+            let gov = state.governor.as_deref();
+            let stats = ServeStats {
+                routed,
+                root_examples,
+                models: registry_rows(state),
+                backend: state.backend,
+                update_lock_acquisitions: update_frames,
+                update_frames,
+                node_id: state.node_id,
+                replication: replication_rows(state),
+                memory_budget: gov.map_or(0, |g| g.budget()),
+                resident_models: gov.map_or(0, |g| g.resident_models() as u32),
+                spilled_models: gov.map_or(0, |g| g.spilled_models() as u32),
+                resident_bytes: gov.map_or(0, |g| g.resident_bytes()),
+                evictions_total: gov.map_or(0, |g| g.evictions()),
+                revivals_total: gov.map_or(0, |g| g.revivals()),
+            };
+            protocol::put_stats(&mut out, &stats);
         }
         OP_RESET => {
             r.finish()?;

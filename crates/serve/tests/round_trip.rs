@@ -9,7 +9,7 @@ use wmsketch_core::{
     AwmSketch, AwmSketchConfig, DynLearner, MergeableLearner, MulticlassAwmSketch,
     MulticlassConfig, SnapshotCodec, WmSketch, WmSketchConfig,
 };
-use wmsketch_hashing::codec::{Writer, KIND_AWM, KIND_MULTICLASS_AWM};
+use wmsketch_hashing::codec::{CodecError, Writer, KIND_AWM, KIND_MULTICLASS_AWM};
 use wmsketch_learn::{Label, SparseVector};
 use wmsketch_serve::protocol::{
     put_examples, read_frame, request_for_model, write_frame, OP_STATS, OP_UPDATE, STATUS_ERR,
@@ -69,8 +69,6 @@ fn ingest_then_query_round_trip() {
 
     let stats = client.stats().unwrap();
     assert_eq!(stats.routed, 4000);
-    assert_eq!(stats.shards, 0, "every model is one learner");
-    assert!(stats.synced);
 
     server.shutdown();
 }
@@ -181,10 +179,11 @@ fn two_node_snapshot_merge_matches_single_node_bit_for_bit() {
     }
 }
 
-/// Every request opens with the `FRAME_V2` model-id header. A headerless
+/// Every request opens with the `FRAME_V3` model-id header. A headerless
 /// body — its first byte an opcode, as an old version-1 client would send
-/// — gets a typed ERR instead of being routed to the default model, and
-/// the connection stays usable: a proper request on it then succeeds.
+/// — and a body framed by the previous `0xF2` header revision each get a
+/// typed ERR instead of being routed to a model, and the connection stays
+/// usable: a proper request on it then succeeds.
 fn headerless_body_case(backend: ServeBackend) {
     let server = start(
         ServeConfig::new(WmSketchConfig::new(64, 2).lambda(1e-5).seed(3), 1).backend(backend),
@@ -194,7 +193,11 @@ fn headerless_body_case(backend: ServeBackend) {
     put_examples(&mut examples, &planted_stream(10));
     let mut headerless_update = vec![OP_UPDATE];
     headerless_update.extend_from_slice(&examples.into_bytes());
-    for body in [vec![OP_STATS], headerless_update] {
+    // Marker, default model id, opcode: a whole request of the 0xF2
+    // revision.
+    let mut previous_revision = vec![0xF2, 0, 0, 0, 0, OP_UPDATE];
+    previous_revision.extend_from_slice(&headerless_update[1..]);
+    for body in [vec![OP_STATS], headerless_update, previous_revision] {
         write_frame(&mut raw, &body).unwrap();
         let resp = read_frame(&mut raw).unwrap().expect("a response, not EOF");
         assert_eq!(resp[0], STATUS_ERR, "{backend:?}: headerless body accepted");
@@ -208,7 +211,7 @@ fn headerless_body_case(backend: ServeBackend) {
     write_frame(&mut raw, &request_for_model(0, OP_STATS, Writer::new())).unwrap();
     let resp = read_frame(&mut raw).unwrap().expect("a response, not EOF");
     assert_eq!(resp[0], STATUS_OK, "{backend:?}: connection unusable");
-    // The headerless UPDATE never reached the default model.
+    // Neither rejected UPDATE reached the default model.
     let mut client = ServeClient::connect(server.addr()).unwrap();
     assert_eq!(client.stats().unwrap().routed, 0);
     server.shutdown();
@@ -266,7 +269,7 @@ fn registry_create_list_stats_and_error_surface() {
     let flat_id = client.create_model("awm3", &awm_template, 0).unwrap();
     client.set_model(flat_id).unwrap();
     client.update_batch(&planted_stream(100)).unwrap();
-    assert_eq!(client.stats().unwrap().shards, 0);
+    assert_eq!(client.stats().unwrap().routed, 100);
     client.set_model(0).unwrap();
 
     // LIST reflects the registry, id-ascending.
@@ -277,7 +280,6 @@ fn registry_create_list_stats_and_error_surface() {
         ["default", "awm", "mc", "awm3"]
     );
     assert_eq!(models[1].kind, KIND_AWM);
-    assert!(models.iter().all(|m| m.shards == 0));
     assert_eq!(models[2].kind, KIND_MULTICLASS_AWM);
     assert!(models.iter().all(|m| m.memory_bytes > 0));
 
@@ -306,7 +308,6 @@ fn registry_create_list_stats_and_error_surface() {
     client.set_model(awm_id).unwrap();
     let stats = client.stats().unwrap();
     assert_eq!(stats.routed, 500);
-    assert_eq!(stats.shards, 0);
     assert_eq!(stats.models.len(), 4);
     let row = stats.models.iter().find(|m| m.id == awm_id).unwrap();
     assert_eq!(row.clock, 500);
@@ -624,8 +625,8 @@ fn stats_reports_backend_and_coalescing_counters() {
 }
 
 /// A STATS reply whose backend byte names no known backend is a typed
-/// protocol error at the client, not a silently threaded node. A one-shot
-/// fake node answers the request with a well-formed v6 payload whose only
+/// codec error at the client, not a silently threaded node. A one-shot
+/// fake node answers the request with a well-formed payload whose only
 /// fault is backend byte 7.
 #[test]
 fn stats_rejects_an_unknown_backend_byte() {
@@ -638,17 +639,26 @@ fn stats_rejects_an_unknown_backend_byte() {
         w.put_u8(STATUS_OK);
         w.put_u64(0); // routed
         w.put_u64(0); // clock
-        w.put_u32(0); // shards
-        w.put_u8(1); // synced
         w.put_u32(0); // no registry rows
         w.put_u8(7); // backend: neither threaded (0) nor event (1)
         w.put_u64(0); // lock acquisitions
         w.put_u64(0); // update frames
+        w.put_u64(1); // node id
+        w.put_u32(0); // no replication rows
+        w.put_u64(0); // memory budget
+        w.put_u32(0); // resident models
+        w.put_u32(0); // spilled models
+        w.put_u64(0); // resident bytes
+        w.put_u64(0); // evictions
+        w.put_u64(0); // revivals
         write_frame(&mut conn, &w.into_bytes()).unwrap();
     });
     let mut client = ServeClient::connect(addr).unwrap();
     let err = client.stats().expect_err("corrupt backend byte accepted");
-    assert!(matches!(err, ServeError::Protocol(_)), "{err:?}");
+    assert!(
+        matches!(err, ServeError::Codec(CodecError::Invalid(_))),
+        "{err:?}"
+    );
     node.join().unwrap();
 }
 

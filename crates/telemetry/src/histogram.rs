@@ -1,15 +1,17 @@
-//! A fixed-size, lock-free, mergeable log2-bucketed histogram.
+//! A fixed-size, lock-free, log2-bucketed latency histogram.
 //!
 //! Bucket `0` holds the sample `0`; bucket `k ≥ 1` holds samples in
 //! `[2^(k-1), 2^k)` (bucket 64's upper edge saturates at `u64::MAX`).
-//! Recording is O(1) — one `leading_zeros` plus two relaxed `fetch_add`s —
+//! [`LatencyHistogram`] stores buckets `MIN_BUCKET..=MAX_BUCKET` and
+//! clamps samples outside them into the edge buckets. Recording is O(1) —
+//! one `leading_zeros`, one compare-exchange, one relaxed `fetch_add` —
 //! so the serve hot path can record per-frame latencies without locks.
-//! Per-thread histograms merge by bucket addition, and quantiles come out
-//! of a [`HistogramSnapshot`] with within-bucket linear interpolation
-//! (always inside the bucket's bounds, so reported quantiles provably
-//! bracket the true order statistic — pinned by the crate's proptests).
+//! Quantiles come out of a [`HistogramSnapshot`] with within-bucket
+//! linear interpolation (always inside the bucket's bounds, so inside the
+//! clamped range reported quantiles provably bracket the true order
+//! statistic — pinned by the crate's proptests).
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::time::Duration;
 
 /// Number of log2 buckets: one for zero plus one per bit of `u64`.
@@ -40,13 +42,31 @@ pub fn bucket_bounds(k: usize) -> (u64, u64) {
     }
 }
 
+/// First stored bucket: samples below `2^(MIN_BUCKET-1)` ns (= 32 ns)
+/// land in it.
+pub const MIN_BUCKET: usize = 6;
+/// Last stored bucket: samples at or above `2^(MAX_BUCKET-1)` ns
+/// (≈ 137 s) land in it.
+pub const MAX_BUCKET: usize = 38;
+/// Buckets a [`LatencyHistogram`] stores: `MIN_BUCKET..=MAX_BUCKET`.
+const STORED_BUCKETS: usize = MAX_BUCKET - MIN_BUCKET + 1;
+
 /// A shareable log2 histogram of `u64` samples (nanoseconds by
-/// convention). All methods take `&self`; recording never blocks.
+/// convention), small enough to embed per entity — one per op class per
+/// hosted model, where a fleet node multiplies the footprint by tens of
+/// thousands. All methods take `&self`; recording never blocks.
+///
+/// 144 bytes: `u32` bucket counts (pinned at `u32::MAX` instead of
+/// wrapping) over the clamped bucket range `[32 ns, ~137 s)` — every
+/// realistic service latency — with out-of-range samples absorbed by the
+/// edge buckets, so quantile estimates saturate at the clamp edges rather
+/// than erring. [`LatencyHistogram::snapshot`] maps into the 65-bucket
+/// [`HistogramSnapshot`], which does quantile extraction and exposition.
 #[derive(Debug)]
 pub struct LatencyHistogram {
-    buckets: [AtomicU64; BUCKETS],
-    /// Sum of all recorded samples (for mean extraction; wraps only after
-    /// ~584 years of accumulated nanoseconds).
+    buckets: [AtomicU32; STORED_BUCKETS],
+    /// Sum of all recorded samples (unclamped; wraps only after ~584
+    /// years of accumulated nanoseconds).
     sum: AtomicU64,
 }
 
@@ -60,7 +80,7 @@ impl LatencyHistogram {
     /// A fresh, empty histogram.
     pub const fn new() -> Self {
         LatencyHistogram {
-            buckets: [const { AtomicU64::new(0) }; BUCKETS],
+            buckets: [const { AtomicU32::new(0) }; STORED_BUCKETS],
             sum: AtomicU64::new(0),
         }
     }
@@ -69,95 +89,7 @@ impl LatencyHistogram {
     #[inline]
     pub fn record(&self, v: u64) {
         if crate::enabled() {
-            self.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
-            self.sum.fetch_add(v, Ordering::Relaxed);
-        }
-    }
-
-    /// Records a duration as nanoseconds (saturating at `u64::MAX`).
-    #[inline]
-    pub fn record_duration(&self, d: Duration) {
-        self.record(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
-    }
-
-    /// Adds every bucket of `other` into `self` (merge by addition —
-    /// exactly equivalent to having recorded the union of both sample
-    /// streams). Not gated on the enable switch: merging is maintenance,
-    /// not hot-path recording.
-    pub fn merge_from(&self, other: &LatencyHistogram) {
-        for (mine, theirs) in self.buckets.iter().zip(&other.buckets) {
-            let n = theirs.load(Ordering::Relaxed);
-            if n != 0 {
-                mine.fetch_add(n, Ordering::Relaxed);
-            }
-        }
-        let s = other.sum.load(Ordering::Relaxed);
-        if s != 0 {
-            self.sum.fetch_add(s, Ordering::Relaxed);
-        }
-    }
-
-    /// A point-in-time copy for quantile extraction and exposition.
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        let mut buckets = [0u64; BUCKETS];
-        for (dst, src) in buckets.iter_mut().zip(&self.buckets) {
-            *dst = src.load(Ordering::Relaxed);
-        }
-        HistogramSnapshot {
-            buckets,
-            sum: self.sum.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// First bucket of the compact histogram's clamped range: samples below
-/// `2^(COMPACT_MIN_BUCKET-1)` ns (= 32 ns) land in it.
-pub const COMPACT_MIN_BUCKET: usize = 6;
-/// Last bucket of the compact histogram's clamped range: samples at or
-/// above `2^(COMPACT_MAX_BUCKET-1)` ns (≈ 137 s) land in it.
-pub const COMPACT_MAX_BUCKET: usize = 38;
-/// Bucket count of [`CompactLatencyHistogram`].
-pub const COMPACT_BUCKETS: usize = COMPACT_MAX_BUCKET - COMPACT_MIN_BUCKET + 1;
-
-/// A compact [`LatencyHistogram`] variant for **per-entity embedding** —
-/// e.g. one histogram per op class per hosted model, where a fleet node
-/// multiplies the footprint by tens of thousands.
-///
-/// Two size levers against the full histogram (528 B → 144 B):
-/// `u32` bucket counts (pinned at `u32::MAX` instead of wrapping), and a
-/// clamped bucket range covering `[32 ns, ~137 s)` — every realistic
-/// service latency — with out-of-range samples absorbed by the edge
-/// buckets, so quantile estimates saturate at the clamp edges rather
-/// than erring. [`CompactLatencyHistogram::snapshot`] maps into the
-/// standard 65-bucket [`HistogramSnapshot`], so quantile extraction and
-/// wire exposition are shared with the full histogram.
-#[derive(Debug)]
-pub struct CompactLatencyHistogram {
-    buckets: [std::sync::atomic::AtomicU32; COMPACT_BUCKETS],
-    /// Sum of all recorded samples (unclamped).
-    sum: AtomicU64,
-}
-
-impl Default for CompactLatencyHistogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl CompactLatencyHistogram {
-    /// A fresh, empty histogram.
-    pub const fn new() -> Self {
-        CompactLatencyHistogram {
-            buckets: [const { std::sync::atomic::AtomicU32::new(0) }; COMPACT_BUCKETS],
-            sum: AtomicU64::new(0),
-        }
-    }
-
-    /// Records one sample (no-op while telemetry is disabled).
-    #[inline]
-    pub fn record(&self, v: u64) {
-        if crate::enabled() {
-            let k = bucket_of(v).clamp(COMPACT_MIN_BUCKET, COMPACT_MAX_BUCKET) - COMPACT_MIN_BUCKET;
+            let k = bucket_of(v).clamp(MIN_BUCKET, MAX_BUCKET) - MIN_BUCKET;
             // Pin a saturated bucket at u32::MAX instead of wrapping: a
             // compare-exchange that refuses to increment past the cap,
             // rather than add-then-correct — with the latter, a racing
@@ -186,12 +118,12 @@ impl CompactLatencyHistogram {
         self.record(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
     }
 
-    /// A point-in-time copy in the standard 65-bucket layout (compact
-    /// bucket `i` holds full-histogram bucket `i + COMPACT_MIN_BUCKET`).
+    /// A point-in-time copy in the 65-bucket layout (stored bucket `i`
+    /// is snapshot bucket `i + MIN_BUCKET`).
     pub fn snapshot(&self) -> HistogramSnapshot {
         let mut buckets = [0u64; BUCKETS];
         for (i, src) in self.buckets.iter().enumerate() {
-            buckets[i + COMPACT_MIN_BUCKET] = u64::from(src.load(Ordering::Relaxed));
+            buckets[i + MIN_BUCKET] = u64::from(src.load(Ordering::Relaxed));
         }
         HistogramSnapshot {
             buckets,
@@ -306,27 +238,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_equals_union() {
-        let _g = crate::switch_test_guard();
-        crate::set_enabled(true);
-        let (a, b, u) = (
-            LatencyHistogram::new(),
-            LatencyHistogram::new(),
-            LatencyHistogram::new(),
-        );
-        for v in [0u64, 1, 7, 100, 5_000, u64::MAX] {
-            a.record(v);
-            u.record(v);
-        }
-        for v in [3u64, 7, 900, 1 << 40] {
-            b.record(v);
-            u.record(v);
-        }
-        a.merge_from(&b);
-        assert_eq!(a.snapshot(), u.snapshot());
-    }
-
-    #[test]
     fn empty_histogram_has_no_quantiles() {
         let h = LatencyHistogram::new();
         assert_eq!(h.snapshot().quantile(0.5), None);
@@ -334,47 +245,61 @@ mod tests {
     }
 
     #[test]
-    fn compact_matches_full_inside_the_clamped_range() {
+    fn in_range_samples_keep_their_log2_bucket() {
         let _g = crate::switch_test_guard();
         crate::set_enabled(true);
-        let (c, f) = (CompactLatencyHistogram::new(), LatencyHistogram::new());
-        for v in [32u64, 100, 999, 65_536, 1_000_000, (1 << 37) - 1] {
-            c.record(v);
-            f.record(v);
+        let h = LatencyHistogram::new();
+        let samples = [32u64, 100, 999, 65_536, 1_000_000, (1 << 37) - 1];
+        for v in samples {
+            h.record(v);
         }
-        assert_eq!(c.snapshot(), f.snapshot());
+        let mut want = [0u64; BUCKETS];
+        for v in samples {
+            want[bucket_of(v)] += 1;
+        }
+        let s = h.snapshot();
+        assert_eq!(s.buckets(), &want);
+        assert_eq!(s.sum(), samples.iter().sum::<u64>());
     }
 
     #[test]
-    fn compact_clamps_out_of_range_samples_to_the_edge_buckets() {
+    fn clamps_out_of_range_samples_to_the_edge_buckets() {
         let _g = crate::switch_test_guard();
         crate::set_enabled(true);
-        let c = CompactLatencyHistogram::new();
-        c.record(0);
-        c.record(31);
-        c.record(u64::MAX);
-        let s = c.snapshot();
+        let h = LatencyHistogram::new();
+        h.record(0);
+        h.record(31);
+        h.record(u64::MAX);
+        let s = h.snapshot();
         assert_eq!(s.count(), 3);
-        assert_eq!(s.buckets()[COMPACT_MIN_BUCKET], 2);
-        assert_eq!(s.buckets()[COMPACT_MAX_BUCKET], 1);
-        // The sum stays unclamped (it wraps like the full histogram's).
+        assert_eq!(s.buckets()[MIN_BUCKET], 2);
+        assert_eq!(s.buckets()[MAX_BUCKET], 1);
+        // The sum stays unclamped (and wraps).
         assert_eq!(s.sum(), u64::MAX.wrapping_add(31));
         // Quantiles saturate at the clamp edge instead of erring.
         let (lo, hi) = s.quantile_bounds(1.0).unwrap();
-        assert_eq!((lo, hi), bucket_bounds(COMPACT_MAX_BUCKET));
+        assert_eq!((lo, hi), bucket_bounds(MAX_BUCKET));
         assert!((lo..=hi).contains(&s.quantile(1.0).unwrap()));
     }
 
     #[test]
-    fn compact_bucket_pins_at_u32_max() {
+    fn bucket_pins_at_u32_max() {
         let _g = crate::switch_test_guard();
         crate::set_enabled(true);
-        let c = CompactLatencyHistogram::new();
-        let k = bucket_of(100).clamp(COMPACT_MIN_BUCKET, COMPACT_MAX_BUCKET) - COMPACT_MIN_BUCKET;
-        c.buckets[k].store(u32::MAX - 1, Ordering::Relaxed);
-        c.record(100); // reaches the cap
-        c.record(100); // refused, stays pinned
-        c.record(100);
-        assert_eq!(c.buckets[k].load(Ordering::Relaxed), u32::MAX);
+        let h = LatencyHistogram::new();
+        let k = bucket_of(100).clamp(MIN_BUCKET, MAX_BUCKET) - MIN_BUCKET;
+        h.buckets[k].store(u32::MAX - 1, Ordering::Relaxed);
+        h.record(100); // reaches the cap
+        h.record(100); // refused, stays pinned
+        h.record(100);
+        assert_eq!(h.buckets[k].load(Ordering::Relaxed), u32::MAX);
+    }
+
+    /// `ModelEntry` embeds one histogram per op class inline and the
+    /// memory governor charges `size_of::<ModelEntry>()` per model, so
+    /// the footprint is part of how a governed fleet spills.
+    #[test]
+    fn footprint_is_144_bytes() {
+        assert_eq!(std::mem::size_of::<LatencyHistogram>(), 144);
     }
 }

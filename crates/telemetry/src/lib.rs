@@ -10,14 +10,12 @@
 //!
 //! * [`Counter`] — a monotone `u64`, relaxed atomic add.
 //! * [`Gauge`] — a signed instantaneous value (`set`/`add`), relaxed atomics.
-//! * [`LatencyHistogram`] — 65 log2-spaced buckets over `u64` samples
-//!   (and [`CompactLatencyHistogram`], a 144-byte clamped-range variant for
-//!   per-entity embedding at fleet scale)
-//!   (nanoseconds by convention, but any magnitude works — the event loop
-//!   reuses it for coalescing run lengths). Recording is O(1): one
-//!   `leading_zeros`, two relaxed `fetch_add`s, no locks. Histograms merge
-//!   across threads by bucket addition, and a [`HistogramSnapshot`] extracts
-//!   p50/p90/p99/p999 with within-bucket interpolation.
+//! * [`LatencyHistogram`] — 144 bytes of log2-spaced `u32` buckets over
+//!   nanosecond samples, clamped to `[32 ns, ~137 s)` so it can be embedded
+//!   per hosted model at fleet scale. Recording is O(1): one
+//!   `leading_zeros`, one compare-exchange, one relaxed `fetch_add`, no
+//!   locks. A [`HistogramSnapshot`] (65 buckets) extracts p50/p90/p99/p999
+//!   with within-bucket interpolation.
 //! * [`Journal`] — a bounded ring buffer of coarse [`SpanEvent`]s (gossip
 //!   ticks, delta pulls, drains). Coarse means a mutex is fine here; the
 //!   ring never grows past its capacity and overwrites the oldest entry.
@@ -63,8 +61,7 @@ mod rate;
 pub use counter::{Counter, Gauge};
 pub use expo::{ExpoWriter, MetricsReport, ParseError, Sample};
 pub use histogram::{
-    bucket_bounds, bucket_of, CompactLatencyHistogram, HistogramSnapshot, LatencyHistogram,
-    BUCKETS, COMPACT_BUCKETS, COMPACT_MAX_BUCKET, COMPACT_MIN_BUCKET,
+    bucket_bounds, bucket_of, HistogramSnapshot, LatencyHistogram, BUCKETS, MAX_BUCKET, MIN_BUCKET,
 };
 pub use journal::{Journal, SpanEvent};
 pub use rate::RateAccountant;
