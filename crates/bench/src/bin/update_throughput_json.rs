@@ -375,8 +375,8 @@ fn measure_serve_governor_ab(
 /// Many-clients/one-server saturation: [`SATURATION_CONNECTIONS`]
 /// concurrent connections each pipeline the full stream into the node's
 /// default model, and the row reports **aggregate** updates/sec — the
-/// event backend's per-model queue and executor pool under
-/// many-connection contention for one learner lock. `ns_per_update` is
+/// event backend's loops under many-connection contention for one
+/// learner lock. `ns_per_update` is
 /// wall time per aggregate update.
 fn measure_serve_saturation(
     name: &str,

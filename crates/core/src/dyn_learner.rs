@@ -219,6 +219,12 @@ impl_dyn_mergeable!(
     fn label_domain(&self) -> LabelDomain {
         LabelDomain::Classes(self.classes() as u32)
     },
+    /// One pass over the class sketches yields both the argmax class and
+    /// its margin.
+    fn margin_and_label(&self, x: &SparseVector) -> (f64, Label) {
+        let (class, margin) = self.best_class(x);
+        (margin, crate::multiclass::class_label(class))
+    },
     /// Truthful resident accounting (per-class sketches at full cost).
     fn resident_bytes(&self) -> usize {
         MulticlassAwmSketch::resident_bytes(self)
@@ -332,7 +338,6 @@ mod tests {
                 l.update(&x, y);
             }
             assert_eq!(l.examples_seen(), 400, "{}", l.method_name());
-            assert_eq!(l.clock(), 400, "{}", l.method_name());
             assert!(
                 l.estimate(3) > 0.0 && l.estimate(7) < 0.0,
                 "{} failed to learn: w3={} w7={}",
@@ -416,6 +421,35 @@ mod tests {
         }
     }
 
+    /// `margin_and_label` is `(margin, predict)` bit for bit: the sign
+    /// rule for every binary learner, the argmax class and its margin for
+    /// the multiclass override.
+    #[test]
+    fn margin_and_label_equals_margin_then_predict() {
+        let mut learners = all_binary_learners();
+        let mut mc = MulticlassAwmSketch::new(MulticlassConfig {
+            classes: 3,
+            per_class: AwmSketchConfig::new(8, 64).seed(3),
+        });
+        for t in 0..300u32 {
+            let x = SparseVector::from_pairs(&[(t % 9, 1.0), (20 + t % 5, -0.5)]);
+            mc.update_class(&x, (t % 3) as usize);
+            for l in &mut learners {
+                l.update(&x, if t % 2 == 0 { 1 } else { -1 });
+            }
+        }
+        learners.push(Box::new(mc));
+        for l in &learners {
+            for f in 0..30u32 {
+                let x = SparseVector::from_pairs(&[(f, 1.0), (f + 7, 0.25)]);
+                let (margin, label) = l.margin_and_label(&x);
+                let name = l.method_name();
+                assert_eq!(margin.to_bits(), l.margin(&x).to_bits(), "{name}");
+                assert_eq!(label, l.predict(&x), "{name}");
+            }
+        }
+    }
+
     #[test]
     fn decode_any_learner_rejects_substrate_and_foreign_kinds() {
         let mut w = wmsketch_hashing::codec::Writer::new();
@@ -448,7 +482,7 @@ mod tests {
         let snap_b = DynLearner::snapshot(&b).unwrap();
         let dyn_a: &mut dyn DynLearner = &mut a;
         dyn_a.absorb_snapshot(&snap_b).unwrap();
-        assert_eq!(dyn_a.clock(), 1000);
+        assert_eq!(dyn_a.examples_seen(), 1000);
         // Merged stream sums match the reference sum of both halves.
         for f in 0..100u32 {
             let merged = dyn_a.estimate(f);

@@ -116,11 +116,18 @@ impl MulticlassAwmSketch {
     /// answer queries on a saturated model, not poison its mutex.
     #[must_use]
     pub fn predict_class(&self, x: &SparseVector) -> usize {
-        self.margins(x)
+        self.best_class(x).0
+    }
+
+    /// The predicted class and its margin — the model's margin — from one
+    /// pass over the per-class sketches.
+    #[must_use]
+    pub(crate) fn best_class(&self, x: &SparseVector) -> (usize, f64) {
+        self.sketches
             .iter()
+            .map(|s| s.margin(x))
             .enumerate()
-            .max_by(|a, b| a.1.total_cmp(b.1))
-            .map(|(c, _)| c)
+            .max_by(|a, b| a.1.total_cmp(&b.1))
             .expect("at least 2 classes")
     }
 
@@ -294,16 +301,22 @@ impl MulticlassAwmSketch {
     }
 }
 
+/// A class index in the `Label` slot; panics past 127 (see
+/// `OnlineLearner::predict` below).
+pub(crate) fn class_label(class: usize) -> Label {
+    assert!(
+        class <= i8::MAX as usize,
+        "class {class} does not fit the i8 Label slot; use predict_class for >128-class models"
+    );
+    class as Label
+}
+
 impl OnlineLearner for MulticlassAwmSketch {
     /// The maximum per-class margin — the value
     /// [`MulticlassAwmSketch::predict_class`] maximizes (NaN-tolerant by
     /// IEEE total order, like `predict_class`).
     fn margin(&self, x: &SparseVector) -> f64 {
-        self.sketches
-            .iter()
-            .map(|s| s.margin(x))
-            .max_by(f64::total_cmp)
-            .expect("at least 2 classes")
+        self.best_class(x).1
     }
 
     /// One-vs-rest update with the label interpreted as a **class
@@ -327,12 +340,7 @@ impl OnlineLearner for MulticlassAwmSketch {
     /// wire-facing callers cap the class count at creation instead (see
     /// the serve crate's registry).
     fn predict(&self, x: &SparseVector) -> Label {
-        let class = self.predict_class(x);
-        assert!(
-            class <= i8::MAX as usize,
-            "class {class} does not fit the i8 Label slot; use predict_class for >128-class models"
-        );
-        class as Label
+        class_label(self.predict_class(x))
     }
 
     fn examples_seen(&self) -> u64 {

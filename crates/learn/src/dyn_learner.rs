@@ -109,19 +109,21 @@ pub trait DynLearner: Send {
         }
     }
 
+    /// `(margin(x), predict(x))`, bit for bit, scoring `x` once. The
+    /// default is the binary rule: the label is the margin's sign.
+    /// Multiclass learners override it.
+    fn margin_and_label(&self, x: &SparseVector) -> (f64, Label) {
+        let margin = self.margin(x);
+        (margin, if margin >= 0.0 { 1 } else { -1 })
+    }
+
     /// Point estimate of one feature's weight (the paper's Definition 3
     /// interface).
     fn estimate(&self, feature: u32) -> f64;
 
-    /// Examples this instance has itself observed (absorbed peers
-    /// excluded — see [`DynLearner::clock`]).
+    /// The model clock: examples this instance observed plus the clocks
+    /// of peer models merged into it (a merge adds the peer's count).
     fn examples_seen(&self) -> u64;
-
-    /// The model clock including absorbed peer models (defaults to
-    /// [`DynLearner::examples_seen`]).
-    fn clock(&self) -> u64 {
-        self.examples_seen()
-    }
 
     /// The top `k` features by estimated |weight| from the learner's
     /// native recovery state; empty for learners without one.
@@ -171,16 +173,15 @@ pub trait DynLearner: Send {
     /// Reinstates `bytes` as this learner's *own* checkpointed state —
     /// the durability counterpart of [`DynLearner::absorb_snapshot`].
     ///
-    /// Absorb has peer-merge semantics: the foreign clock accrues to the
-    /// replication clock, and the merge folds the peer's scale into
-    /// logical weights, which changes the stored float representation.
-    /// Restore instead *replaces* state where the snapshot captures it
+    /// Absorb has peer-merge semantics: the foreign clock adds to this
+    /// model's clock, and the merge folds the peer's scale into logical
+    /// weights, which changes the stored float representation. Restore
+    /// instead *replaces* state where the snapshot captures it
     /// completely (the plain sketch learners), bit for bit —
     /// pre-scale cells, the scale factor, the update clock, the top-K
     /// heap — so training resumed on a restored learner follows the
-    /// exact trajectory the checkpoint interrupted, and the restored
-    /// clock counts as *locally seen* examples rather than absorbed
-    /// peer state.
+    /// exact trajectory the checkpoint interrupted, and the clock is the
+    /// checkpoint's, not a sum.
     ///
     /// The default delegates to [`DynLearner::absorb_snapshot`] for
     /// learner kinds without a stronger notion of identity.
@@ -339,7 +340,6 @@ mod tests {
         assert_eq!(l.method_name(), "Hash");
         assert_eq!(l.label_domain(), LabelDomain::Binary);
         assert_eq!(l.examples_seen(), 400);
-        assert_eq!(l.clock(), 400);
         assert!(l.estimate(10) > 0.0 && l.estimate(20) < 0.0);
         assert_eq!(l.predict(&SparseVector::one_hot(10, 1.0)), 1);
         // No native recovery, but the domain scan finds the signal.

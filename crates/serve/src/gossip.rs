@@ -196,7 +196,7 @@ fn apply_pulled(
         }
         let recovered = wmsketch_core::decode_any_learner(bytes)?;
         let mut learner = entry.learner()?;
-        if recovered.clock() <= learner.clock() {
+        if recovered.examples_seen() <= learner.examples_seen() {
             return Ok(false);
         }
         // Replace through the guard so governor accounting follows the
@@ -215,7 +215,7 @@ fn apply_pulled(
                 ));
             }
             let learner = wmsketch_core::decode_any_learner(bytes)?;
-            let applied = learner.clock();
+            let applied = learner.examples_seen();
             repl.origins
                 .insert(origin, OriginReplica { applied, learner });
             Ok(true)
@@ -228,10 +228,10 @@ fn apply_pulled(
                 Ok(true)
             } else {
                 let recovered = wmsketch_core::decode_any_learner(bytes)?;
-                if recovered.clock() <= replica.applied {
+                if recovered.examples_seen() <= replica.applied {
                     return Ok(false); // re-delivered or stale full record
                 }
-                replica.applied = recovered.clock();
+                replica.applied = recovered.examples_seen();
                 replica.learner = recovered;
                 Ok(true)
             }

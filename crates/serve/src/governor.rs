@@ -273,7 +273,7 @@ impl MemoryGovernor {
         let ModelSlot::Resident(learner) = &*slot else {
             return false; // already a stub
         };
-        let clock = learner.clock();
+        let clock = learner.examples_seen();
         let memory_bytes = learner.memory_bytes() as u64;
         let path = self.spill_path(entry.name());
         let written = learner

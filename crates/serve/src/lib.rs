@@ -114,24 +114,18 @@
 //! `"default"`, kind `03` WM).
 //!
 //! **Pipelining.** A connection may write request frame N+1 without
-//! waiting for frame N's response — both backends accept it (the event
-//! backend additionally keeps reading and queueing a connection's frames
-//! while earlier ones execute). The server guarantees **per-connection response
-//! ordering**: responses come back in exactly the order the requests
-//! were framed, one response per request, so a pipelined reader pairs
-//! them by position — there are no response tags. Ops addressing the
-//! same model additionally *execute* in their per-connection send order
-//! (a pipelined ESTIMATE never observes the model from before an UPDATE
-//! framed ahead of it). Ops addressing *different* models, or a model op
-//! pipelined against a registry op, may execute out of order relative to
-//! each other on the event backend — only their responses are reordered
-//! back; the one cross-queue guarantee is that a request addressing a
-//! model by *name-derived id* pipelined behind the CREATE that registers
-//! it executes after that CREATE. A client that never pipelines (at most
-//! one request in flight) is unaffected by all of this. After a frame
-//! whose response is an `ERR` the connection stays usable; after a
-//! *framing* violation (oversized length prefix) the server finishes the
-//! responses it owes and closes.
+//! waiting for frame N's response — both backends accept it. On both,
+//! one connection's requests **execute one at a time in the order they
+//! were framed**, and their responses come back in that order, one
+//! response per request, so a pipelined reader pairs them by position —
+//! there are no response tags. A pipelined ESTIMATE never observes the
+//! model from before an UPDATE framed ahead of it, and a request for a
+//! model pipelined behind the CREATE that registers it runs after that
+//! CREATE. Requests from *different* connections on one model are
+//! ordered by the model's learner lock. After a frame whose response is
+//! an `ERR` the connection stays usable; after a *framing* violation
+//! (oversized length prefix) the server finishes the responses it owes
+//! and closes.
 //!
 //! Shared payload encodings:
 //!
@@ -434,8 +428,8 @@
 //! | `bytes_rx_total` | counter | request bytes read (length prefixes included) |
 //! | `bytes_tx_total` | counter | response bytes handed to the transport |
 //! | `connections_open` | gauge | currently open connections |
-//! | `paused_connections` | gauge | connections under pipeline backpressure (event backend) |
-//! | `executor_queue_depth` | gauge | queued-but-unanswered requests (event backend) |
+//! | `paused_connections` | gauge | connections whose read frames wait on unsent responses (event backend) |
+//! | `executor_queue_depth` | gauge | request frames read but not yet executed (event backend) |
 //! | `update_frames_total` | counter | mirror of the STATS update-frame counter |
 //! | `gossip_rounds_total` | counter | gossip ticks started |
 //! | `gossip_attempts_total` | counter | per-peer exchanges attempted |
@@ -484,17 +478,18 @@
 //! * **Threaded** ([`ServeBackend::Threaded`]) — blocking accept loop,
 //!   one thread per connection. Simple, portable, and the default off
 //!   Linux.
-//! * **Event** ([`ServeBackend::Event`]) — a readiness-driven
-//!   nonblocking loop over raw `epoll` (Linux only, where it is the
-//!   default): per-connection incremental frame reassembly, request
-//!   pipelining, and per-model FIFO work queues drained by a small
-//!   executor pool. An executor runs one request at a time through the
-//!   same handler the threaded backend calls, so both backends decode,
-//!   lock, and record telemetry identically. Connections
-//!   cost no thread, so one node holds many thousands; a connection with
-//!   128 unanswered requests stops being read until it drains, and
-//!   accept/registration failures (fd exhaustion) back off for 10 ms
-//!   instead of spinning.
+//! * **Event** ([`ServeBackend::Event`]) — run-to-completion loops over
+//!   raw `epoll` (Linux only, where it is the default): one to four
+//!   nonblocking loop threads, one per available CPU, each owning the
+//!   connections it accepted. A loop reassembles a connection's frames,
+//!   runs each one in arrival order through the same handler the
+//!   threaded backend calls — so both backends decode, lock, and record
+//!   telemetry identically — and writes the responses itself; no
+//!   request crosses a thread. Connections cost no thread, so one node
+//!   holds many thousands; a connection whose unsent responses pass
+//!   1 MiB has its remaining frames held and its reads stopped until the
+//!   socket drains, and accept/registration failures (fd exhaustion)
+//!   back off for 10 ms instead of spinning.
 //!
 //! Selection order: an explicit [`ServeConfig::backend`] override, else
 //! the `WMSKETCH_SERVE_BACKEND` environment variable (`threaded` |

@@ -118,8 +118,8 @@ impl ModelTelemetry {
     }
 }
 
-/// Node-wide telemetry shared by both transport backends, the executor
-/// pool, and the gossip thread.
+/// Node-wide telemetry shared by both transport backends and the gossip
+/// thread.
 pub(crate) struct NodeMetrics {
     /// Telemetry for registry-level ops (CREATE/LIST/SHUTDOWN/PEER_JOIN/
     /// METRICS) and for requests that never resolved a model — exposed
@@ -133,11 +133,12 @@ pub(crate) struct NodeMetrics {
     pub(crate) bytes_tx: Counter,
     /// Currently open connections.
     pub(crate) connections: Gauge,
-    /// Event backend: connections whose read interest is dropped because
-    /// their pipeline hit `MAX_PIPELINE_DEPTH` (backpressure engaged).
+    /// Event backend: connections whose read frames wait, and whose
+    /// reads are stopped, until their unsent responses drain
+    /// (backpressure engaged).
     pub(crate) paused_connections: Gauge,
-    /// Event backend: queued-but-unanswered requests across all
-    /// connections (the executor queue depth the I/O loop observes).
+    /// Event backend: request frames read but not yet executed, across
+    /// all connections.
     pub(crate) queue_depth: Gauge,
     /// Coarse span journal: gossip ticks, delta pulls, drains, model
     /// builds.

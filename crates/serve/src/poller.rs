@@ -1,10 +1,9 @@
 //! Minimal readiness poller over raw `epoll`, in keeping with the
 //! workspace's no-external-deps policy: the `extern "C"` declarations
 //! below bind the handful of kernel entry points the event backend
-//! needs (`epoll_create1`/`epoll_ctl`/`epoll_wait`, an `eventfd` waker,
-//! and `close`/`read`/`write` on raw descriptors) directly against the
-//! platform C library that `std` already links — no `libc` crate, no
-//! `mio`.
+//! needs (`epoll_create1`/`epoll_ctl`/`epoll_wait` and `close`)
+//! directly against the platform C library that `std` already links — no
+//! `libc` crate, no `mio`.
 //!
 //! Linux-only by construction (`epoll` is a Linux API); the module is
 //! compiled out elsewhere and the backend resolver never selects the
@@ -15,15 +14,12 @@
 use std::io;
 use std::os::fd::{AsRawFd, RawFd};
 
-// Constants from the Linux UAPI headers (`sys/epoll.h`, `sys/eventfd.h`).
-// `EPOLL_CLOEXEC`/`EFD_CLOEXEC` equal `O_CLOEXEC` (octal 0o2000000) and
-// `EFD_NONBLOCK` equals `O_NONBLOCK` (octal 0o4000) on every Linux arch
-// this workspace targets.
+// Constants from the Linux UAPI header `sys/epoll.h`. `EPOLL_CLOEXEC`
+// equals `O_CLOEXEC` (octal 0o2000000) on every Linux arch this workspace
+// targets.
 const EPOLL_CLOEXEC: i32 = 0o2000000;
 const EPOLL_CTL_ADD: i32 = 1;
 const EPOLL_CTL_MOD: i32 = 3;
-const EFD_CLOEXEC: i32 = 0o2000000;
-const EFD_NONBLOCK: i32 = 0o4000;
 
 /// Readable readiness (`EPOLLIN`).
 pub const EVENT_READ: u32 = 0x001;
@@ -52,10 +48,7 @@ extern "C" {
     fn epoll_create1(flags: i32) -> i32;
     fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
     fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32) -> i32;
-    fn eventfd(initval: u32, flags: i32) -> i32;
     fn close(fd: i32) -> i32;
-    fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
-    fn write(fd: i32, buf: *const u8, count: usize) -> isize;
 }
 
 /// One delivered readiness event: the registered token plus the ready
@@ -196,91 +189,11 @@ fn with_rdhup(interest: u32) -> u32 {
     }
 }
 
-/// A cross-thread wakeup for a [`Poller`]: an `eventfd` registered for
-/// read interest. Executor threads [`Waker::wake`] after publishing
-/// completions; the loop thread [`Waker::drain`]s on delivery.
-pub struct Waker {
-    fd: RawFd,
-}
-
-// SAFETY: the waker is just an fd; `write`/`read` on an eventfd are
-// thread-safe kernel calls.
-unsafe impl Send for Waker {}
-unsafe impl Sync for Waker {}
-
-impl Waker {
-    /// Creates the eventfd (nonblocking, close-on-exec).
-    ///
-    /// # Errors
-    /// The raw `eventfd` error.
-    pub fn new() -> io::Result<Self> {
-        // SAFETY: plain syscall wrapper.
-        let fd = unsafe { eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK) };
-        if fd < 0 {
-            return Err(io::Error::last_os_error());
-        }
-        Ok(Self { fd })
-    }
-
-    /// Makes the poller's next (or current) wait return. Saturation
-    /// (`EAGAIN` on a full counter) still leaves the fd readable, so the
-    /// error is ignored.
-    pub fn wake(&self) {
-        let one = 1u64.to_ne_bytes();
-        // SAFETY: valid 8-byte buffer; eventfd writes are atomic.
-        unsafe { write(self.fd, one.as_ptr(), one.len()) };
-    }
-
-    /// Consumes pending wakeups so level-triggered polling doesn't spin.
-    pub fn drain(&self) {
-        let mut buf = [0u8; 8];
-        // SAFETY: valid 8-byte buffer. Nonblocking: returns -1/EAGAIN
-        // once the counter is consumed.
-        while unsafe { read(self.fd, buf.as_mut_ptr(), buf.len()) } == 8 {}
-    }
-}
-
-impl AsRawFd for Waker {
-    fn as_raw_fd(&self) -> RawFd {
-        self.fd
-    }
-}
-
-impl Drop for Waker {
-    fn drop(&mut self) {
-        // SAFETY: `fd` is a descriptor this struct owns.
-        unsafe { close(self.fd) };
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::io::Write as _;
     use std::net::{TcpListener, TcpStream};
-
-    #[test]
-    fn waker_wakes_a_blocked_wait() {
-        let poller = Poller::new().unwrap();
-        let waker = std::sync::Arc::new(Waker::new().unwrap());
-        poller.add(&*waker, 7, EVENT_READ).unwrap();
-        let w = std::sync::Arc::clone(&waker);
-        let t = std::thread::spawn(move || {
-            std::thread::sleep(std::time::Duration::from_millis(20));
-            w.wake();
-            w.wake(); // coalesces; still one readable event
-        });
-        let mut events = Vec::new();
-        poller.wait(&mut events, 5_000).unwrap();
-        t.join().unwrap();
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].token, 7);
-        assert!(events[0].readable());
-        waker.drain();
-        // Drained: an immediate poll reports nothing.
-        poller.wait(&mut events, 0).unwrap();
-        assert!(events.is_empty());
-    }
 
     #[test]
     fn socket_readiness_and_interest_changes() {

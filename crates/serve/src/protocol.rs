@@ -285,7 +285,9 @@ pub fn take_stats(payload: &[u8]) -> Result<ServeStats, CodecError> {
     Ok(stats)
 }
 
-/// Writes one length-prefixed frame.
+/// Writes one length-prefixed frame in a single `write_all`: under
+/// `TCP_NODELAY` a separate prefix write would go out as its own segment
+/// and wake the peer once more.
 ///
 /// # Errors
 /// Propagates socket errors; rejects bodies over [`MAX_FRAME_LEN`].
@@ -296,8 +298,10 @@ pub fn write_frame(w: &mut impl IoWrite, body: &[u8]) -> Result<(), ServeError> 
     let Some(len) = len else {
         return Err(ServeError::Protocol("frame body exceeds MAX_FRAME_LEN"));
     };
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(body)?;
+    let mut frame = Vec::with_capacity(4 + body.len());
+    frame.extend_from_slice(&len.to_le_bytes());
+    frame.extend_from_slice(body);
+    w.write_all(&frame)?;
     w.flush()?;
     Ok(())
 }
@@ -594,6 +598,41 @@ mod tests {
         assert_eq!(read_frame(&mut cursor).unwrap().unwrap(), b"hello");
         assert_eq!(read_frame(&mut cursor).unwrap().unwrap(), b"");
         assert!(read_frame(&mut cursor).unwrap().is_none());
+    }
+
+    /// A `Write` that takes every byte offered and counts the calls.
+    #[derive(Default)]
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl IoWrite for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_frame_issues_one_write_per_frame() {
+        let mut w = CountingWriter::default();
+        write_frame(&mut w, b"hello").unwrap();
+        assert_eq!(w.writes, 1);
+        write_frame(&mut w, b"").unwrap();
+        write_frame(&mut w, &[7u8; 300]).unwrap();
+        assert_eq!(w.writes, 3);
+        let mut wire = Vec::new();
+        for body in [&b"hello"[..], b"", &[7u8; 300]] {
+            wire.extend_from_slice(&(body.len() as u32).to_le_bytes());
+            wire.extend_from_slice(body);
+        }
+        assert_eq!(w.bytes, wire, "prefix then body, unchanged on the wire");
     }
 
     #[test]

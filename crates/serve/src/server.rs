@@ -8,12 +8,11 @@
 //!
 //! * **Threaded** — the classic blocking accept loop, one worker thread
 //!   per connection, strict request/response per connection.
-//! * **Event** (Linux, the default there) — a readiness-driven
-//!   nonblocking loop (`crate::event_loop`) over a raw-`epoll` poller:
-//!   incremental frame reassembly, request pipelining with per-connection
-//!   response ordering, and per-model FIFO queues drained by a small
-//!   executor pool, one request at a time through the same handler the
-//!   threaded backend runs.
+//! * **Event** (Linux, the default there) — a few run-to-completion
+//!   loops (`crate::event_loop`), each over its own raw-`epoll` poller:
+//!   incremental frame reassembly and request pipelining, every frame
+//!   run in arrival order on the loop thread that read it, through the
+//!   same handler the threaded backend runs.
 
 use std::collections::{BTreeMap, HashMap};
 use std::io::Read;
@@ -606,7 +605,7 @@ impl ModelEntry {
     /// a gossip watermark should claim for state it hasn't loaded).
     pub(crate) fn clock_hint(&self) -> u64 {
         match &*self.slot.lock().expect("slot mutex") {
-            ModelSlot::Resident(l) => l.clock(),
+            ModelSlot::Resident(l) => l.examples_seen(),
             ModelSlot::Spilled(stub) => stub.clock,
         }
     }
@@ -615,7 +614,7 @@ impl ModelEntry {
     /// so monitoring never revives a cold model).
     fn info(&self) -> ModelInfo {
         let (clock, memory_bytes) = match &*self.slot.lock().expect("slot mutex") {
-            ModelSlot::Resident(l) => (l.clock(), l.memory_bytes() as u64),
+            ModelSlot::Resident(l) => (l.examples_seen(), l.memory_bytes() as u64),
             ModelSlot::Spilled(stub) => (stub.clock, stub.memory_bytes),
         };
         ModelInfo {
@@ -1030,7 +1029,10 @@ fn checkpoint_pass(state: &ServerState, last_persisted: &mut HashMap<u32, (u64, 
             };
             // Installs are bumped under the slot lock held here, so the
             // pair is read consistently.
-            let version = (entry.installs.load(Ordering::Relaxed), learner.clock());
+            let version = (
+                entry.installs.load(Ordering::Relaxed),
+                learner.examples_seen(),
+            );
             if last_persisted.get(&entry.id) == Some(&version) {
                 state.metrics.checkpoints_skipped.inc();
                 continue;
@@ -1383,7 +1385,7 @@ fn handle_create(r: &mut Reader<'_>, state: &ServerState) -> Result<u32, ServeEr
     // Build outside the registry lock: decoding a 64 MiB template must
     // not block every other connection's model lookup.
     let learner = wmsketch_core::decode_any_learner(&template)?;
-    if learner.clock() != 0 {
+    if learner.examples_seen() != 0 {
         return Err(ServeError::Protocol("model template must be untrained"));
     }
     let label_domain = learner.label_domain();
@@ -1483,7 +1485,7 @@ fn serve_query<R>(
         return Ok(f(learner.as_ref()));
     }
     let mut basis: Vec<(u64, u64)> = Vec::with_capacity(repl.origins.len() + 1);
-    basis.push((node_id, learner.clock()));
+    basis.push((node_id, learner.examples_seen()));
     for (&origin, replica) in &repl.origins {
         basis.push((origin, replica.applied));
     }
@@ -1641,8 +1643,7 @@ fn dispatch_request(
         OP_PREDICT => {
             let x = take_features(&mut r)?;
             r.finish()?;
-            let (margin, label) =
-                serve_query(&entry, state.node_id, |l| (l.margin(&x), l.predict(&x)))?;
+            let (margin, label) = serve_query(&entry, state.node_id, |l| l.margin_and_label(&x))?;
             out.put_f64(margin);
             out.put_i8(label);
         }
@@ -1682,7 +1683,7 @@ fn dispatch_request(
             let peer = wmsketch_core::decode_any_learner(bytes)?;
             let mut learner = entry.learner()?;
             learner.absorb_peer(&*peer)?;
-            out.put_u64(learner.clock());
+            out.put_u64(learner.examples_seen());
         }
         OP_CHECKPOINT => {
             let path =
@@ -1707,7 +1708,7 @@ fn dispatch_request(
             let bytes = std::fs::read(&path)?;
             let mut fresh = entry.fresh_learner()?;
             fresh.restore_snapshot(&bytes)?;
-            let clock = fresh.clock();
+            let clock = fresh.examples_seen();
             // `install` swaps the slot without touching any spill record
             // — a RESTORE onto a spilled model must succeed even when
             // the spill file is corrupt.
@@ -1717,19 +1718,16 @@ fn dispatch_request(
         OP_STATS => {
             r.finish()?;
             // Stub-aware: STATS is the monitoring op and must never
-            // revive a cold model; a stub's spill-time clock stands in
-            // for both counters.
-            let (routed, root_examples) = match &*entry.slot.lock().expect("slot mutex") {
-                ModelSlot::Resident(l) => (l.examples_seen(), l.clock()),
-                ModelSlot::Spilled(stub) => (stub.clock, stub.clock),
-            };
+            // revive a cold model. The model has one clock, which fills
+            // both the `routed` and `clock` slots.
+            let clock = entry.clock_hint();
             // Every UPDATE frame takes the learner lock once, so the
             // frame count fills both counter slots.
             let update_frames = state.update_frames.load(Ordering::Relaxed);
             let gov = state.governor.as_deref();
             let stats = ServeStats {
-                routed,
-                root_examples,
+                routed: clock,
+                root_examples: clock,
                 models: registry_rows(state),
                 backend: state.backend,
                 update_lock_acquisitions: update_frames,
@@ -1764,7 +1762,7 @@ fn dispatch_request(
                 // cannot be proven exact (PULL_SINCE_FULL lands here by
                 // construction: it exceeds any clock).
                 let mut learner = entry.learner()?;
-                let clock = learner.clock();
+                let clock = learner.examples_seen();
                 out.put_u64(clock);
                 if since == PULL_SINCE_FULL || since < clock {
                     out.put_bytes(&learner.encode_delta_since(since)?);

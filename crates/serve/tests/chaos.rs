@@ -409,7 +409,7 @@ fn created_models_survive_a_crash_via_spec_sidecars() {
     let crashy_ckpt = dir.join("m-637261736879.ckpt"); // hex("crashy")
     assert!(
         wait_for(10, || std::fs::read(&crashy_ckpt).is_ok_and(|bytes| {
-            wmsketch_core::decode_any_learner(&bytes).is_ok_and(|l| l.clock() == 300)
+            wmsketch_core::decode_any_learner(&bytes).is_ok_and(|l| l.examples_seen() == 300)
         })),
         "the created model's full-clock checkpoint should land in 10s"
     );
@@ -441,7 +441,7 @@ fn wait_for_default_checkpoint(dir: &std::path::Path, clock: u64) {
     let path = dir.join(DEFAULT_CKPT);
     assert!(
         wait_for(10, || std::fs::read(&path).is_ok_and(|bytes| {
-            wmsketch_core::decode_any_learner(&bytes).is_ok_and(|l| l.clock() == clock)
+            wmsketch_core::decode_any_learner(&bytes).is_ok_and(|l| l.examples_seen() == clock)
         })),
         "the default model's clock-{clock} checkpoint should land in 10s"
     );

@@ -4,7 +4,8 @@
 //! per-connection response ordering and bit-exact final-state parity
 //! with the same streams ingested over a single blocking connection —
 //! plus, on the event backend, thousands of idle connections coexisting
-//! with an active one.
+//! with an active one, and on both backends a flood of unread replies
+//! that must not stall other connections.
 
 use std::io::Write;
 use std::net::TcpStream;
@@ -14,8 +15,8 @@ use wmsketch_core::{
 };
 use wmsketch_learn::{Label, SparseVector};
 use wmsketch_serve::protocol::{
-    put_examples, read_frame, request_for_model, write_frame, OP_MERGE, OP_UPDATE, STATUS_ERR,
-    STATUS_OK,
+    put_examples, read_frame, request_for_model, write_frame, OP_ESTIMATE, OP_MERGE, OP_SNAPSHOT,
+    OP_UPDATE, STATUS_ERR, STATUS_OK,
 };
 use wmsketch_serve::{ServeBackend, ServeClient, ServeConfig, ServerHandle, WmServer};
 
@@ -385,6 +386,80 @@ fn merge_between_pipelined_updates_is_fifo_event() {
     merge_between_pipelined_updates_case(ServeBackend::Event, 1);
 }
 
+/// Backpressure: a raw connection pipelines 1000 SNAPSHOT requests for
+/// an 8 KB WM model (about 16 KB a reply, far more than the socket
+/// buffers hold) and reads none of the replies. Another connection's
+/// ESTIMATE must still be answered within a deadline, and the raw
+/// connection must then read every reply, in order and complete. A
+/// backend that blocked on the full socket would wedge a one-thread node.
+fn unread_snapshot_flood_case(backend: ServeBackend) {
+    const SNAPSHOTS: usize = 1000;
+    let server = start(default_model().backend(backend));
+    let template =
+        WmSketch::new(WmSketchConfig::new(128, 14).heap_capacity(128).seed(8)).to_snapshot_bytes();
+    let mut c = ServeClient::connect(server.addr()).unwrap();
+    let id = c.create_model("flood", &template, 0).unwrap();
+    c.set_model(id).unwrap();
+    c.update_batch(&stream_for(2)).unwrap();
+    let expected = c.snapshot().unwrap();
+    assert!(
+        expected.len() * SNAPSHOTS > 8 << 20,
+        "replies must overflow the socket buffers"
+    );
+
+    let mut flood = TcpStream::connect(server.addr()).unwrap();
+    flood.set_nodelay(true).unwrap();
+    let wire = raw_frame(id, OP_SNAPSHOT, wmsketch_hashing::codec::Writer::new()).repeat(SNAPSHOTS);
+    flood.write_all(&wire).unwrap();
+    // Probe only once the node is answering the flood: the first reply
+    // bytes have reached the unread socket.
+    flood
+        .set_read_timeout(Some(std::time::Duration::from_secs(30)))
+        .unwrap();
+    flood
+        .peek(&mut [0u8; 1])
+        .expect("the node never answered the flood");
+
+    let mut probe = TcpStream::connect(server.addr()).unwrap();
+    probe.set_nodelay(true).unwrap();
+    probe
+        .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .unwrap();
+    let mut w = wmsketch_hashing::codec::Writer::new();
+    w.put_u32(3);
+    probe.write_all(&raw_frame(id, OP_ESTIMATE, w)).unwrap();
+    let resp = read_frame(&mut probe)
+        .expect("ESTIMATE not answered while another connection's replies sat unread")
+        .expect("probe connection closed");
+    assert_eq!(
+        resp[0],
+        STATUS_OK,
+        "{}",
+        String::from_utf8_lossy(&resp[1..])
+    );
+
+    for k in 0..SNAPSHOTS {
+        let resp = read_frame(&mut flood)
+            .expect("read snapshot reply")
+            .unwrap_or_else(|| panic!("connection closed before reply {k}"));
+        assert_eq!(resp[0], STATUS_OK, "reply {k}");
+        assert!(resp[1..] == expected[..], "reply {k} differs");
+    }
+    drop(flood);
+    server.shutdown();
+}
+
+#[test]
+fn unread_snapshot_flood_does_not_wedge_the_node_threaded() {
+    unread_snapshot_flood_case(ServeBackend::Threaded);
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn unread_snapshot_flood_does_not_wedge_the_node_event() {
+    unread_snapshot_flood_case(ServeBackend::Event);
+}
+
 /// Shutdown-drain regression: a SHUTDOWN landing while a full pipeline
 /// window is in flight must not drop responses the node already
 /// computed. The event loop's drain used to take a single write pass —
@@ -408,8 +483,8 @@ fn shutdown_races_full_pipeline_window_without_losing_responses() {
     raw.write_all(&wire).unwrap();
 
     // Once node-wide accounting shows every frame executed, each
-    // response exists somewhere between an executor slot and the socket
-    // — exactly the state the drain must flush. Then pull the plug.
+    // response exists somewhere between the node's write buffer and the
+    // socket — exactly the state the drain must flush. Then pull the plug.
     let mut observer = ServeClient::connect(server.addr()).unwrap();
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
     while observer.stats().unwrap().update_frames < FRAMES_PER_CONN as u64 {

@@ -168,7 +168,7 @@ fn two_node_snapshot_merge_matches_single_node_bit_for_bit() {
         assert_eq!(a.feature, b.feature);
         assert!(a.weight.to_bits() == b.weight.to_bits());
     }
-    assert_eq!(root_clock, DynLearner::clock(&reference));
+    assert_eq!(root_clock, DynLearner::examples_seen(&reference));
 
     // And the shipped model really carries the planted signal.
     assert!(agg_client.estimate(3).unwrap() > 0.2);
@@ -415,7 +415,7 @@ where
         assert_eq!(x.feature, y.feature);
         assert!(x.weight.to_bits() == y.weight.to_bits());
     }
-    assert_eq!(clock, DynLearner::clock(&reference));
+    assert_eq!(clock, DynLearner::examples_seen(&reference));
     (agg, vec![node_a, node_b, aggregator])
 }
 

@@ -151,7 +151,7 @@ fn parity<L>(
     }
     assert_eq!(
         clock,
-        DynLearner::clock(&reference),
+        DynLearner::examples_seen(&reference),
         "{label}: clock parity"
     );
     println!("parity[{label}]: aggregated ≡ in-process reference, bit for bit ✓");

@@ -130,7 +130,7 @@ fn main() {
         assert_eq!(x.feature, y.feature, "top-K feature order diverged");
         assert!(x.weight.to_bits() == y.weight.to_bits());
     }
-    assert_eq!(clock, DynLearner::clock(&reference), "clock parity");
+    assert_eq!(clock, DynLearner::examples_seen(&reference), "clock parity");
     println!("parity: aggregated model ≡ in-process reference, bit for bit ✓");
 
     let (margin, label) = agg
