@@ -1,6 +1,7 @@
 //! Micro-benchmarks for the WM-Sketch reproduction.
 //!
-//! The criterion-style bench targets live in `benches/`:
+//! The library target is empty; the criterion-style bench targets live in
+//! `benches/`:
 //!
 //! * `update_throughput` — per-update cost of every budgeted method on an
 //!   RCV1-like stream at the Table 2 configurations; together with the
@@ -10,17 +11,6 @@
 //! * `hashing` — tabulation vs polynomial vs MurmurHash3 evaluation cost.
 //! * `structures` — indexed-heap and Space-Saving operation costs.
 //!
-//! The `update_throughput_json` bin (`src/bin/`) measures the fused
-//! single-hash update pipeline against the retained naive multi-pass path
-//! at the 8 KB Figure-7 configuration and records the results in
-//! `BENCH_update_throughput.json` for PR-over-PR perf tracking; the JSON
-//! schema is documented in this crate's `README.md`.
-//!
-//! The `model_fleet` bin drives the [`fleet`] harness at full scale
-//! (~10k governed models, zipf traffic, bit-identity spot checks against
-//! an all-hot reference); the tracking bin embeds the same harness's
-//! results as the schema-v8 `fleet` block.
-
-#![warn(missing_docs)]
-
-pub mod fleet;
+//! End-to-end serving figures (ingest and query throughput, latency
+//! quantiles, the governed model fleet) come from the repository
+//! benchmark in `perfbench/`, not from this crate.

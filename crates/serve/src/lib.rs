@@ -383,10 +383,12 @@
 //!   template build; spilling it would overwrite the real checkpoint).
 //!
 //! STATS reports the budget, the residency gauges and the spill/revival
-//! counters (its last six fields). The `model_fleet` bench bin and the
-//! `fleet` block of `BENCH_update_throughput.json` drive ~10k governed
-//! models under a quarter-of-hot-sum budget with zipf traffic and
-//! spot-check bit-identity against an all-hot reference node.
+//! counters (its last six fields). The `model_fleet` example drives 96
+//! governed models under a quarter-of-hot-sum budget and checks every
+//! eighth model byte for byte against a never-evicted twin; the
+//! repository benchmark's `fleet` workload (`perfbench/`) sends zipf
+//! traffic over 1000 governed models and gates the served models bit for
+//! bit.
 //!
 //! ## Telemetry: the `OP_METRICS` exposition
 //!
@@ -455,19 +457,13 @@
 //! | `request_bytes_total` (`model`) | counter | wire bytes addressing the model |
 //! | `update_examples_total` (`model`) | counter | labelled examples ingested |
 //! | `op_errors_total` (`model`) | counter | requests answered with ERR |
-//! | `rate_update_examples_estimate` (`model`) | gauge | Count-Min estimate of the model's ingested examples |
-//! | `rate_queries_estimate` (`model`) | gauge | Count-Min estimate of the model's read queries |
 //! | `replication_lag` (`model`, `origin`) | gauge | origin clock reported by the last gossip exchange minus this node's applied watermark (0 = caught up) |
 //! | `journal_pushed` | counter | span events ever journalled |
 //! | `journal_span` (`seq`, `kind`, `detail`, `at_ns`) | value = span ns | ring-buffered coarse spans: `gossip_tick`, `delta_pull`, `drain`, `model_create` |
 //!
 //! The `model` label is the registry *name* (stable across nodes, unlike
 //! ids); registry-level ops and requests that never resolved a model are
-//! attributed to the reserved pseudo-model `_registry`. The per-model
-//! rate estimates come from a fixed-size Count-Min accountant — the
-//! paper's own substrate doing the fleet's high-cardinality tenant
-//! accounting, so the cost stays constant no matter how many models a
-//! node hosts.
+//! attributed to the reserved pseudo-model `_registry`.
 //!
 //! ## Backends
 //!

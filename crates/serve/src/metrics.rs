@@ -3,10 +3,9 @@
 //! and the `OP_METRICS` text-exposition renderer.
 //!
 //! The hot-path contract: recording a frame costs a fixed array index
-//! plus relaxed atomic adds — no locks, no allocation. The only mutexes
-//! here guard cold-path state: the replication-lag gauge map (written by
-//! the gossip thread, hertz not megahertz) and the Count-Min rate
-//! accountant (locked once per *frame*, never per example). Everything
+//! plus relaxed atomic adds — no locks, no allocation. The only mutex
+//! here guards cold-path state: the replication-lag gauge map (written by
+//! the gossip thread, hertz not megahertz). Everything
 //! is further gated on [`wmsketch_telemetry::enabled`], so
 //! `WMSKETCH_TELEMETRY=off` reduces every instrumentation point to one
 //! relaxed load.
@@ -19,7 +18,7 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use wmsketch_hashing::codec::Reader;
-use wmsketch_telemetry::{Counter, ExpoWriter, Gauge, Journal, LatencyHistogram, RateAccountant};
+use wmsketch_telemetry::{Counter, ExpoWriter, Gauge, Journal, LatencyHistogram};
 
 use crate::protocol::{
     take_request_head, OP_ACK, OP_CHECKPOINT, OP_CREATE, OP_ESTIMATE, OP_LIST, OP_MERGE,
@@ -81,11 +80,6 @@ pub(crate) fn op_class_name(class: usize) -> &'static str {
         "other",
     ];
     NAMES[class]
-}
-
-/// Whether an op class is a read query the rate accountant bills.
-fn is_query_class(class: usize) -> bool {
-    matches!(class, 1 | 2 | 3 | 7) // predict, topk, snapshot, estimate
 }
 
 /// Per-model telemetry, embedded in every registry entry so recording is
@@ -171,11 +165,6 @@ pub(crate) struct NodeMetrics {
     /// gossip exchange reported minus this node's applied watermark —
     /// zero when fully caught up. Written by the gossip thread only.
     repl_lag: Mutex<BTreeMap<(u32, u64), i64>>,
-    /// Count-Min-backed per-model update/query accounting (fixed space
-    /// regardless of model count — the paper's substrate monitoring the
-    /// fleet that serves it). Locked once per frame, off the per-example
-    /// path.
-    rates: Mutex<RateAccountant>,
 }
 
 /// Journal capacity: enough to hold several seconds of gossip ticks at
@@ -183,7 +172,7 @@ pub(crate) struct NodeMetrics {
 const JOURNAL_CAPACITY: usize = 256;
 
 impl NodeMetrics {
-    pub(crate) fn new(node_id: u64) -> Self {
+    pub(crate) fn new() -> Self {
         NodeMetrics {
             registry: ModelTelemetry::new(),
             frames_rx: Counter::new(),
@@ -203,7 +192,6 @@ impl NodeMetrics {
             models_recovered: Counter::new(),
             recovery_rejected: Counter::new(),
             repl_lag: Mutex::new(BTreeMap::new()),
-            rates: Mutex::new(RateAccountant::new(node_id)),
         }
     }
 
@@ -215,26 +203,6 @@ impl NodeMetrics {
                 .lock()
                 .expect("repl lag mutex")
                 .insert((model, origin), lag);
-        }
-    }
-
-    /// Bills `examples` ingested update examples to `model`.
-    pub(crate) fn account_updates(&self, model: u32, examples: u64) {
-        if wmsketch_telemetry::enabled() {
-            self.rates
-                .lock()
-                .expect("rates mutex")
-                .record_updates(u64::from(model), examples);
-        }
-    }
-
-    /// Bills one read query to `model`.
-    pub(crate) fn account_query(&self, model: u32) {
-        if wmsketch_telemetry::enabled() {
-            self.rates
-                .lock()
-                .expect("rates mutex")
-                .record_queries(u64::from(model), 1);
         }
     }
 }
@@ -273,11 +241,6 @@ pub(crate) fn record_request(state: &ServerState, body: &[u8], started: Instant,
     tele.request_bytes.add(wire_bytes);
     if !ok {
         tele.errors.inc();
-    }
-    if ok && is_query_class(class) {
-        if let Some(e) = &entry {
-            metrics.account_query(e.id);
-        }
     }
 }
 
@@ -381,28 +344,11 @@ pub(crate) fn render(state: &ServerState) -> String {
         w.sample_u64("fault_trips_total", &[("site", site.as_str())], trips);
     }
 
-    // Per-model telemetry (the `_registry` pseudo-model first), then the
-    // Count-Min rate estimates for every registered model.
+    // Per-model telemetry (the `_registry` pseudo-model first).
     let entries = state.entries();
     render_model(&mut w, "_registry", &m.registry);
     for entry in &entries {
         render_model(&mut w, entry.name(), &entry.telemetry);
-    }
-    {
-        let rates = m.rates.lock().expect("rates mutex");
-        for entry in &entries {
-            let labels = [("model", entry.name())];
-            w.sample_u64(
-                "rate_update_examples_estimate",
-                &labels,
-                rates.updates(u64::from(entry.id)),
-            );
-            w.sample_u64(
-                "rate_queries_estimate",
-                &labels,
-                rates.queries(u64::from(entry.id)),
-            );
-        }
     }
 
     // Replication lag, labelled by model *name* (the cross-node

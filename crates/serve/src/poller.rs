@@ -1,7 +1,7 @@
 //! Minimal readiness poller over raw `epoll`, in keeping with the
 //! workspace's no-external-deps policy: the `extern "C"` declarations
 //! below bind the handful of kernel entry points the event backend
-//! needs (`epoll_create1`/`epoll_ctl`/`epoll_wait` and `close`)
+//! needs (`epoll_create1`/`epoll_ctl`/`epoll_wait`, `listen` and `close`)
 //! directly against the platform C library that `std` already links — no
 //! `libc` crate, no `mio`.
 //!
@@ -48,7 +48,27 @@ extern "C" {
     fn epoll_create1(flags: i32) -> i32;
     fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
     fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32) -> i32;
+    fn listen(fd: i32, backlog: i32) -> i32;
     fn close(fd: i32) -> i32;
+}
+
+/// The accept-queue length asked of a listening socket; the kernel caps
+/// it at `net.core.somaxconn`.
+const LISTEN_BACKLOG: i32 = 4096;
+
+/// Re-listens on an already listening socket with [`LISTEN_BACKLOG`].
+/// `std` listens with a backlog of 128, so a burst of connects overflows
+/// the accept queue and clients stall on SYN retransmits (1 s, then 2 s);
+/// calling `listen` again on a listening socket only resizes the queue.
+///
+/// # Errors
+/// The raw `listen` error.
+pub fn widen_backlog(listener: &impl AsRawFd) -> io::Result<()> {
+    // SAFETY: plain syscall wrapper on a descriptor the caller owns.
+    if unsafe { listen(listener.as_raw_fd(), LISTEN_BACKLOG) } < 0 {
+        return Err(io::Error::last_os_error());
+    }
+    Ok(())
 }
 
 /// One delivered readiness event: the registered token plus the ready

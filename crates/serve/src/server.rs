@@ -671,7 +671,7 @@ pub(crate) struct ServerState {
     /// real one would.
     pub(crate) crashed: AtomicBool,
     /// Node-wide telemetry (transport counters, scheduler gauges, the
-    /// span journal, gossip counters, replication-lag gauges, rates).
+    /// span journal, gossip counters, replication-lag gauges).
     pub(crate) metrics: metrics::NodeMetrics,
     /// The memory governor, when [`ServeConfig::memory_budget`] is set.
     pub(crate) governor: Option<Arc<crate::governor::MemoryGovernor>>,
@@ -726,6 +726,8 @@ impl WmServer {
     /// are skipped (counted in `recovery_rejected_total`), not fatal.
     pub fn bind(addr: impl ToSocketAddrs, cfg: ServeConfig) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
+        #[cfg(target_os = "linux")]
+        crate::poller::widen_backlog(&listener)?;
         let addr = listener.local_addr()?;
         let backend = ServeBackend::resolve(cfg.backend);
         let node_id = cfg.node_id;
@@ -793,7 +795,7 @@ impl WmServer {
             data_dir,
             checkpoint_interval_ms,
             crashed: AtomicBool::new(false),
-            metrics: metrics::NodeMetrics::new(node_id),
+            metrics: metrics::NodeMetrics::new(),
             governor,
         });
         if state.data_dir.is_some() {
@@ -1633,11 +1635,12 @@ fn dispatch_request(
             };
             state.update_frames.fetch_add(1, Ordering::Relaxed);
             // Example-count telemetry for this frame (latency is recorded
-            // by the `handle_request` wrapper); both no-ops when off, and
-            // both outside the learner lock.
-            let examples = scratch.examples().len() as u64;
-            entry.telemetry.update_examples.add(examples);
-            state.metrics.account_updates(entry.id, examples);
+            // by the `handle_request` wrapper); a no-op when off, and
+            // outside the learner lock.
+            entry
+                .telemetry
+                .update_examples
+                .add(scratch.examples().len() as u64);
             out.put_u64(seen);
         }
         OP_PREDICT => {

@@ -19,11 +19,6 @@
 //! * [`Journal`] — a bounded ring buffer of coarse [`SpanEvent`]s (gossip
 //!   ticks, delta pulls, drains). Coarse means a mutex is fine here; the
 //!   ring never grows past its capacity and overwrites the oldest entry.
-//! * [`RateAccountant`] — per-key update/query accounting backed by the
-//!   workspace's own [`wmsketch_sketch::CountMinSketch`]: high-cardinality
-//!   tenant counting in fixed space, dogfooding the paper's substrate.
-//!   (`wmsketch-sketch` is a workspace member — "zero-dep" means zero
-//!   *external* dependencies.)
 //! * [`expo`] — the `wmsketch-metrics/v1` text exposition format: a stable,
 //!   line-oriented rendering plus a parser ([`MetricsReport`]) so clients
 //!   can scrape a node without pulling in a metrics stack.
@@ -33,8 +28,8 @@
 //! Instrumentation call sites gate on [`enabled`], resolved **once** from
 //! the `WMSKETCH_TELEMETRY` environment variable (`off` / `0` / `false`
 //! disable; anything else — including unset — enables). [`set_enabled`]
-//! overrides it programmatically, which is how the bench measures the
-//! instrumented-vs-off overhead ratio inside one process. Every primitive
+//! overrides it programmatically for the whole process (tests and the
+//! benchmark pin it this way). Every primitive
 //! also checks the switch internally, so a stray `record` while disabled
 //! costs one relaxed load and nothing else.
 //!
@@ -56,7 +51,6 @@ mod counter;
 pub mod expo;
 mod histogram;
 mod journal;
-mod rate;
 
 pub use counter::{Counter, Gauge};
 pub use expo::{ExpoWriter, MetricsReport, ParseError, Sample};
@@ -64,7 +58,6 @@ pub use histogram::{
     bucket_bounds, bucket_of, HistogramSnapshot, LatencyHistogram, BUCKETS, MAX_BUCKET, MIN_BUCKET,
 };
 pub use journal::{Journal, SpanEvent};
-pub use rate::RateAccountant;
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -84,9 +77,8 @@ pub fn enabled() -> bool {
     }
 }
 
-/// Programmatically forces telemetry on or off, overriding the
-/// environment. The bench uses this to measure instrumented-vs-off
-/// overhead within one process.
+/// Programmatically forces telemetry on or off for the whole process,
+/// overriding the environment.
 pub fn set_enabled(on: bool) {
     ENABLED.store(if on { 1 } else { 2 }, Ordering::Relaxed);
 }
