@@ -162,18 +162,27 @@ pub struct AwmSketch {
     /// Cached coordinates of the current example's *sketched* features
     /// (those outside the active set); buffers reused across updates.
     plan: CoordPlan,
-    /// Per-feature plan slot for the current example, parallel to the
-    /// input's entries; [`NOT_PLANNED`] marks active-set features.
-    slots: Vec<usize>,
+    /// Where the margin pass found each feature of the current example,
+    /// parallel to the input's entries: its active-set slot (the
+    /// example's one tracker lookup) or its coordinate-plan slot.
+    slots: Vec<Found>,
     t: u64,
     /// Per-cell last-touched stamps for delta snapshots; off (empty) until
     /// the first [`AwmSketch::encode_delta_since`] call.
     dirty: DirtyCells,
 }
 
-/// Slot marker for features that were in the active set at margin time and
-/// therefore were not hashed into the plan.
-const NOT_PLANNED: usize = usize::MAX;
+/// Where the margin pass found one feature of the current example.
+#[derive(Clone, Copy)]
+enum Found {
+    /// In the active set, at this tracker slot; not hashed into the plan.
+    /// The update pass re-checks the slot's feature, since a promotion
+    /// earlier in the same example may have evicted this feature and
+    /// handed its slot to the promoted one.
+    Active(u32),
+    /// In the sketch, at this coordinate-plan slot.
+    Planned(usize),
+}
 
 /// Depth-1 fast path for a planned slot's sign-corrected scaled value:
 /// bit-identical to `median_inplace(plan.slot_values(slot, cells, scale))`
@@ -265,7 +274,7 @@ impl AwmSketch {
             + self.active.resident_bytes()
             + self.hashers.resident_bytes()
             + self.plan.resident_bytes()
-            + self.slots.capacity() * std::mem::size_of::<usize>()
+            + self.slots.capacity() * std::mem::size_of::<Found>()
             + self.dirty.resident_bytes()
     }
 
@@ -302,10 +311,7 @@ impl AwmSketch {
             *v *= a;
         }
         // Fold the active set's stored weights too: they share the scale.
-        let entries: Vec<WeightEntry> = self.active.iter().collect();
-        for e in entries {
-            self.active.update_existing(e.feature, e.weight * a);
-        }
+        self.active.scale_all(a);
         // A fold rewrites every stored cell and active weight.
         self.dirty.touch_all();
         self.dirty.touch_heap();
@@ -354,7 +360,7 @@ impl AwmSketch {
             let stored_step = self.scale.store(-eta * g * xi);
             if let Some(w) = self.active.get(i) {
                 // Heap update: exact gradient step on the stored weight.
-                self.active.update_existing(i, w + stored_step);
+                self.active.offer(i, w + stored_step);
                 self.dirty.touch_heap();
             } else {
                 // Candidate weight w̃ = Query(i) − η·y·x_i·ℓ'(yτ), pre-scale.
@@ -691,13 +697,20 @@ impl OnlineLearner for AwmSketch {
 
     /// The fused single-hash update pipeline.
     ///
-    /// During the margin pass, every feature *outside* the active set is
-    /// hashed once into the coordinate plan; the update pass then replays
-    /// those cached coordinates for the candidate-weight query and any
-    /// sketch write. Features the margin pass found in the active set are
-    /// never hashed at all (as in the reference path); the rare features
-    /// whose membership changes mid-update — an eviction displacing a
-    /// margin-time-active feature — are planned lazily at their turn.
+    /// During the margin pass, every feature is looked up in the active
+    /// set once, and every feature *outside* it is hashed once into the
+    /// coordinate plan; the update pass then replays the cached active-set
+    /// slots (a dense read instead of a second lookup) and the cached
+    /// coordinates for the candidate-weight query and any sketch write.
+    /// Features the margin pass found in the active set are never hashed
+    /// at all (as in the reference path); the rare features whose
+    /// membership changes mid-update — a promotion evicting a
+    /// margin-time-active feature, whose slot then holds the promoted
+    /// feature — fail the slot's feature check and are planned lazily at
+    /// their turn. Features outside the active set at margin time are
+    /// still outside it at their turn (an example's features are
+    /// distinct), so they go straight to
+    /// [`TopKWeights::offer_untracked`].
     /// Depth-1 sketches (the paper's best AWM shape) skip the median
     /// machinery via `slot_value_depth1`. Arithmetic order matches
     /// [`AwmSketch::update_naive`] operation for operation, so the
@@ -712,12 +725,12 @@ impl OnlineLearner for AwmSketch {
         self.slots.clear();
         let mut acc = 0.0;
         for (i, xi) in x.iter() {
-            if let Some(w) = self.active.get(i) {
-                self.slots.push(NOT_PLANNED);
-                acc += w * xi;
+            if let Some(slot) = self.active.find(i) {
+                self.slots.push(Found::Active(slot));
+                acc += self.active.entry(slot).weight * xi;
             } else {
                 let slot = self.hashers.plan_push(&mut self.plan, u64::from(i));
-                self.slots.push(slot);
+                self.slots.push(Found::Planned(slot));
                 let proj = self.plan.slot_projection(slot, &self.z);
                 acc += xi * proj * self.inv_sqrt_s;
             }
@@ -748,62 +761,62 @@ impl OnlineLearner for AwmSketch {
         let tracking = dirty.enabled();
         for (idx, (i, xi)) in x.iter().enumerate() {
             let stored_step = scale.store(-eta * g * xi);
-            if let Some(w) = active.get(i) {
-                // Heap update: exact gradient step on the stored weight.
-                active.update_existing(i, w + stored_step);
-                dirty.touch_heap();
-            } else {
-                // An earlier eviction this update may have displaced a
-                // feature that was active at margin time; plan it now.
-                let slot = match slots[idx] {
-                    NOT_PLANNED => hashers.plan_push(plan, u64::from(i)),
-                    slot => slot,
-                };
-                // Candidate weight w̃ = Query(i) − η·y·x_i·ℓ'(yτ), pre-scale,
-                // with the query replayed from cached coordinates (depth 1
-                // reads the one cell directly, skipping the median).
-                let queried = if depth_one {
-                    slot_value_depth1(plan, slot, z, sqrt_s)
-                } else {
-                    median_inplace(plan.slot_values(slot, z, sqrt_s))
-                };
-                let w_tilde = queried + stored_step;
-                match active.offer(i, w_tilde) {
-                    Offer::Evicted(evicted) => {
-                        // Spill the evicted feature back: write the residual
-                        // so the sketch's estimate equals its exact weight.
-                        // The evicted feature is arbitrary, so it needs its
-                        // own (single) hashing pass.
-                        let ev_slot = hashers.plan_push(plan, u64::from(evicted.feature));
-                        let ev_query = if depth_one {
-                            slot_value_depth1(plan, ev_slot, z, sqrt_s)
-                        } else {
-                            median_inplace(plan.slot_values(ev_slot, z, sqrt_s))
-                        };
-                        let residual = evicted.weight - ev_query;
-                        plan.slot_scatter(ev_slot, z, residual * inv_sqrt_s);
-                        if tracking {
-                            for &o in plan.coords(ev_slot).0 {
-                                dirty.touch(o as usize);
-                            }
-                        }
-                        dirty.touch_heap();
-                    }
-                    Offer::Inserted => {
-                        // Admitted into spare capacity; nothing to spill.
-                        dirty.touch_heap();
-                    }
-                    Offer::Rejected => {
-                        // Stay in the sketch: plain WM-Sketch gradient step.
-                        plan.slot_scatter(slot, z, stored_step * inv_sqrt_s);
-                        if tracking {
-                            for &o in plan.coords(slot).0 {
-                                dirty.touch(o as usize);
-                            }
-                        }
-                    }
-                    Offer::Updated => unreachable!("feature checked absent from active set"),
+            let slot = match slots[idx] {
+                Found::Active(slot) if active.entry(slot).feature == i => {
+                    // Heap update: exact gradient step on the stored weight.
+                    active.set(slot, active.entry(slot).weight + stored_step);
+                    dirty.touch_heap();
+                    continue;
                 }
+                // An earlier promotion this update evicted a feature that
+                // was active at margin time; plan it now.
+                Found::Active(_) => hashers.plan_push(plan, u64::from(i)),
+                Found::Planned(slot) => slot,
+            };
+            // Candidate weight w̃ = Query(i) − η·y·x_i·ℓ'(yτ), pre-scale,
+            // with the query replayed from cached coordinates (depth 1
+            // reads the one cell directly, skipping the median).
+            let queried = if depth_one {
+                slot_value_depth1(plan, slot, z, sqrt_s)
+            } else {
+                median_inplace(plan.slot_values(slot, z, sqrt_s))
+            };
+            let w_tilde = queried + stored_step;
+            match active.offer_untracked(i, w_tilde) {
+                Offer::Evicted(evicted) => {
+                    // Spill the evicted feature back: write the residual
+                    // so the sketch's estimate equals its exact weight.
+                    // The evicted feature is arbitrary, so it needs its
+                    // own (single) hashing pass.
+                    let ev_slot = hashers.plan_push(plan, u64::from(evicted.feature));
+                    let ev_query = if depth_one {
+                        slot_value_depth1(plan, ev_slot, z, sqrt_s)
+                    } else {
+                        median_inplace(plan.slot_values(ev_slot, z, sqrt_s))
+                    };
+                    let residual = evicted.weight - ev_query;
+                    plan.slot_scatter(ev_slot, z, residual * inv_sqrt_s);
+                    if tracking {
+                        for &o in plan.coords(ev_slot).0 {
+                            dirty.touch(o as usize);
+                        }
+                    }
+                    dirty.touch_heap();
+                }
+                Offer::Inserted => {
+                    // Admitted into spare capacity; nothing to spill.
+                    dirty.touch_heap();
+                }
+                Offer::Rejected => {
+                    // Stay in the sketch: plain WM-Sketch gradient step.
+                    plan.slot_scatter(slot, z, stored_step * inv_sqrt_s);
+                    if tracking {
+                        for &o in plan.coords(slot).0 {
+                            dirty.touch(o as usize);
+                        }
+                    }
+                }
+                Offer::Updated => unreachable!("offer_untracked never updates"),
             }
         }
     }

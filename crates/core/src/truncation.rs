@@ -134,10 +134,7 @@ impl SimpleTruncation {
 
     fn fold_scale(&mut self) {
         let a = self.scale.fold();
-        let entries: Vec<WeightEntry> = self.weights.iter().collect();
-        for e in entries {
-            self.weights.update_existing(e.feature, e.weight * a);
-        }
+        self.weights.scale_all(a);
     }
 }
 

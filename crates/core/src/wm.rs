@@ -21,8 +21,12 @@
 //! reference implementation.
 //!
 //! Heap upkeep re-estimates every touched feature and offers it to the
-//! heap. Once the heap is full, most offers are rejected, so for depth > 1
-//! the fused [`OnlineLearner::update`] first asks whether the offer can
+//! heap. The fused [`OnlineLearner::update`] looks each feature up in the
+//! heap once ([`wmsketch_hh::TopKWeights::find`]): a tracked feature's
+//! new estimate is written through its slot, and an untracked one is
+//! offered with [`wmsketch_hh::TopKWeights::offer_untracked`], which needs
+//! no second lookup. Once the heap is full, most of those offers are
+//! rejected, so for depth > 1 the update first asks whether the offer can
 //! succeed at all: an untracked feature enters a full heap only if its
 //! `|ŵ|` exceeds the heap's minimum `|w|`, and
 //! [`median_abs_exceeds`] answers that by counting row values against
@@ -721,10 +725,12 @@ impl OnlineLearner for WmSketch {
     /// [`WmSketch::update_naive`] operation for operation, so the
     /// resulting sketch state is bit-identical.
     ///
-    /// **Admission gate (depth > 1).** [`wmsketch_hh::TopKWeights::offer`]
-    /// rejects an untracked feature when the heap is full and
-    /// `|ŵ| ≤ m`, `m` the heap's minimum `|w|`
-    /// ([`wmsketch_hh::TopKWeights::admission_floor`]). The estimate is
+    /// **Admission gate (depth > 1).** Each feature is looked up in the
+    /// heap once ([`wmsketch_hh::TopKWeights::find`]); a tracked feature
+    /// always takes its new median through its slot. For an untracked one,
+    /// [`wmsketch_hh::TopKWeights::offer_untracked`] rejects the offer
+    /// when the heap is full and `|ŵ| ≤ m`, `m` the heap's minimum `|w|`
+    /// ([`wmsketch_hh::TopKWeights::floor`]). The estimate is
     /// the lower median `s[k]`, `k = (n − 1)/2`, of the `n` row values,
     /// and for any non-NaN `m`:
     ///
@@ -785,15 +791,17 @@ impl OnlineLearner for WmSketch {
                         heap.offer(i, sqrt_s * signs[0] * *cell + 0.0);
                     } else {
                         let values = plan.slot_scatter_and_values(slot, z, delta, sqrt_s);
-                        // Admission gate: a full heap rejects an untracked
-                        // feature whose |estimate| is at most its floor, so
-                        // the median is selected only when the offer can
-                        // change the heap.
-                        let admitted = heap
-                            .admission_floor(i)
-                            .is_none_or(|floor| median_abs_exceeds(values, floor));
-                        if admitted {
-                            heap.offer(i, median_inplace(values));
+                        if let Some(tracked) = heap.find(i) {
+                            heap.set(tracked, median_inplace(values));
+                        } else if heap
+                            .floor()
+                            .is_none_or(|floor| median_abs_exceeds(values, floor))
+                        {
+                            // Admission gate: a full heap rejects an
+                            // untracked feature whose |estimate| is at most
+                            // its floor, so the median is selected only when
+                            // the offer can change the heap.
+                            heap.offer_untracked(i, median_inplace(values));
                         }
                     }
                 } else {

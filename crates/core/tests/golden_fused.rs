@@ -264,6 +264,37 @@ fn awm_fused_handles_capacity_one_eviction_churn() {
 }
 
 #[test]
+fn awm_fused_replans_a_feature_evicted_by_an_earlier_promotion() {
+    // Feature 20 fills a capacity-1 active set. The next example holds
+    // features 5 and 20: at margin time 20 is active (its slot is cached)
+    // and 5 is not; 5 comes first, its large step promotes it, and the
+    // eviction of 20 hands 5 the slot cached for 20. At 20's turn the
+    // cached slot holds feature 5, so 20 must be re-planned and offered as
+    // an untracked feature, not stepped in place through the stale slot.
+    let cfg = AwmSketchConfig::new(1, 64)
+        .lambda(0.0)
+        .learning_rate(LearningRate::Constant(0.5))
+        .seed(3);
+    let first = SparseVector::from_pairs(&[(20, 1.0)]);
+    let second = SparseVector::from_pairs(&[(5, 8.0), (20, 0.25)]);
+    let mut fused = AwmSketch::new(cfg);
+    let mut naive = AwmSketch::new(cfg);
+    fused.update(&first, 1);
+    naive.update_naive(&first, 1);
+    assert!(fused.in_active_set(20) && !fused.in_active_set(5));
+    fused.update(&second, -1);
+    naive.update_naive(&second, -1);
+    assert!(
+        naive.in_active_set(5) && !naive.in_active_set(20),
+        "the example must promote 5 over the margin-time-active 20"
+    );
+    assert_eq!(fused.to_snapshot_bytes(), naive.to_snapshot_bytes());
+    for f in [5, 20] {
+        assert!(fused.estimate(f) == naive.estimate(f), "estimate({f})");
+    }
+}
+
+#[test]
 fn update_batch_is_bit_identical_to_sequential_updates() {
     let data = stream(1200, 21);
     // WM.

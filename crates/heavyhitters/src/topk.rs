@@ -33,26 +33,34 @@ pub enum Offer {
 /// Tracks the K features with the largest absolute weights, storing the
 /// weights exactly.
 ///
-/// Internally a min-heap ordered by |weight|, so the entry cheapest to
-/// displace is always at the root. Ties in |weight| go to the **largest**
-/// feature: the root is always the entry [`TopKWeights::top_k`] and
-/// [`TopKWeights::from_heaviest`] rank last under `(|weight| desc,
-/// feature asc)`. Eviction therefore depends only on the tracked
-/// contents, never on insertion history, so a tracker rebuilt by
-/// [`TopKWeights::decode_from`] keeps evicting exactly what the original
-/// would. Weight ordering is invariant under a positive global scale
-/// factor, so learners using the lazy-regularization scale trick (paper
-/// §5.1) can store pre-scale weights here directly.
+/// Internally an [`IndexedHeap`] min-heap ordered by |weight|, so the
+/// entry cheapest to displace is always at the root. Ties in |weight| go
+/// to the **largest** feature: the root is always the entry
+/// [`TopKWeights::top_k`] and [`TopKWeights::from_heaviest`] rank last
+/// under `(|weight| desc, feature asc)`. Eviction therefore depends only
+/// on the tracked contents, never on insertion history, so a tracker
+/// rebuilt by [`TopKWeights::decode_from`] keeps evicting exactly what the
+/// original would. Weight ordering is invariant under a positive global
+/// scale factor, so learners using the lazy-regularization scale trick
+/// (paper §5.1) can store pre-scale weights here directly.
 ///
-/// [`TopKWeights::admission_floor`] exposes the rejection rule of
-/// [`TopKWeights::offer`] ahead of time: when it returns `Some(floor)`,
-/// every offer of that feature with `|weight| ≤ floor` is `Rejected`, so
-/// a caller whose weight estimate is costly (a Count-Sketch median) can
-/// first check the estimate against the floor and skip the offer.
+/// **Slots.** Each tracked feature sits in a dense heap slot, with its
+/// signed weight in a parallel `Vec` beside it, and keeps that slot while
+/// it is tracked; an evicted feature's slot goes to the feature that
+/// displaced it. A caller that touches a feature more than once per step
+/// looks it up once with [`TopKWeights::find`] and then reads and writes
+/// it by slot ([`TopKWeights::entry`], [`TopKWeights::set`]) — one hash
+/// lookup per feature instead of one per access. An untracked feature
+/// goes to [`TopKWeights::offer_untracked`], whose rejection rule
+/// [`TopKWeights::floor`] exposes ahead of time: a caller whose weight
+/// estimate is costly (a Count-Sketch median) can first check the
+/// estimate against the floor and skip the offer.
 #[derive(Debug, Clone)]
 pub struct TopKWeights {
+    /// Min-heap over `(feature, |weight|)`.
     heap: IndexedHeap<u32>,
-    weights: wmsketch_hashing::FastHashMap<u32, f64>,
+    /// slot → signed stored weight, parallel to the heap's slots.
+    weights: Vec<f64>,
     capacity: usize,
 }
 
@@ -66,7 +74,7 @@ impl TopKWeights {
         assert!(capacity > 0, "top-K capacity must be nonzero");
         Self {
             heap: IndexedHeap::with_capacity(capacity),
-            weights: wmsketch_hashing::FastHashMap::default(),
+            weights: Vec::with_capacity(capacity),
             capacity,
         }
     }
@@ -108,13 +116,13 @@ impl TopKWeights {
     }
 
     /// Estimated heap bytes the tracker owns: the indexed heap (slot
-    /// array plus position index) and the exact-weight map. An estimate
-    /// of allocator reality rather than the paper's §7.1 cost model —
-    /// what a memory governor should charge for a resident tracker.
+    /// array, position arrays and key index) and the slot-parallel weight
+    /// array. An estimate of allocator reality rather than the paper's
+    /// §7.1 cost model — what a memory governor should charge for a
+    /// resident tracker.
     #[must_use]
     pub fn resident_bytes(&self) -> usize {
-        self.heap.resident_bytes()
-            + self.weights.capacity() * (std::mem::size_of::<(u32, f64)>() + 1)
+        self.heap.resident_bytes() + self.weights.capacity() * std::mem::size_of::<f64>()
     }
 
     /// Whether no features are tracked.
@@ -126,71 +134,97 @@ impl TopKWeights {
     /// Whether `feature` is tracked.
     #[must_use]
     pub fn contains(&self, feature: u32) -> bool {
-        self.weights.contains_key(&feature)
+        self.heap.contains(&feature)
     }
 
     /// The stored weight of `feature`, if tracked.
     #[must_use]
     pub fn get(&self, feature: u32) -> Option<f64> {
-        self.weights.get(&feature).copied()
+        self.find(feature).map(|slot| self.weights[slot as usize])
+    }
+
+    /// The slot of `feature`, if tracked — the tracker's one hash lookup.
+    /// The slot stays `feature`'s until it is evicted or removed.
+    #[must_use]
+    pub fn find(&self, feature: u32) -> Option<u32> {
+        self.heap.find(&feature)
+    }
+
+    /// The feature and weight in a tracked `slot`. After an eviction the
+    /// slot holds the feature that displaced the evicted one, so
+    /// `entry(slot).feature` tells whether a slot found earlier still
+    /// holds the same feature.
+    #[inline]
+    #[must_use]
+    pub fn entry(&self, slot: u32) -> WeightEntry {
+        WeightEntry {
+            feature: self.heap.entry(slot).0,
+            weight: self.weights[slot as usize],
+        }
+    }
+
+    /// Sets the weight of the tracked feature in `slot`, rebalancing the
+    /// heap.
+    pub fn set(&mut self, slot: u32, weight: f64) {
+        self.weights[slot as usize] = weight;
+        self.heap.set_priority(slot, weight.abs());
     }
 
     /// The minimum-|weight| entry, if any.
     #[must_use]
     pub fn min_entry(&self) -> Option<WeightEntry> {
-        self.heap.peek_min().map(|(feature, _)| WeightEntry {
-            feature,
-            weight: self.weights[&feature],
-        })
+        self.heap.min_slot().map(|slot| self.entry(slot))
     }
 
-    /// The |weight| an offer of `feature` must exceed to change anything:
-    /// `Some(min |weight|)` when the tracker is full and `feature` is not
-    /// tracked, in which case [`TopKWeights::offer`] returns
+    /// The |weight| an offer of an *untracked* feature must exceed to
+    /// change anything: `Some(min |weight|)` when the tracker is full, in
+    /// which case [`TopKWeights::offer_untracked`] returns
     /// [`Offer::Rejected`] for every `|weight| ≤` the floor and
     /// [`Offer::Evicted`] above it. `None` when the tracker has spare
-    /// capacity or already tracks `feature` — every offer is then
-    /// admitted (`Inserted` / `Updated`).
+    /// capacity — every offer is then [`Offer::Inserted`].
     #[must_use]
-    pub fn admission_floor(&self, feature: u32) -> Option<f64> {
-        if self.heap.len() < self.capacity || self.weights.contains_key(&feature) {
+    pub fn floor(&self) -> Option<f64> {
+        if self.heap.len() < self.capacity {
             return None;
         }
         self.heap.peek_min().map(|(_, min_abs)| min_abs)
     }
 
-    /// Sets the weight of an *already tracked* feature, rebalancing the
-    /// heap. Returns false if the feature is not tracked.
-    pub fn update_existing(&mut self, feature: u32, weight: f64) -> bool {
-        if let Some(w) = self.weights.get_mut(&feature) {
-            *w = weight;
-            self.heap.insert(feature, weight.abs());
-            true
-        } else {
-            false
-        }
-    }
-
     /// Offers `(feature, weight)` to the tracker; see [`Offer`] for the
     /// possible outcomes.
     pub fn offer(&mut self, feature: u32, weight: f64) -> Offer {
-        if self.update_existing(feature, weight) {
-            return Offer::Updated;
+        match self.find(feature) {
+            Some(slot) => {
+                self.set(slot, weight);
+                Offer::Updated
+            }
+            None => self.offer_untracked(feature, weight),
         }
+    }
+
+    /// [`TopKWeights::offer`] for a feature the caller knows is not
+    /// tracked (it just got `None` from [`TopKWeights::find`]): returns
+    /// `Inserted`, `Evicted` or `Rejected`, never `Updated`. An admitted
+    /// feature that evicts takes the evicted feature's slot.
+    pub fn offer_untracked(&mut self, feature: u32, weight: f64) -> Offer {
+        debug_assert!(
+            !self.contains(feature),
+            "offer_untracked of a tracked feature"
+        );
         if self.heap.len() < self.capacity {
-            self.heap.insert(feature, weight.abs());
-            self.weights.insert(feature, weight);
+            let slot = self.heap.insert(feature, weight.abs()) as usize;
+            if slot == self.weights.len() {
+                self.weights.push(weight);
+            } else {
+                self.weights[slot] = weight;
+            }
             return Offer::Inserted;
         }
-        let (min_feature, min_abs) = self.heap.peek_min().expect("capacity > 0");
+        let min_slot = self.heap.min_slot().expect("capacity > 0");
+        let (min_feature, min_abs) = self.heap.entry(min_slot);
         if weight.abs() > min_abs {
-            let evicted_weight = self
-                .weights
-                .remove(&min_feature)
-                .expect("heap/map out of sync");
-            self.heap.pop_min();
-            self.heap.insert(feature, weight.abs());
-            self.weights.insert(feature, weight);
+            let evicted_weight = std::mem::replace(&mut self.weights[min_slot as usize], weight);
+            self.heap.replace_min(feature, weight.abs());
             Offer::Evicted(WeightEntry {
                 feature: min_feature,
                 weight: evicted_weight,
@@ -200,17 +234,28 @@ impl TopKWeights {
         }
     }
 
+    /// Multiplies every stored weight by `a` and restores heap order in
+    /// `O(K)` — the in-place fold of a learner's global scale into its
+    /// tracked weights. Slots are unchanged.
+    pub fn scale_all(&mut self, a: f64) {
+        let weights = &mut self.weights;
+        self.heap.reset_priorities(|slot| {
+            let w = &mut weights[slot as usize];
+            *w *= a;
+            w.abs()
+        });
+    }
+
     /// Removes `feature`, returning its weight if it was tracked.
     pub fn remove(&mut self, feature: u32) -> Option<f64> {
-        self.heap.remove(&feature)?;
-        self.weights.remove(&feature)
+        let slot = self.find(feature)?;
+        self.heap.remove(&feature);
+        Some(self.weights[slot as usize])
     }
 
     /// All tracked entries, unordered.
     pub fn iter(&self) -> impl Iterator<Item = WeightEntry> + '_ {
-        self.weights
-            .iter()
-            .map(|(&feature, &weight)| WeightEntry { feature, weight })
+        self.heap.slots().map(|slot| self.entry(slot))
     }
 
     /// The top `k` entries by |weight|, sorted descending by |weight|.
@@ -232,15 +277,14 @@ impl TopKWeights {
     /// post-update step), removing and discarding the rest.
     pub fn truncate_to(&mut self, k: usize) {
         while self.heap.len() > k {
-            let (f, _) = self.heap.pop_min().expect("len > k >= 0");
-            self.weights.remove(&f);
+            self.heap.pop_min();
         }
     }
 
     /// Appends this tracker to a snapshot:
     /// `capacity (u64) | count (u64) | count × (feature u32, weight f64)`,
     /// entries in ascending feature order so the bytes are canonical (the
-    /// internal map's iteration order never leaks into the encoding).
+    /// internal heap order never leaks into the encoding).
     pub fn encode_into(&self, w: &mut wmsketch_hashing::codec::Writer) {
         w.put_u64(self.capacity as u64);
         w.put_u64(self.len() as u64);
@@ -325,32 +369,35 @@ mod tests {
     }
 
     #[test]
-    fn admission_floor_predicts_offer_outcome() {
+    fn floor_predicts_offer_outcome() {
         let mut t = TopKWeights::new(3);
-        assert_eq!(t.admission_floor(1), None, "empty tracker has room");
+        assert_eq!(t.floor(), None, "empty tracker has room");
         t.offer(1, 4.0);
         t.offer(2, -2.5);
-        assert_eq!(t.admission_floor(7), None, "spare capacity");
+        assert_eq!(t.floor(), None, "spare capacity");
         t.offer(3, 6.0);
         // Full: tracked features are always admitted, untracked ones must
         // beat the minimum |weight|.
-        assert_eq!(t.admission_floor(2), None, "tracked feature");
-        assert_eq!(t.admission_floor(1), None, "tracked feature");
-        assert_eq!(t.admission_floor(7), Some(2.5));
+        assert!(t.find(2).is_some() && t.find(1).is_some());
+        assert_eq!(t.find(7), None);
+        assert_eq!(t.floor(), Some(2.5));
         assert_eq!(t.offer(7, 2.5), Offer::Rejected, "exactly at the floor");
         assert_eq!(t.offer(7, -2.5), Offer::Rejected, "at the floor, negative");
-        assert_eq!(t.offer(7, 0.0), Offer::Rejected);
+        assert_eq!(t.offer_untracked(7, 0.0), Offer::Rejected);
         let above = f64::from_bits(2.5f64.to_bits() + 1);
+        let slot_of_2 = t.find(2).unwrap();
         assert_eq!(
-            t.offer(7, -above),
+            t.offer_untracked(7, -above),
             Offer::Evicted(WeightEntry {
                 feature: 2,
                 weight: -2.5
             }),
             "one ulp above the floor"
         );
-        assert_eq!(t.admission_floor(2), Some(above), "evicted is untracked");
-        assert_eq!(t.admission_floor(7), None);
+        assert_eq!(t.find(2), None, "evicted is untracked");
+        assert_eq!(t.find(7), Some(slot_of_2), "the evictor takes the slot");
+        assert_eq!(t.entry(slot_of_2).weight, -above);
+        assert_eq!(t.floor(), Some(above));
     }
 
     #[test]
@@ -364,7 +411,7 @@ mod tests {
     }
 
     #[test]
-    fn update_existing_rebalances() {
+    fn set_rebalances() {
         let mut t = TopKWeights::new(2);
         t.offer(1, 5.0);
         t.offer(2, 4.0);
@@ -372,6 +419,10 @@ mod tests {
         assert_eq!(t.offer(2, 9.0), Offer::Updated);
         assert_eq!(t.min_entry().unwrap().feature, 1);
         assert_eq!(t.get(2), Some(9.0));
+        let slot = t.find(2).unwrap();
+        t.set(slot, -1.0);
+        assert_eq!(t.min_entry().unwrap(), t.entry(slot));
+        assert_eq!(t.get(2), Some(-1.0));
     }
 
     #[test]
