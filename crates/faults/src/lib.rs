@@ -46,7 +46,7 @@ pub const IO_WRITE: &str = "io.write";
 pub const IO_FSYNC: &str = "io.fsync";
 /// Failpoint around outbound TCP connects (client and gossip).
 pub const NET_CONNECT: &str = "net.connect";
-/// Failpoint around server response-frame writes (both backends); a trip
+/// Failpoint around server response-frame writes; a trip
 /// kills the connection as a failed socket write would.
 pub const NET_FRAME_WRITE: &str = "net.frame_write";
 

@@ -207,9 +207,9 @@ impl ServeClient {
     /// Ingests a long example stream as **pipelined** UPDATE frames:
     /// `examples` is cut into frames of `frame_examples`, and up to
     /// `window` frames are on the wire before the first response is
-    /// read. Against the event backend this keeps the node's decode,
-    /// learner, and socket work overlapped; against the threaded backend it
-    /// degrades gracefully to streaming writes. Returns the model's
+    /// read. The node's event loop reads frames ahead of execution, so its
+    /// decode, learner, and socket work stay overlapped with the client's
+    /// writes. Returns the model's
     /// cumulative ingested-example count after each frame, in frame
     /// order — the exact sequence [`ServeClient::update_batch`] calls
     /// would have returned.
@@ -675,7 +675,7 @@ impl SelfHealingClient {
                             // Responses were lost with the connection:
                             // ask the server what landed. Frames from the
                             // dead connection may still be executing
-                            // server-side (the event backend queues them),
+                            // server-side (the event loop queues them),
                             // so trust the clock only once it stops
                             // moving — under the single-writer assumption
                             // a stable clock means our in-flight frames

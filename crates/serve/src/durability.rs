@@ -14,11 +14,11 @@
 //!                                       are deleted on startup
 //! ```
 //!
-//! A spec record's head section is `name_len (u32) | name | shards (u32)
-//! | mode (u8) | [candidates (u32), when mode is 1]`, then the template
-//! section. Records are written with shards 0 and mode 0. Older nodes
-//! wrote a worker-pool size and mode there; both are read and ignored,
-//! so such a record recovers as one learner.
+//! A spec record's head section is `name_len (u32) | name`, then the
+//! template section. Older nodes wrote a legacy tail after the name:
+//! `shards (u32) | mode (u8) | [candidates (u32), when mode is 1]` (a
+//! worker-pool size and mode, or zeros). Recovery reads and ignores that
+//! tail, so such a record recovers as one learner.
 //!
 //! Model names are hex-encoded into file stems so any registry name —
 //! `/`, `..`, unicode — maps to a flat, reversible, filesystem-safe file
@@ -227,8 +227,6 @@ pub(crate) fn encode_spec_record(name: &str, template: &[u8]) -> Vec<u8> {
     let mark = w.begin_section(SPEC_SECTION_HEAD);
     w.put_u32(name.len() as u32);
     w.put_bytes(name.as_bytes());
-    w.put_u32(0); // shards
-    w.put_u8(0); // mode
     w.end_section(mark);
     let mark = w.begin_section(SPEC_SECTION_TEMPLATE);
     w.put_bytes(template);
@@ -239,7 +237,8 @@ pub(crate) fn encode_spec_record(name: &str, template: &[u8]) -> Vec<u8> {
 }
 
 /// Decodes a model-spec record (integrity-checked): `(name, template)`.
-/// The legacy shards and mode fields are validated and ignored.
+/// A legacy shards-and-mode tail after the name is validated and
+/// ignored.
 ///
 /// # Errors
 /// Any [`ServeError`]; corruption is the typed
@@ -253,13 +252,15 @@ pub(crate) fn decode_spec_record(bytes: &[u8]) -> Result<(String, Vec<u8>), Serv
     let name = std::str::from_utf8(head.take_bytes(name_len)?)
         .map_err(|_| ServeError::Protocol("spec record name is not UTF-8"))?
         .to_string();
-    let _shards = head.take_u32()?;
-    match head.take_u8()? {
-        0 => {}
-        1 => {
-            let _candidates = head.take_u32()?;
+    if head.remaining() > 0 {
+        let _shards = head.take_u32()?;
+        match head.take_u8()? {
+            0 => {}
+            1 => {
+                let _candidates = head.take_u32()?;
+            }
+            _ => return Err(ServeError::Protocol("spec record has an unknown mode tag")),
         }
-        _ => return Err(ServeError::Protocol("spec record has an unknown mode tag")),
     }
     head.finish()?;
     let mut tpl = r.expect_section(SPEC_SECTION_TEMPLATE)?;
@@ -302,14 +303,21 @@ mod tests {
     /// A spec record as an older node wrote it for a worker pool:
     /// `shards` and a deferred-heap mode block in the head section.
     fn legacy_pool_spec_record(name: &str, template: &[u8]) -> Vec<u8> {
+        legacy_spec_record(name, template, |w| {
+            w.put_u32(3);
+            w.put_u8(1);
+            w.put_u32(64);
+        })
+    }
+
+    /// A spec record whose head carries `tail` after the name.
+    fn legacy_spec_record(name: &str, template: &[u8], tail: impl Fn(&mut Writer)) -> Vec<u8> {
         let mut w = Writer::new();
         w.put_envelope(KIND_MODEL_SPEC);
         let mark = w.begin_section(SPEC_SECTION_HEAD);
         w.put_u32(name.len() as u32);
         w.put_bytes(name.as_bytes());
-        w.put_u32(3);
-        w.put_u8(1);
-        w.put_u32(64);
+        tail(&mut w);
         w.end_section(mark);
         let mark = w.begin_section(SPEC_SECTION_TEMPLATE);
         w.put_bytes(template);
@@ -326,19 +334,26 @@ mod tests {
         let (name, tpl) = decode_spec_record(&bytes).expect("round trip");
         assert_eq!(name, "spam");
         assert_eq!(tpl, template);
-        // The head keeps its layout: shards 0, mode 0.
+        // The head is `name_len | name` and nothing more.
         let mut r = Reader::new(codec::verify_integrity(&bytes).expect("sealed"));
         r.expect_envelope(KIND_MODEL_SPEC).expect("envelope");
         let mut head = r.expect_section(SPEC_SECTION_HEAD).expect("head");
         assert_eq!(head.take_u32().expect("name_len"), 4);
-        head.take_bytes(4).expect("name");
-        assert_eq!(head.take_u32().expect("shards"), 0);
-        assert_eq!(head.take_u8().expect("mode"), 0);
-        head.finish().expect("nothing after the mode byte");
-        // A record an older node wrote for a pool still decodes.
+        assert_eq!(head.take_bytes(4).expect("name"), b"spam");
+        head.finish().expect("nothing after the name");
+        // Records older nodes wrote still decode: a pool's, and the
+        // zero shards-and-mode tail of one learner.
         let legacy = legacy_pool_spec_record("spam", &template);
         assert_eq!(
             decode_spec_record(&legacy).expect("legacy record"),
+            ("spam".to_string(), template.clone())
+        );
+        let zeros = legacy_spec_record("spam", &template, |w| {
+            w.put_u32(0);
+            w.put_u8(0);
+        });
+        assert_eq!(
+            decode_spec_record(&zeros).expect("zero-tail record"),
             ("spam".to_string(), template.clone())
         );
 

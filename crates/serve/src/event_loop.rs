@@ -1,6 +1,7 @@
-//! The readiness-driven serve backend: a few run-to-completion loops,
-//! each a nonblocking thread over its own raw-`epoll`
-//! [`Poller`](crate::poller::Poller).
+//! Serve's transport: a few run-to-completion loops, each a nonblocking
+//! thread over its own raw-`epoll` [`Poller`](crate::poller::Poller).
+//! The listener and every poller are set up by [`Transport::bind`], so an
+//! `epoll` failure is a bind error and starting the loops cannot fail.
 //!
 //! ## Architecture
 //!
@@ -16,15 +17,15 @@
 //! * **Run to completion** — every loop thread accepts connections off
 //!   the shared listener and owns the ones it accepted. It reads a
 //!   connection's frames and runs each one, in arrival order, through
-//!   the same `handle_request` the threaded backend calls, then writes
-//!   the responses itself. No request crosses a thread, so a small
-//!   request costs no wake-up beyond the socket's own.
+//!   `handle_request`, then writes the responses itself. No request
+//!   crosses a thread, so a small request costs no wake-up beyond the
+//!   socket's own.
 //! * **Pipelining and ordering** — a connection may send frame N+1
 //!   without waiting for frame N's response. Its frames execute one at a
 //!   time in send order and their responses leave in the same order, so
 //!   a pipelined client reads exactly the response stream a blocking
 //!   client would. Requests from different connections on one model are
-//!   ordered by the model's learner lock, as on the threaded backend.
+//!   ordered by the model's learner lock.
 //! * **Never blocks on a socket** — reads and writes are nonblocking. A
 //!   response the socket will not take yet stays in the connection's
 //!   write buffer, and the loop moves on to other connections.
@@ -45,17 +46,15 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::error::ServeError;
-use crate::poller::{Event, Poller, EVENT_READ, EVENT_WRITE};
+use crate::poller::{widen_backlog, Event, Poller, EVENT_READ, EVENT_WRITE};
 use crate::protocol::{ExamplesScratch, FrameAssembler};
-use crate::server::{
-    accept_loop, encode_response, handle_request, is_shutdown_request, ServerState,
-};
+use crate::server::{encode_response, handle_request, is_shutdown_request, ServerState};
 
 /// Token of the listening socket.
 const TOKEN_LISTENER: u64 = 0;
@@ -63,8 +62,8 @@ const TOKEN_LISTENER: u64 = 0;
 const FIRST_CONN_TOKEN: u64 = 1;
 
 /// Backoff after accept or poller-registration failures (EMFILE-style fd
-/// exhaustion): the same 10 ms the threaded accept loop uses, with
-/// listener interest masked so level triggering doesn't spin meanwhile.
+/// exhaustion), with listener interest masked so level triggering doesn't
+/// spin meanwhile.
 const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
 
 /// Unsent response bytes past which a connection's read frames wait and
@@ -72,8 +71,7 @@ const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
 const MAX_UNSENT_BYTES: usize = 1 << 20;
 
 /// Upper bound on the idle epoll wait, so a loop re-checks the shutdown
-/// flag at least this often (the event backend's analog of the threaded
-/// backend's read-timeout poll).
+/// flag at least this often.
 const WAIT_TIMEOUT_MS: i32 = 100;
 
 /// How long the shutdown drain waits for owed responses to flush.
@@ -145,35 +143,53 @@ impl Conn {
     }
 }
 
-/// Runs the event backend until shutdown: [`executor_count`] loops, the
-/// calling thread running the first. If a poller cannot be set up (no
-/// epoll fds left, exotic kernel), falls back to the threaded accept loop
-/// rather than leaving the server dead.
-pub(crate) fn run(listener: TcpListener, state: &Arc<ServerState>) {
-    let pollers = listener.set_nonblocking(true).and_then(|()| {
-        (0..executor_count())
+/// A bound nonblocking listener plus one poller per loop thread
+/// ([`executor_count`] of them), each already watching the listener.
+pub(crate) struct Transport {
+    listener: TcpListener,
+    pollers: Vec<Poller>,
+}
+
+impl Transport {
+    /// Binds the listener and sets up every poller.
+    ///
+    /// # Errors
+    /// Socket errors from binding, and `epoll` set-up errors (no epoll
+    /// fds left, exotic kernel).
+    pub(crate) fn bind(addr: impl ToSocketAddrs) -> std::io::Result<Self> {
+        let listener = TcpListener::bind(addr)?;
+        widen_backlog(&listener)?;
+        listener.set_nonblocking(true)?;
+        let pollers = (0..executor_count())
             .map(|_| {
                 let poller = Poller::new()?;
                 poller.add(&listener, TOKEN_LISTENER, EVENT_READ)?;
                 Ok(poller)
             })
-            .collect::<std::io::Result<Vec<_>>>()
-    });
-    let Ok(pollers) = pollers else {
-        let _ = listener.set_nonblocking(false);
-        accept_loop(&listener, state);
-        return;
-    };
-    std::thread::scope(|s| {
-        let mut loops = pollers
-            .into_iter()
-            .map(|poller| EventLoop::new(&listener, state, poller));
-        let mut first = loops.next().expect("at least one loop");
-        for mut other in loops {
-            s.spawn(move || other.run());
-        }
-        first.run();
-    });
+            .collect::<std::io::Result<Vec<_>>>()?;
+        Ok(Self { listener, pollers })
+    }
+
+    pub(crate) fn local_addr(&self) -> std::io::Result<SocketAddr> {
+        self.listener.local_addr()
+    }
+
+    /// Runs the loops until shutdown, the calling thread running the
+    /// first.
+    pub(crate) fn run(self, state: &Arc<ServerState>) {
+        let listener = &self.listener;
+        std::thread::scope(|s| {
+            let mut loops = self
+                .pollers
+                .into_iter()
+                .map(|poller| EventLoop::new(listener, state, poller));
+            let mut first = loops.next().expect("at least one loop");
+            for mut other in loops {
+                s.spawn(move || other.run());
+            }
+            first.run();
+        });
+    }
 }
 
 struct EventLoop<'a> {
@@ -349,8 +365,8 @@ impl<'a> EventLoop<'a> {
                 };
                 nm.queue_depth.dec();
                 let result = handle_request(&body, state, &mut self.scratch);
-                // Like the threaded backend, an honored SHUTDOWN is the
-                // last request this connection gets answered.
+                // An honored SHUTDOWN is the last request this connection
+                // gets answered.
                 if result.is_ok() && is_shutdown_request(&body) {
                     conn.close_after_flush = true;
                     nm.queue_depth.add(-(conn.pending.len() as i64));
@@ -366,8 +382,7 @@ impl<'a> EventLoop<'a> {
             // unsent bytes were applied, but the responses die with the
             // connection — the same applied-but-unacked ambiguity a
             // crashed NIC produces, which the self-healing client resolves
-            // by probing the model clock. Checked after execution, like
-            // the threaded backend's post-dispatch injection point.
+            // by probing the model clock. Checked after execution.
             if conn.unsent() > 0
                 && wmsketch_faults::check(wmsketch_faults::NET_FRAME_WRITE).is_some()
             {

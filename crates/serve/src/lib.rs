@@ -13,9 +13,9 @@
 //! crate externalizes that: a versioned binary snapshot format plus a
 //! TCP service speaking it.
 //!
-//! * [`WmServer`] / [`ServerHandle`] — a TCP node with two transport
-//!   [backends](#backends) (a threaded accept loop and a
-//!   readiness-driven event loop), both feeding a **model registry**:
+//! * [`WmServer`] / [`ServerHandle`] — a TCP node whose readiness-driven
+//!   event loops ([transport](#transport), Linux only) feed a **model
+//!   registry**:
 //!   named [`wmsketch_core::DynLearner`] models (WM, AWM, multiclass
 //!   AWM — anything in [`wmsketch_core::REGISTERED_LEARNER_KINDS`]),
 //!   each one plain learner behind its own mutex; graceful drain on
@@ -114,11 +114,10 @@
 //! `"default"`, kind `03` WM).
 //!
 //! **Pipelining.** A connection may write request frame N+1 without
-//! waiting for frame N's response — both backends accept it. On both,
-//! one connection's requests **execute one at a time in the order they
-//! were framed**, and their responses come back in that order, one
-//! response per request, so a pipelined reader pairs them by position —
-//! there are no response tags. A pipelined ESTIMATE never observes the
+//! waiting for frame N's response. One connection's requests **execute
+//! one at a time in the order they were framed**, and their responses
+//! come back in that order, one response per request, so a pipelined
+//! reader pairs them by position — there are no response tags. A pipelined ESTIMATE never observes the
 //! model from before an UPDATE framed ahead of it, and a request for a
 //! model pipelined behind the CREATE that registers it runs after that
 //! CREATE. Requests from *different* connections on one model are
@@ -190,7 +189,7 @@
 //! ```text
 //! stats := routed (u64) | clock (u64)
 //!        | count (u32) | count x model
-//!        | backend (u8: 00 threaded, 01 event)
+//!        | backend (u8: 01 event; 00 retired)
 //!        | lock acquisitions (u64) | update frames (u64)
 //!        | node id (u64) | row count (u32)
 //!        | row count x (model id (u32) | peer id (u64)
@@ -201,8 +200,10 @@
 //!        | resident bytes (u64) | evictions (u64) | revivals (u64)
 //! ```
 //!
-//! Every UPDATE frame takes its model's lock exactly once on both
-//! backends, so the node writes the frame count into both counter slots.
+//! Every UPDATE frame takes its model's lock exactly once, so the node
+//! writes the frame count into both counter slots. The backend byte is
+//! always `01`; `00` named a transport that no longer exists and decodes
+//! as an error.
 //! The six governor fields are all zero on an ungoverned node. The layout
 //! is frozen: new node-wide figures go into `OP_METRICS`, not STATS. The
 //! client decodes it strictly ([`protocol::take_stats`]): a reply that
@@ -430,8 +431,8 @@
 //! | `bytes_rx_total` | counter | request bytes read (length prefixes included) |
 //! | `bytes_tx_total` | counter | response bytes handed to the transport |
 //! | `connections_open` | gauge | currently open connections |
-//! | `paused_connections` | gauge | connections whose read frames wait on unsent responses (event backend) |
-//! | `executor_queue_depth` | gauge | request frames read but not yet executed (event backend) |
+//! | `paused_connections` | gauge | connections whose read frames wait on unsent responses |
+//! | `executor_queue_depth` | gauge | request frames read but not yet executed |
 //! | `update_frames_total` | counter | mirror of the STATS update-frame counter |
 //! | `gossip_rounds_total` | counter | gossip ticks started |
 //! | `gossip_attempts_total` | counter | per-peer exchanges attempted |
@@ -465,33 +466,21 @@
 //! ids); registry-level ops and requests that never resolved a model are
 //! attributed to the reserved pseudo-model `_registry`.
 //!
-//! ## Backends
+//! ## Transport
 //!
-//! Both backends speak the identical wire protocol and produce
-//! bit-identical model state for the same per-connection frame
-//! sequences; which one runs is an operational choice:
-//!
-//! * **Threaded** ([`ServeBackend::Threaded`]) — blocking accept loop,
-//!   one thread per connection. Simple, portable, and the default off
-//!   Linux.
-//! * **Event** ([`ServeBackend::Event`]) — run-to-completion loops over
-//!   raw `epoll` (Linux only, where it is the default): one to four
-//!   nonblocking loop threads, one per available CPU, each owning the
-//!   connections it accepted. A loop reassembles a connection's frames,
-//!   runs each one in arrival order through the same handler the
-//!   threaded backend calls — so both backends decode, lock, and record
-//!   telemetry identically — and writes the responses itself; no
-//!   request crosses a thread. Connections cost no thread, so one node
-//!   holds many thousands; a connection whose unsent responses pass
-//!   1 MiB has its remaining frames held and its reads stopped until the
-//!   socket drains, and accept/registration failures (fd exhaustion)
-//!   back off for 10 ms instead of spinning.
-//!
-//! Selection order: an explicit [`ServeConfig::backend`] override, else
-//! the `WMSKETCH_SERVE_BACKEND` environment variable (`threaded` |
-//! `event`), else the platform default. An `Event` selection is clamped
-//! to `Threaded` off Linux, and an event node whose poller cannot be set
-//! up falls back to the threaded loop rather than failing to serve.
+//! Serve needs Linux: its transport is run-to-completion event loops over
+//! raw `epoll`, and elsewhere [`WmServer::bind`] returns
+//! [`std::io::ErrorKind::Unsupported`]. (The [`ServeClient`] is portable.)
+//! A node runs one to four nonblocking loop threads, one per available
+//! CPU. `bind` creates their pollers, so an `epoll` failure is a bind
+//! error and [`WmServer::spawn`] cannot fail. Each loop owns
+//! the connections it accepted. It reassembles a connection's frames,
+//! runs each one in arrival order, and writes the responses itself; no
+//! request crosses a thread. Connections cost no thread, so one node
+//! holds many thousands; a connection whose unsent responses pass 1 MiB
+//! has its remaining frames held and its reads stopped until the socket
+//! drains, and accept/registration failures (fd exhaustion) back off for
+//! 10 ms instead of spinning.
 //!
 //! ## Trust model
 //!
@@ -512,6 +501,31 @@ mod durability;
 pub mod error;
 #[cfg(target_os = "linux")]
 mod event_loop;
+/// Off Linux there is no transport: binding fails with `Unsupported`, and
+/// the uninhabited stand-in keeps the rest of the crate compiling.
+#[cfg(not(target_os = "linux"))]
+mod event_loop {
+    use std::net::{SocketAddr, ToSocketAddrs};
+
+    pub(crate) enum Transport {}
+
+    impl Transport {
+        pub(crate) fn bind(_addr: impl ToSocketAddrs) -> std::io::Result<Self> {
+            Err(std::io::Error::new(
+                std::io::ErrorKind::Unsupported,
+                "wmsketch-serve needs Linux: its transport is raw epoll",
+            ))
+        }
+
+        pub(crate) fn local_addr(&self) -> std::io::Result<SocketAddr> {
+            match *self {}
+        }
+
+        pub(crate) fn run(self, _state: &std::sync::Arc<crate::server::ServerState>) {
+            match self {}
+        }
+    }
+}
 mod gossip;
 mod governor;
 mod metrics;

@@ -25,7 +25,7 @@ use crate::protocol::{
     OP_METRICS, OP_PEER_JOIN, OP_PREDICT, OP_PULL_DELTA, OP_RESET, OP_RESTORE, OP_SHUTDOWN,
     OP_SNAPSHOT, OP_STATS, OP_TOPK, OP_UPDATE,
 };
-use crate::server::{ServeBackend, ServerState};
+use crate::server::ServerState;
 
 /// Number of op classes a latency-histogram array holds: one per wire
 /// opcode plus a trailing catch-all for unknown/malformed requests.
@@ -87,7 +87,7 @@ pub(crate) fn op_class_name(class: usize) -> &'static str {
 /// holds — no map lookups, no locks.
 pub(crate) struct ModelTelemetry {
     /// Per-op-class service latency (nanoseconds from decode to response
-    /// on the execution path, the same span on both backends). This
+    /// on the execution path). This
     /// array is multiplied by every hosted model, and on a governed fleet
     /// node the registry's per-entry footprint bounds how many models fit
     /// under the memory budget — hence the 144-byte histogram.
@@ -112,8 +112,7 @@ impl ModelTelemetry {
     }
 }
 
-/// Node-wide telemetry shared by both transport backends and the gossip
-/// thread.
+/// Node-wide telemetry shared by the event loops and the gossip thread.
 pub(crate) struct NodeMetrics {
     /// Telemetry for registry-level ops (CREATE/LIST/SHUTDOWN/PEER_JOIN/
     /// METRICS) and for requests that never resolved a model — exposed
@@ -127,11 +126,11 @@ pub(crate) struct NodeMetrics {
     pub(crate) bytes_tx: Counter,
     /// Currently open connections.
     pub(crate) connections: Gauge,
-    /// Event backend: connections whose read frames wait, and whose
+    /// Connections whose read frames wait, and whose
     /// reads are stopped, until their unsent responses drain
     /// (backpressure engaged).
     pub(crate) paused_connections: Gauge,
-    /// Event backend: request frames read but not yet executed, across
+    /// Request frames read but not yet executed, across
     /// all connections.
     pub(crate) queue_depth: Gauge,
     /// Coarse span journal: gossip ticks, delta pulls, drains, model
@@ -214,7 +213,7 @@ pub(crate) fn now_if_enabled() -> Option<Instant> {
     wmsketch_telemetry::enabled().then(Instant::now)
 }
 
-/// Records one dispatched request (every frame, on both backends):
+/// Records one dispatched request (every frame):
 /// latency, wire bytes, errors, and query-rate accounting, attributed to
 /// the addressed model or to the `_registry` pseudo-model.
 pub(crate) fn record_request(state: &ServerState, body: &[u8], started: Instant, ok: bool) {
@@ -250,13 +249,9 @@ pub(crate) fn render(state: &ServerState) -> String {
     let m = &state.metrics;
     let mut w = ExpoWriter::new();
     let node_id = state.node_id.to_string();
-    let backend = match state.backend {
-        ServeBackend::Threaded => "threaded",
-        ServeBackend::Event => "event",
-    };
     w.sample_u64(
         "node_info",
-        &[("node_id", &node_id), ("backend", backend)],
+        &[("node_id", &node_id), ("backend", "event")],
         1,
     );
     w.sample_u64(
@@ -272,7 +267,7 @@ pub(crate) fn render(state: &ServerState) -> String {
     w.sample_i64("connections_open", &[], m.connections.get());
     w.sample_i64("paused_connections", &[], m.paused_connections.get());
 
-    // Scheduler (event backend; zero on the threaded backend).
+    // Scheduler.
     w.sample_i64("executor_queue_depth", &[], m.queue_depth.get());
 
     // The always-on STATS frame counter, mirrored so one scrape carries it.

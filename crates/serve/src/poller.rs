@@ -1,13 +1,13 @@
 //! Minimal readiness poller over raw `epoll`, in keeping with the
 //! workspace's no-external-deps policy: the `extern "C"` declarations
-//! below bind the handful of kernel entry points the event backend
+//! below bind the handful of kernel entry points the event loop
 //! needs (`epoll_create1`/`epoll_ctl`/`epoll_wait`, `listen` and `close`)
 //! directly against the platform C library that `std` already links — no
 //! `libc` crate, no `mio`.
 //!
 //! Linux-only by construction (`epoll` is a Linux API); the module is
-//! compiled out elsewhere and the backend resolver never selects the
-//! event backend off-Linux.
+//! compiled out elsewhere, where binding a server fails with
+//! `Unsupported`.
 
 #![cfg(target_os = "linux")]
 

@@ -195,7 +195,7 @@ const REPL_ROW_LEN: usize = 28;
 ///
 /// ```text
 /// routed (u64) | clock (u64) | count (u32) | count x model
-/// | backend (u8: 0 threaded, 1 event)
+/// | backend (u8: 1 event; 0 retired)
 /// | update lock acquisitions (u64) | update frames (u64)
 /// | node id (u64) | row count (u32)
 /// | row count x (model (u32) | peer (u64) | acked (u64) | applied (u64))
@@ -212,7 +212,6 @@ pub fn put_stats(w: &mut Writer, stats: &ServeStats) {
         put_model_info(w, row);
     }
     w.put_u8(match stats.backend {
-        ServeBackend::Threaded => 0,
         ServeBackend::Event => 1,
     });
     w.put_u64(stats.update_lock_acquisitions);
@@ -248,7 +247,6 @@ pub fn take_stats(payload: &[u8]) -> Result<ServeStats, CodecError> {
         models.push(take_model_info(&mut r)?);
     }
     let backend = match r.take_u8()? {
-        0 => ServeBackend::Threaded,
         1 => ServeBackend::Event,
         _ => return Err(CodecError::Invalid("unknown backend byte in STATS")),
     };
@@ -329,7 +327,7 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, ServeError> {
 }
 
 /// Incremental frame reassembly for nonblocking reads: the event
-/// backend's replacement for the blocking [`read_frame`].
+/// loop's counterpart of the blocking [`read_frame`].
 ///
 /// Bytes arrive in whatever chunks the kernel delivers them
 /// ([`FrameAssembler::push`]); [`FrameAssembler::next_frame`] yields each

@@ -3,20 +3,15 @@
 //! AWM, multiclass), each one plain learner behind its own mutex so
 //! traffic to different models never serializes.
 //!
-//! Two interchangeable transport backends speak the same wire protocol
-//! (selected by [`ServeBackend`]):
-//!
-//! * **Threaded** — the classic blocking accept loop, one worker thread
-//!   per connection, strict request/response per connection.
-//! * **Event** (Linux, the default there) — a few run-to-completion
-//!   loops (`crate::event_loop`), each over its own raw-`epoll` poller:
-//!   incremental frame reassembly and request pipelining, every frame
-//!   run in arrival order on the loop thread that read it, through the
-//!   same handler the threaded backend runs.
+//! The transport is a few run-to-completion event loops
+//! (`crate::event_loop`), each over its own raw-`epoll` poller:
+//! incremental frame reassembly and request pipelining, every frame run
+//! in arrival order on the loop thread that read it. The pollers are set
+//! up in [`WmServer::bind`], so serving needs Linux; elsewhere `bind`
+//! returns [`std::io::ErrorKind::Unsupported`].
 
 use std::collections::{BTreeMap, HashMap};
-use std::io::Read;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -29,15 +24,11 @@ use crate::durability;
 use crate::error::ServeError;
 use crate::metrics;
 use crate::protocol::{
-    self, take_examples_into, take_features, take_request_head, write_frame, ExamplesScratch,
-    ModelInfo, MAX_FRAME_LEN, OP_ACK, OP_CHECKPOINT, OP_CREATE, OP_ESTIMATE, OP_LIST, OP_MERGE,
-    OP_METRICS, OP_PEER_JOIN, OP_PREDICT, OP_PULL_DELTA, OP_RESET, OP_RESTORE, OP_SHUTDOWN,
-    OP_SNAPSHOT, OP_STATS, OP_TOPK, OP_UPDATE, PULL_SINCE_FULL, STATUS_ERR, STATUS_OK,
+    self, take_examples_into, take_features, take_request_head, ExamplesScratch, ModelInfo,
+    MAX_FRAME_LEN, OP_ACK, OP_CHECKPOINT, OP_CREATE, OP_ESTIMATE, OP_LIST, OP_MERGE, OP_METRICS,
+    OP_PEER_JOIN, OP_PREDICT, OP_PULL_DELTA, OP_RESET, OP_RESTORE, OP_SHUTDOWN, OP_SNAPSHOT,
+    OP_STATS, OP_TOPK, OP_UPDATE, PULL_SINCE_FULL, STATUS_ERR, STATUS_OK,
 };
-
-/// How long a connection thread blocks on the socket before re-checking
-/// the shutdown flag; bounds drain latency without busy-waiting.
-const POLL_INTERVAL: Duration = Duration::from_millis(25);
 
 /// Longest model name CREATE accepts (bytes of UTF-8).
 const MAX_MODEL_NAME: usize = 128;
@@ -61,54 +52,15 @@ const MAX_PEER_ADDR: usize = 256;
 /// Most replication peers one node tracks.
 const MAX_PEERS: usize = 1024;
 
-/// Which transport backend a server runs; both speak the identical wire
-/// protocol and produce bit-identical model state for the same
-/// per-connection frame sequences.
+/// The transport a server runs, as STATS reports it. The event loop is
+/// the only one; the type stays so the STATS layout keeps its backend
+/// byte.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServeBackend {
-    /// Blocking accept loop, one thread per connection.
-    Threaded,
-    /// Readiness-driven nonblocking event loop (raw `epoll`; Linux only,
-    /// where it is the default). Connections cost no thread, and a
-    /// pipelined connection's requests are decoded while earlier ones
-    /// execute; every request runs through the same handler as on the
-    /// threaded backend.
+    /// Readiness-driven nonblocking event loops over raw `epoll`.
+    /// Connections cost no thread, and a pipelined connection's requests
+    /// are decoded while earlier ones execute.
     Event,
-}
-
-impl ServeBackend {
-    /// The `WMSKETCH_SERVE_BACKEND` env selection (`threaded` | `event`),
-    /// if present and well-formed.
-    fn from_env() -> Option<Self> {
-        match std::env::var("WMSKETCH_SERVE_BACKEND")
-            .ok()?
-            .to_ascii_lowercase()
-            .as_str()
-        {
-            "threaded" | "thread" | "blocking" => Some(Self::Threaded),
-            "event" | "epoll" => Some(Self::Event),
-            _ => None,
-        }
-    }
-
-    /// Resolution order: explicit [`ServeConfig::backend`] override, then
-    /// the env var, then the platform default (event on Linux, threaded
-    /// elsewhere). Off-Linux the event backend doesn't exist, so the
-    /// result is clamped to threaded.
-    fn resolve(explicit: Option<Self>) -> Self {
-        let picked = explicit
-            .or_else(Self::from_env)
-            .unwrap_or(if cfg!(target_os = "linux") {
-                Self::Event
-            } else {
-                Self::Threaded
-            });
-        if cfg!(target_os = "linux") {
-            picked
-        } else {
-            Self::Threaded
-        }
-    }
 }
 
 /// Configuration of one serving node — specifically of its **default
@@ -118,9 +70,6 @@ impl ServeBackend {
 pub struct ServeConfig {
     /// The default model's configuration.
     pub wm: WmSketchConfig,
-    /// Transport backend override; `None` (the default) defers to the
-    /// `WMSKETCH_SERVE_BACKEND` env var and then the platform default.
-    pub backend: Option<ServeBackend>,
     /// This node's replication identity. Only needs to be unique within
     /// a cluster; a node never gossips with a peer whose id equals its
     /// own. Defaults to 0.
@@ -167,7 +116,6 @@ impl ServeConfig {
         );
         Self {
             wm,
-            backend: None,
             node_id: 0,
             gossip_interval_ms: 0,
             data_dir: None,
@@ -217,11 +165,10 @@ impl ServeConfig {
         self
     }
 
-    /// Forces a transport backend instead of the env/platform selection
-    /// (an `Event` request is still clamped to `Threaded` off-Linux).
+    /// Names the transport. The event loop is the only one, so this
+    /// changes nothing; it remains for callers that name it explicitly.
     #[must_use]
-    pub fn backend(mut self, backend: ServeBackend) -> Self {
-        self.backend = Some(backend);
+    pub fn backend(self, _backend: ServeBackend) -> Self {
         self
     }
 }
@@ -239,12 +186,12 @@ pub struct ServeStats {
     /// The whole registry, one row per hosted model (kind, update clock,
     /// memory) — what this node is hosting, at a glance.
     pub models: Vec<ModelInfo>,
-    /// Which transport backend the node is running.
+    /// The transport the node is running (always [`ServeBackend::Event`]).
     pub backend: ServeBackend,
     /// Learner-lock acquisitions that served UPDATE frames, node-wide.
-    /// Every UPDATE frame takes the lock exactly once on both backends,
-    /// so this always equals [`ServeStats::update_frames`]; the wire slot
-    /// is kept so the STATS layout does not change.
+    /// Every UPDATE frame takes the lock exactly once, so this always
+    /// equals [`ServeStats::update_frames`]; the wire slot is kept so the
+    /// STATS layout does not change.
     pub update_lock_acquisitions: u64,
     /// UPDATE frames executed node-wide (frames rejected at decode are
     /// not counted).
@@ -647,12 +594,11 @@ impl Registry {
     }
 }
 
-/// State shared between the transport backend and every request handler.
+/// State shared between the event loops and every request handler.
 pub(crate) struct ServerState {
     registry: RwLock<Registry>,
     pub(crate) addr: SocketAddr,
     pub(crate) shutdown: AtomicBool,
-    pub(crate) backend: ServeBackend,
     /// UPDATE frames executed (reported in both STATS tail slots).
     pub(crate) update_frames: AtomicU64,
     /// This node's replication identity.
@@ -701,10 +647,10 @@ impl ServerState {
     }
 }
 
-/// A bound, not-yet-running server. [`WmServer::spawn`] starts the
-/// selected backend.
+/// A bound, not-yet-running server. [`WmServer::spawn`] starts its event
+/// loops.
 pub struct WmServer {
-    listener: TcpListener,
+    transport: crate::event_loop::Transport,
     state: Arc<ServerState>,
 }
 
@@ -721,15 +667,14 @@ impl WmServer {
     /// restart from the recovered clocks.
     ///
     /// # Errors
-    /// Propagates socket errors from binding and I/O errors creating the
-    /// data directory. Individual unreadable or corrupt durable files
-    /// are skipped (counted in `recovery_rejected_total`), not fatal.
+    /// Propagates socket errors from binding, poller (`epoll`) set-up
+    /// errors, and I/O errors creating the data directory. Off Linux the
+    /// error is always [`std::io::ErrorKind::Unsupported`]. Individual
+    /// unreadable or corrupt durable files are skipped (counted in
+    /// `recovery_rejected_total`), not fatal.
     pub fn bind(addr: impl ToSocketAddrs, cfg: ServeConfig) -> std::io::Result<Self> {
-        let listener = TcpListener::bind(addr)?;
-        #[cfg(target_os = "linux")]
-        crate::poller::widen_backlog(&listener)?;
-        let addr = listener.local_addr()?;
-        let backend = ServeBackend::resolve(cfg.backend);
+        let transport = crate::event_loop::Transport::bind(addr)?;
+        let addr = transport.local_addr()?;
         let node_id = cfg.node_id;
         let gossip_interval_ms = cfg.gossip_interval_ms;
         let data_dir = cfg.data_dir.clone();
@@ -787,7 +732,6 @@ impl WmServer {
             }),
             addr,
             shutdown: AtomicBool::new(false),
-            backend,
             update_frames: AtomicU64::new(0),
             node_id,
             gossip_interval_ms,
@@ -801,7 +745,7 @@ impl WmServer {
         if state.data_dir.is_some() {
             recover_registry(&state)?;
         }
-        Ok(Self { listener, state })
+        Ok(Self { transport, state })
     }
 
     /// The bound address (the resolved port when bound to port 0).
@@ -809,31 +753,19 @@ impl WmServer {
     /// # Errors
     /// Propagates socket errors.
     pub fn local_addr(&self) -> std::io::Result<SocketAddr> {
-        self.listener.local_addr()
+        self.transport.local_addr()
     }
 
-    /// The transport backend this server resolved to.
-    #[must_use]
-    pub fn backend(&self) -> ServeBackend {
-        self.state.backend
-    }
-
-    /// Starts the selected backend on a background thread and returns a
+    /// Starts the event loops on a background thread and returns a
     /// handle that can address and stop the server.
     #[must_use]
     pub fn spawn(self) -> ServerHandle {
         let state = Arc::clone(&self.state);
-        let listener = self.listener;
-        let accept = match self.state.backend {
-            #[cfg(target_os = "linux")]
-            ServeBackend::Event => {
-                std::thread::spawn(move || crate::event_loop::run(listener, &state))
-            }
-            _ => std::thread::spawn(move || accept_loop(&listener, &state)),
-        };
-        // The anti-entropy tick runs on its own timer thread for both
-        // backends (it drives blocking client I/O toward peers, which
-        // must never stall the event loop's poller).
+        let transport = self.transport;
+        let loops = std::thread::spawn(move || transport.run(&state));
+        // The anti-entropy tick runs on its own timer thread (it drives
+        // blocking client I/O toward peers, which must never stall an
+        // event loop's poller).
         let gossip = (self.state.gossip_interval_ms > 0).then(|| {
             let state = Arc::clone(&self.state);
             std::thread::spawn(move || crate::gossip::run(&state))
@@ -848,7 +780,7 @@ impl WmServer {
             });
         ServerHandle {
             state: self.state,
-            accept: Some(accept),
+            loops: Some(loops),
             gossip,
             checkpointer,
         }
@@ -858,7 +790,7 @@ impl WmServer {
 /// Handle to a running server; dropping it shuts the server down.
 pub struct ServerHandle {
     state: Arc<ServerState>,
-    accept: Option<std::thread::JoinHandle<()>>,
+    loops: Option<std::thread::JoinHandle<()>>,
     gossip: Option<std::thread::JoinHandle<()>>,
     checkpointer: Option<std::thread::JoinHandle<()>>,
 }
@@ -870,13 +802,7 @@ impl ServerHandle {
         self.state.addr
     }
 
-    /// The transport backend the server is running.
-    #[must_use]
-    pub fn backend(&self) -> ServeBackend {
-        self.state.backend
-    }
-
-    /// Signals shutdown, wakes the backend loop, and joins it (which in
+    /// Signals shutdown, wakes the event loops, and joins them (which in
     /// turn drains every in-flight request). With durability enabled the
     /// checkpointer takes one final pass, so a *graceful* shutdown
     /// persists every model's latest state.
@@ -898,9 +824,9 @@ impl ServerHandle {
 
     fn shutdown_inner(&mut self) {
         self.state.shutdown.store(true, Ordering::SeqCst);
-        // Wake the (possibly blocking) accept with a throwaway connection.
+        // Wake the event loops with a throwaway connection.
         let _ = TcpStream::connect(wake_addr(self.state.addr));
-        if let Some(handle) = self.accept.take() {
+        if let Some(handle) = self.loops.take() {
             let _ = handle.join();
         }
         if let Some(handle) = self.gossip.take() {
@@ -912,10 +838,9 @@ impl ServerHandle {
     }
 }
 
-/// Address used to self-connect and wake the blocking accept loop.
-/// Connecting to an unspecified bind address (`0.0.0.0` / `::`) is
-/// non-portable (it fails outright on some platforms, leaving accept
-/// blocked and shutdown joining forever), so substitute the matching
+/// Address used to self-connect and wake the event loops. Connecting to
+/// an unspecified bind address (`0.0.0.0` / `::`) is non-portable (it
+/// fails outright on some platforms), so substitute the matching
 /// loopback.
 pub(crate) fn wake_addr(mut addr: SocketAddr) -> SocketAddr {
     if addr.ip().is_unspecified() {
@@ -931,50 +856,6 @@ impl Drop for ServerHandle {
     fn drop(&mut self) {
         self.shutdown_inner();
     }
-}
-
-/// Accepts connections until the shutdown flag is set, then joins every
-/// connection thread so in-flight requests finish before the server
-/// exits (graceful drain). The threaded backend's top level.
-pub(crate) fn accept_loop(listener: &TcpListener, state: &Arc<ServerState>) {
-    let mut workers: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    loop {
-        if state.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                if state.shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-                // Reap finished connection threads so a long-lived server
-                // doesn't accumulate a handle per connection ever served.
-                workers.retain(|w| !w.is_finished());
-                let state = Arc::clone(state);
-                workers.push(std::thread::spawn(move || {
-                    state.metrics.connections.inc();
-                    let _ = serve_connection(stream, &state);
-                    state.metrics.connections.dec();
-                }));
-            }
-            Err(_) => {
-                if state.shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-                // Persistent accept errors (e.g. fd exhaustion) fail
-                // instantly; back off briefly instead of spinning a core —
-                // which would starve the very connection threads whose
-                // exit frees the descriptors.
-                std::thread::sleep(Duration::from_millis(10));
-            }
-        }
-    }
-    let drain_started = std::time::Instant::now();
-    let joined = workers.len() as u64;
-    for w in workers {
-        let _ = w.join();
-    }
-    state.metrics.journal.push("drain", joined, drain_started);
 }
 
 /// The background checkpointer: every interval it sweeps the registry
@@ -1189,54 +1070,10 @@ fn register_recovered_model(
     Ok(())
 }
 
-/// Reads frames off one connection until EOF or shutdown, dispatching
-/// each request and writing one response frame per request.
-fn serve_connection(mut stream: TcpStream, state: &Arc<ServerState>) -> Result<(), ServeError> {
-    // A finite read timeout lets idle connections observe the shutdown
-    // flag; mid-frame timeouts keep reading. NODELAY matters here: the
-    // protocol is strict request/response, and Nagle + delayed ACKs add
-    // ~40ms to every round trip otherwise.
-    stream.set_read_timeout(Some(POLL_INTERVAL))?;
-    stream.set_nodelay(true)?;
-    // Per-connection decode scratch: UPDATE frames reuse the same example
-    // buffers for the connection's lifetime instead of allocating fresh
-    // feature vectors per batch.
-    let mut scratch = ExamplesScratch::new();
-    loop {
-        let body = match read_frame_interruptible(&mut stream, state) {
-            Ok(Some(body)) => body,
-            Ok(None) => return Ok(()),
-            Err(e) => return Err(e),
-        };
-        state.metrics.frames_rx.inc();
-        state.metrics.bytes_rx.add(body.len() as u64 + 4);
-        let result = handle_request(&body, state, &mut scratch);
-        // OP_SHUTDOWN closes this connection only when the request was
-        // actually honored — a malformed shutdown frame gets an ERR
-        // response on a connection that stays open, like any other error.
-        let shutdown = result.is_ok() && is_shutdown_request(&body);
-        let response = encode_response(result);
-        state.metrics.bytes_tx.add(response.len() as u64 + 4);
-        // `net.frame_write` failpoint: the request was *applied* but the
-        // response is lost and the connection dies — exactly the ambiguity
-        // a crashed NIC or killed process produces, and what the
-        // self-healing client's clock-probe resume exists to resolve.
-        if wmsketch_faults::check(wmsketch_faults::NET_FRAME_WRITE).is_some() {
-            return Err(ServeError::Io(wmsketch_faults::injected_io_error(
-                wmsketch_faults::NET_FRAME_WRITE,
-            )));
-        }
-        write_frame(&mut stream, &response)?;
-        if shutdown {
-            return Ok(());
-        }
-    }
-}
-
 /// Encodes a handler result as a response frame body, substituting a
 /// typed ERR for oversized payloads (e.g. a SNAPSHOT of a sketch too
-/// large for one frame) instead of letting `write_frame` drop the
-/// connection. Shared by both backends so response bytes are identical.
+/// large for one frame) instead of sending a frame the client's
+/// `read_frame` rejects, which would end the connection.
 pub(crate) fn encode_response(result: Result<Vec<u8>, ServeError>) -> Vec<u8> {
     let mut response = match result {
         Ok(payload) => {
@@ -1266,62 +1103,6 @@ pub(crate) fn is_shutdown_request(body: &[u8]) -> bool {
     matches!(
         take_request_head(&mut Reader::new(body)),
         Ok(head) if head.op == OP_SHUTDOWN
-    )
-}
-
-/// [`protocol::read_frame`], but tolerant of read timeouts: an idle
-/// timeout re-checks the shutdown flag, a mid-frame timeout resumes
-/// reading.
-fn read_frame_interruptible(
-    stream: &mut TcpStream,
-    state: &Arc<ServerState>,
-) -> Result<Option<Vec<u8>>, ServeError> {
-    let mut len_buf = [0u8; 4];
-    let mut filled = 0usize;
-    while filled < 4 {
-        match stream.read(&mut len_buf[filled..]) {
-            Ok(0) => {
-                if filled == 0 {
-                    return Ok(None);
-                }
-                return Err(ServeError::Protocol("EOF inside a frame header"));
-            }
-            Ok(n) => filled += n,
-            Err(e) if is_timeout(&e) => {
-                // Checked mid-frame too: a connection stalled inside a
-                // frame must not hold the drain hostage at shutdown.
-                if state.shutdown.load(Ordering::SeqCst) {
-                    return Ok(None);
-                }
-            }
-            Err(e) => return Err(e.into()),
-        }
-    }
-    let len = u32::from_le_bytes(len_buf);
-    if len > protocol::MAX_FRAME_LEN {
-        return Err(ServeError::Protocol("frame length exceeds MAX_FRAME_LEN"));
-    }
-    let mut body = vec![0u8; len as usize];
-    let mut filled = 0usize;
-    while filled < body.len() {
-        match stream.read(&mut body[filled..]) {
-            Ok(0) => return Err(ServeError::Protocol("EOF inside a frame body")),
-            Ok(n) => filled += n,
-            Err(e) if is_timeout(&e) => {
-                if state.shutdown.load(Ordering::SeqCst) {
-                    return Ok(None);
-                }
-            }
-            Err(e) => return Err(e.into()),
-        }
-    }
-    Ok(Some(body))
-}
-
-fn is_timeout(e: &std::io::Error) -> bool {
-    matches!(
-        e.kind(),
-        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
     )
 }
 
@@ -1586,7 +1367,7 @@ fn dispatch_request(
         OP_SHUTDOWN => {
             r.finish()?;
             state.shutdown.store(true, Ordering::SeqCst);
-            // Wake the accept loop so the drain starts immediately.
+            // Wake the event loops so the drain starts immediately.
             let _ = TcpStream::connect(wake_addr(state.addr));
             return Ok(out.into_bytes());
         }
@@ -1732,7 +1513,7 @@ fn dispatch_request(
                 routed: clock,
                 root_examples: clock,
                 models: registry_rows(state),
-                backend: state.backend,
+                backend: ServeBackend::Event,
                 update_lock_acquisitions: update_frames,
                 update_frames,
                 node_id: state.node_id,

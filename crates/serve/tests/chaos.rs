@@ -169,8 +169,7 @@ fn zero_faults_means_zero_retries_and_a_clean_final_checkpoint() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The headline crash drill, exercised through whichever backend
-/// `WMSKETCH_SERVE_BACKEND` selects (CI runs the matrix): a node ingests
+/// The headline crash drill: a node ingests
 /// under torn checkpoint writes + universally dropped fsyncs + injected
 /// response-write kills, is killed (no final checkpoint), restarts from
 /// the same data dir, and the self-healing client finishes the stream.

@@ -1,11 +1,10 @@
-//! Concurrency stress for the serve backends: 64 pipelined connections
+//! Concurrency stress for the serve node: 64 pipelined connections
 //! (63 sessions on private models plus one on the default model)
 //! hammering one node, asserting
 //! per-connection response ordering and bit-exact final-state parity
 //! with the same streams ingested over a single blocking connection —
-//! plus, on the event backend, thousands of idle connections coexisting
-//! with an active one, and on both backends a flood of unread replies
-//! that must not stall other connections.
+//! plus thousands of idle connections coexisting with an active one, and
+//! a flood of unread replies that must not stall other connections.
 
 use std::io::Write;
 use std::net::TcpStream;
@@ -151,23 +150,18 @@ fn sixty_four_pipelined_connections_order_and_parity() {
     quiet.shutdown();
 }
 
-/// The event backend's reason to exist: thousands of connections held
-/// open by one node without a thread each. Idle sockets must cost only
-/// their registration — an active session threading between them keeps
-/// full service. (Event backend only; the threaded backend would need a
-/// thread per socket.)
-#[cfg(target_os = "linux")]
+/// The event loop's reason to exist: thousands of connections held open
+/// by one node without a thread each. Idle sockets must cost only their
+/// registration — an active session threading between them keeps full
+/// service.
 #[test]
 fn thousands_of_idle_connections_dont_starve_an_active_one() {
-    use std::net::TcpStream;
-    use wmsketch_serve::ServeBackend;
-
     // Half the sockets live in this (client) process too, so stay well
     // inside typical fd limits while still far beyond any thread-per-
     // connection design's comfort zone.
     const IDLE: usize = 4096;
 
-    let server = start(default_model().backend(ServeBackend::Event));
+    let server = start(default_model());
     let mut idle: Vec<TcpStream> = Vec::with_capacity(IDLE);
     for k in 0..IDLE {
         idle.push(TcpStream::connect(server.addr()).unwrap_or_else(|e| {
@@ -221,7 +215,8 @@ fn read_err(stream: &mut TcpStream, what: &str) {
 /// one with a label outside the binary domain — each get their ERR in
 /// position, the valid frames around them are answered in order, and the
 /// model ends byte-equal to a twin fed only the valid frames.
-fn malformed_update_in_pipeline_case(backend: ServeBackend) {
+#[test]
+fn malformed_update_between_pipelined_updates_errs_in_position_event() {
     let data = stream_for(6);
     let chunks: Vec<_> = data.chunks(FRAME).take(4).collect();
     let valid = |chunk: &[(SparseVector, Label)]| {
@@ -246,7 +241,7 @@ fn malformed_update_in_pipeline_case(backend: ServeBackend) {
     wire.extend_from_slice(&raw_frame(0, OP_UPDATE, bad_label));
     wire.extend_from_slice(&valid(chunks[3]));
 
-    let server = start(default_model().backend(backend));
+    let server = start(default_model());
     let mut raw = TcpStream::connect(server.addr()).unwrap();
     raw.set_nodelay(true).unwrap();
     raw.write_all(&wire).unwrap();
@@ -258,7 +253,7 @@ fn malformed_update_in_pipeline_case(backend: ServeBackend) {
     assert_eq!(read_ok_u64(&mut raw, "frame 3"), 4 * FRAME as u64);
     drop(raw);
 
-    let twin = start(default_model().backend(backend));
+    let twin = start(default_model());
     let mut t = ServeClient::connect(twin.addr()).unwrap();
     for chunk in &chunks {
         t.update_batch(chunk).unwrap();
@@ -267,21 +262,10 @@ fn malformed_update_in_pipeline_case(backend: ServeBackend) {
     assert_eq!(
         c.snapshot().unwrap(),
         t.snapshot().unwrap(),
-        "{backend:?}: malformed frames changed the model"
+        "malformed frames changed the model"
     );
     server.shutdown();
     twin.shutdown();
-}
-
-#[test]
-fn malformed_update_between_pipelined_updates_errs_in_position_threaded() {
-    malformed_update_in_pipeline_case(ServeBackend::Threaded);
-}
-
-#[cfg(target_os = "linux")]
-#[test]
-fn malformed_update_between_pipelined_updates_errs_in_position_event() {
-    malformed_update_in_pipeline_case(ServeBackend::Event);
 }
 
 /// An OP_MERGE dropped into the middle of a pipelined burst of same-model
@@ -291,7 +275,7 @@ fn malformed_update_between_pipelined_updates_errs_in_position_event() {
 /// client doing the same sequence. Exercised with CREATE's `shards` at 0
 /// and 1, which both host one learner (UPDATE counts include absorbed
 /// peers).
-fn merge_between_pipelined_updates_case(backend: ServeBackend, shards: u32) {
+fn merge_between_pipelined_updates(shards: u32) {
     const K: usize = 4;
     let template =
         WmSketch::new(WmSketchConfig::new(64, 2).lambda(1e-5).seed(77)).to_snapshot_bytes();
@@ -303,7 +287,7 @@ fn merge_between_pipelined_updates_case(backend: ServeBackend, shards: u32) {
     let chunks: Vec<_> = data.chunks(FRAME).collect();
     assert!(chunks.len() >= 2 * K);
 
-    let server = start(default_model().backend(backend));
+    let server = start(default_model());
     let mut c = ServeClient::connect(server.addr()).unwrap();
     let id = c.create_model("fifo", &template, shards).unwrap();
 
@@ -351,7 +335,7 @@ fn merge_between_pipelined_updates_case(backend: ServeBackend, shards: u32) {
 
     // Parity: a blocking client replaying the same sequence on a quiet
     // node must land on the same bytes.
-    let quiet = start(default_model().backend(backend));
+    let quiet = start(default_model());
     let mut q = ServeClient::connect(quiet.addr()).unwrap();
     let qid = q.create_model("fifo", &template, shards).unwrap();
     q.set_model(qid).unwrap();
@@ -374,27 +358,21 @@ fn merge_between_pipelined_updates_case(backend: ServeBackend, shards: u32) {
 }
 
 #[test]
-fn merge_between_pipelined_updates_is_fifo_threaded() {
-    merge_between_pipelined_updates_case(ServeBackend::Threaded, 0);
-    merge_between_pipelined_updates_case(ServeBackend::Threaded, 1);
-}
-
-#[cfg(target_os = "linux")]
-#[test]
 fn merge_between_pipelined_updates_is_fifo_event() {
-    merge_between_pipelined_updates_case(ServeBackend::Event, 0);
-    merge_between_pipelined_updates_case(ServeBackend::Event, 1);
+    merge_between_pipelined_updates(0);
+    merge_between_pipelined_updates(1);
 }
 
 /// Backpressure: a raw connection pipelines 1000 SNAPSHOT requests for
 /// an 8 KB WM model (about 16 KB a reply, far more than the socket
 /// buffers hold) and reads none of the replies. Another connection's
 /// ESTIMATE must still be answered within a deadline, and the raw
-/// connection must then read every reply, in order and complete. A
-/// backend that blocked on the full socket would wedge a one-thread node.
-fn unread_snapshot_flood_case(backend: ServeBackend) {
+/// connection must then read every reply, in order and complete. A loop
+/// that blocked on the full socket would wedge a one-thread node.
+#[test]
+fn unread_snapshot_flood_does_not_wedge_the_node_event() {
     const SNAPSHOTS: usize = 1000;
-    let server = start(default_model().backend(backend));
+    let server = start(default_model());
     let template =
         WmSketch::new(WmSketchConfig::new(128, 14).heap_capacity(128).seed(8)).to_snapshot_bytes();
     let mut c = ServeClient::connect(server.addr()).unwrap();
@@ -449,26 +427,14 @@ fn unread_snapshot_flood_case(backend: ServeBackend) {
     server.shutdown();
 }
 
-#[test]
-fn unread_snapshot_flood_does_not_wedge_the_node_threaded() {
-    unread_snapshot_flood_case(ServeBackend::Threaded);
-}
-
-#[cfg(target_os = "linux")]
-#[test]
-fn unread_snapshot_flood_does_not_wedge_the_node_event() {
-    unread_snapshot_flood_case(ServeBackend::Event);
-}
-
 /// Shutdown-drain regression: a SHUTDOWN landing while a full pipeline
 /// window is in flight must not drop responses the node already
 /// computed. The event loop's drain used to take a single write pass —
 /// one `WouldBlock` and a computed count vanished; it now pumps
 /// writability until the drain deadline.
-#[cfg(target_os = "linux")]
 #[test]
 fn shutdown_races_full_pipeline_window_without_losing_responses() {
-    let server = start(default_model().backend(ServeBackend::Event));
+    let server = start(default_model());
     let data = stream_for(3);
 
     // A raw pipelined connection: every frame on the wire, none read.

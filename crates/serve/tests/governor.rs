@@ -13,7 +13,7 @@ use wmsketch_learn::{Label, SparseVector};
 use wmsketch_serve::protocol::{
     put_examples, read_frame, request_for_model, write_frame, OP_UPDATE, STATUS_ERR,
 };
-use wmsketch_serve::{ServeBackend, ServeClient, ServeConfig, ServeError, ServerHandle, WmServer};
+use wmsketch_serve::{ServeClient, ServeConfig, ServeError, ServerHandle, WmServer};
 
 /// A per-model planted stream (distinct per salt, deterministic).
 fn stream_for(salt: u32, n: usize) -> Vec<(SparseVector, Label)> {
@@ -51,10 +51,9 @@ fn awm_cfg() -> AwmSketchConfig {
 }
 
 /// A governed node: tiny default model, the given resident budget.
-fn governed(tag: &str, budget: u64, backend: ServeBackend) -> (ServerHandle, std::path::PathBuf) {
+fn governed(tag: &str, budget: u64) -> (ServerHandle, std::path::PathBuf) {
     let dir = temp_dir(tag);
     let cfg = ServeConfig::new(WmSketchConfig::new(64, 2).seed(1), 1)
-        .backend(backend)
         .data_dir(&dir)
         .memory_budget_bytes(budget);
     let server = WmServer::bind("127.0.0.1:0", cfg).expect("bind").spawn();
@@ -85,100 +84,98 @@ fn touch_default(client: &mut ServeClient) {
 
 /// Spilled-and-revived models answer estimates, predictions, top-K, and
 /// whole snapshots bit-identically to a never-evicted local twin, and keep
-/// training identically to it afterwards — on both backends.
+/// training identically to it afterwards.
 #[test]
 fn eviction_then_revival_is_bit_identical() {
     // A 32-entry active set: large enough that rcv1-like training leaves
     // several entries tied at the minimum |weight|, where a revived model
     // must evict exactly what its twin does.
     let cfg = AwmSketchConfig::new(32, 256).lambda(1e-5).seed(5);
-    for backend in [ServeBackend::Threaded, ServeBackend::Event] {
-        let (server, dir) = governed("bitident", TIGHT_BUDGET, backend);
-        let mut client = ServeClient::connect(server.addr()).unwrap();
-        let template = AwmSketch::new(cfg).to_snapshot_bytes();
+    let (server, dir) = governed("bitident", TIGHT_BUDGET);
+    let mut client = ServeClient::connect(server.addr()).unwrap();
+    let template = AwmSketch::new(cfg).to_snapshot_bytes();
 
-        // Create and train more models than the budget holds;
-        // admission pressure spills the colder ones as we go.
-        const MODELS: u32 = 8;
-        let mut locals = Vec::new();
-        for salt in 0..MODELS {
-            let id = client
-                .create_model(&format!("m{salt}"), &template, 0)
-                .unwrap();
-            client.set_model(id).unwrap();
-            let data = SyntheticClassification::rcv1_like(u64::from(salt)).take(600);
-            let (data, more) = data.split_at(300);
-            client.update_batch(data).unwrap();
-            let mut local = AwmSketch::new(cfg);
-            for (x, y) in data {
-                local.update(x, *y);
-            }
-            locals.push((id, salt, local, more.to_vec()));
+    // Create and train more models than the budget holds;
+    // admission pressure spills the colder ones as we go.
+    const MODELS: u32 = 8;
+    let mut locals = Vec::new();
+    for salt in 0..MODELS {
+        let id = client
+            .create_model(&format!("m{salt}"), &template, 0)
+            .unwrap();
+        client.set_model(id).unwrap();
+        let data = SyntheticClassification::rcv1_like(u64::from(salt)).take(600);
+        let (data, more) = data.split_at(300);
+        client.update_batch(data).unwrap();
+        let mut local = AwmSketch::new(cfg);
+        for (x, y) in data {
+            local.update(x, *y);
         }
-
-        let stats = client.stats().unwrap();
-        assert_eq!(stats.memory_budget, TIGHT_BUDGET);
-        assert!(
-            stats.evictions_total > 0,
-            "{backend:?}: training {MODELS} models under {TIGHT_BUDGET} B must evict \
-             (resident {} B over {} models)",
-            stats.resident_bytes,
-            stats.resident_models,
-        );
-        assert!(stats.spilled_models > 0, "{backend:?}: none spilled");
-        assert!(
-            stats.resident_bytes <= TIGHT_BUDGET,
-            "{backend:?}: resident {} B over budget with evictable models left",
-            stats.resident_bytes
-        );
-
-        // Revisit every model (reviving the spilled ones) and demand the
-        // exact local twin: same estimates, same top-K, same snapshot
-        // bytes — then train further and demand the same bytes again, so
-        // a revival preserves the model's future, not only its answers.
-        for (id, salt, local, more) in &mut locals {
-            client.set_model(*id).unwrap();
-            let f = 3 + *salt;
-            assert_eq!(
-                client.estimate(f).unwrap(),
-                wmsketch_learn::WeightEstimator::estimate(local, f),
-                "{backend:?}: estimate diverged after revival"
-            );
-            let server_top: Vec<(u32, f64)> = client
-                .top_k(4)
-                .unwrap()
-                .iter()
-                .map(|e| (e.feature, e.weight))
-                .collect();
-            let local_top: Vec<(u32, f64)> = wmsketch_learn::TopKRecovery::recover_top_k(local, 4)
-                .iter()
-                .map(|e| (e.feature, e.weight))
-                .collect();
-            assert_eq!(server_top, local_top, "{backend:?}: top-K diverged");
-            assert_eq!(
-                client.snapshot().unwrap(),
-                local.to_snapshot_bytes(),
-                "{backend:?}: snapshot bytes diverged after spill+revival"
-            );
-            // Step by step: a tie broken differently at the active set's
-            // minimum can re-converge a few updates later.
-            for (t, (x, y)) in more.iter().enumerate() {
-                client
-                    .update_batch(std::slice::from_ref(&(x.clone(), *y)))
-                    .unwrap();
-                local.update(x, *y);
-                assert!(
-                    client.snapshot().unwrap() == local.to_snapshot_bytes(),
-                    "{backend:?}: model {salt} diverged {t} updates after revival"
-                );
-            }
-        }
-        let stats = client.stats().unwrap();
-        assert!(stats.revivals_total > 0, "{backend:?}: nothing was revived");
-
-        server.shutdown();
-        let _ = std::fs::remove_dir_all(&dir);
+        locals.push((id, salt, local, more.to_vec()));
     }
+
+    let stats = client.stats().unwrap();
+    assert_eq!(stats.memory_budget, TIGHT_BUDGET);
+    assert!(
+        stats.evictions_total > 0,
+        "training {MODELS} models under {TIGHT_BUDGET} B must evict \
+         (resident {} B over {} models)",
+        stats.resident_bytes,
+        stats.resident_models,
+    );
+    assert!(stats.spilled_models > 0, "none spilled");
+    assert!(
+        stats.resident_bytes <= TIGHT_BUDGET,
+        "resident {} B over budget with evictable models left",
+        stats.resident_bytes
+    );
+
+    // Revisit every model (reviving the spilled ones) and demand the
+    // exact local twin: same estimates, same top-K, same snapshot
+    // bytes — then train further and demand the same bytes again, so
+    // a revival preserves the model's future, not only its answers.
+    for (id, salt, local, more) in &mut locals {
+        client.set_model(*id).unwrap();
+        let f = 3 + *salt;
+        assert_eq!(
+            client.estimate(f).unwrap(),
+            wmsketch_learn::WeightEstimator::estimate(local, f),
+            "estimate diverged after revival"
+        );
+        let server_top: Vec<(u32, f64)> = client
+            .top_k(4)
+            .unwrap()
+            .iter()
+            .map(|e| (e.feature, e.weight))
+            .collect();
+        let local_top: Vec<(u32, f64)> = wmsketch_learn::TopKRecovery::recover_top_k(local, 4)
+            .iter()
+            .map(|e| (e.feature, e.weight))
+            .collect();
+        assert_eq!(server_top, local_top, "top-K diverged");
+        assert_eq!(
+            client.snapshot().unwrap(),
+            local.to_snapshot_bytes(),
+            "snapshot bytes diverged after spill+revival"
+        );
+        // Step by step: a tie broken differently at the active set's
+        // minimum can re-converge a few updates later.
+        for (t, (x, y)) in more.iter().enumerate() {
+            client
+                .update_batch(std::slice::from_ref(&(x.clone(), *y)))
+                .unwrap();
+            local.update(x, *y);
+            assert!(
+                client.snapshot().unwrap() == local.to_snapshot_bytes(),
+                "model {salt} diverged {t} updates after revival"
+            );
+        }
+    }
+    let stats = client.stats().unwrap();
+    assert!(stats.revivals_total > 0, "nothing was revived");
+
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Concurrent (pipelined, multi-connection) access to one cold model
@@ -186,7 +183,7 @@ fn eviction_then_revival_is_bit_identical() {
 /// mutex, so every other request waits for it instead of re-decoding.
 #[test]
 fn concurrent_access_to_a_cold_model_revives_once() {
-    let (server, dir) = governed("singleflight", TIGHT_BUDGET, ServeBackend::Event);
+    let (server, dir) = governed("singleflight", TIGHT_BUDGET);
     let mut client = ServeClient::connect(server.addr()).unwrap();
     let template = AwmSketch::new(awm_cfg()).to_snapshot_bytes();
 
@@ -241,7 +238,7 @@ fn concurrent_access_to_a_cold_model_revives_once() {
 /// model of an ungoverned twin node.
 #[test]
 fn governed_node_spills_and_revives_its_default_model_bit_identically() {
-    let (server, dir) = governed("default", TIGHT_BUDGET, ServeBackend::Threaded);
+    let (server, dir) = governed("default", TIGHT_BUDGET);
     let mut client = ServeClient::connect(server.addr()).unwrap();
     let twin = WmServer::bind(
         "127.0.0.1:0",
@@ -296,7 +293,7 @@ fn governed_node_spills_and_revives_its_default_model_bit_identically() {
 /// error, the registry is unchanged, and smaller CREATEs still succeed.
 #[test]
 fn create_rejects_models_that_cannot_fit_the_budget() {
-    let (server, dir) = governed("admission", TIGHT_BUDGET, ServeBackend::Threaded);
+    let (server, dir) = governed("admission", TIGHT_BUDGET);
     let mut client = ServeClient::connect(server.addr()).unwrap();
 
     // One oversized AWM: its 2^16-cell sketch alone (512 KiB) is far
@@ -331,8 +328,7 @@ fn create_rejects_models_that_cannot_fit_the_budget() {
 #[test]
 fn corrupt_spill_record_is_contained_and_reset_recovers() {
     wmsketch_telemetry::set_enabled(true);
-    let (server, dir, mut client, victim_id, survivor_id) =
-        node_with_corrupt_spill("corrupt", ServeBackend::Threaded);
+    let (server, dir, mut client, victim_id, survivor_id) = node_with_corrupt_spill("corrupt");
 
     let err = client.estimate(3).unwrap_err();
     assert!(
@@ -364,52 +360,48 @@ fn corrupt_spill_record_is_contained_and_reset_recovers() {
 
 /// Pipelined UPDATEs to a model whose spill record is corrupt each get a
 /// typed ERR, and each is accounted like any failed request: one
-/// `op_errors_total` tick and one UPDATE latency sample per frame — on
-/// both backends.
+/// `op_errors_total` tick and one UPDATE latency sample per frame.
 #[test]
 fn pipelined_updates_to_a_corrupt_spill_each_err_and_are_counted() {
     const FRAMES: usize = 5;
     wmsketch_telemetry::set_enabled(true);
-    for backend in [ServeBackend::Threaded, ServeBackend::Event] {
-        let (server, dir, mut client, victim_id, _) =
-            node_with_corrupt_spill("corruptpipe", backend);
+    let (server, dir, mut client, victim_id, _) = node_with_corrupt_spill("corruptpipe");
 
-        let mut wire = Vec::new();
-        for salt in 0..FRAMES as u32 {
-            let mut w = Writer::new();
-            put_examples(&mut w, &stream_for(salt, 20));
-            write_frame(&mut wire, &request_for_model(victim_id, OP_UPDATE, w)).unwrap();
-        }
-        let mut raw = TcpStream::connect(server.addr()).unwrap();
-        raw.write_all(&wire).unwrap();
-        for k in 0..FRAMES {
-            let resp = read_frame(&mut raw)
-                .unwrap()
-                .unwrap_or_else(|| panic!("{backend:?}: closed before response {k}"));
-            assert_eq!(resp[0], STATUS_ERR, "{backend:?}: frame {k} was not an ERR");
-        }
-        drop(raw);
-
-        // The victim's one successful UPDATE (before it was spilled) plus
-        // every failed frame.
-        let report = client.metrics().unwrap();
-        let victim = [("model", "victim")];
-        assert_eq!(
-            report.value("op_errors_total", &victim),
-            Some(FRAMES as f64),
-            "{backend:?}: failed UPDATEs must count as errors"
-        );
-        assert_eq!(
-            report.value(
-                "op_latency_ns_count",
-                &[("model", "victim"), ("op", "update")]
-            ),
-            Some(FRAMES as f64 + 1.0),
-            "{backend:?}: failed UPDATEs must be timed"
-        );
-        server.shutdown();
-        let _ = std::fs::remove_dir_all(&dir);
+    let mut wire = Vec::new();
+    for salt in 0..FRAMES as u32 {
+        let mut w = Writer::new();
+        put_examples(&mut w, &stream_for(salt, 20));
+        write_frame(&mut wire, &request_for_model(victim_id, OP_UPDATE, w)).unwrap();
     }
+    let mut raw = TcpStream::connect(server.addr()).unwrap();
+    raw.write_all(&wire).unwrap();
+    for k in 0..FRAMES {
+        let resp = read_frame(&mut raw)
+            .unwrap()
+            .unwrap_or_else(|| panic!("closed before response {k}"));
+        assert_eq!(resp[0], STATUS_ERR, "frame {k} was not an ERR");
+    }
+    drop(raw);
+
+    // The victim's one successful UPDATE (before it was spilled) plus
+    // every failed frame.
+    let report = client.metrics().unwrap();
+    let victim = [("model", "victim")];
+    assert_eq!(
+        report.value("op_errors_total", &victim),
+        Some(FRAMES as f64),
+        "failed UPDATEs must count as errors"
+    );
+    assert_eq!(
+        report.value(
+            "op_latency_ns_count",
+            &[("model", "victim"), ("op", "update")]
+        ),
+        Some(FRAMES as f64 + 1.0),
+        "failed UPDATEs must be timed"
+    );
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A governed node whose model `"victim"` was trained, spilled by
@@ -417,11 +409,8 @@ fn pipelined_updates_to_a_corrupt_spill_each_err_and_are_counted() {
 /// corrupted on disk. Returns the node, its data directory, a client
 /// addressing the victim, and the ids of the victim and of a healthy
 /// survivor.
-fn node_with_corrupt_spill(
-    tag: &str,
-    backend: ServeBackend,
-) -> (ServerHandle, std::path::PathBuf, ServeClient, u32, u32) {
-    let (server, dir) = governed(tag, TIGHT_BUDGET, backend);
+fn node_with_corrupt_spill(tag: &str) -> (ServerHandle, std::path::PathBuf, ServeClient, u32, u32) {
+    let (server, dir) = governed(tag, TIGHT_BUDGET);
     let mut client = ServeClient::connect(server.addr()).unwrap();
     let template = AwmSketch::new(awm_cfg()).to_snapshot_bytes();
 
@@ -460,7 +449,6 @@ fn governed_restart_recovers_lazily_and_bit_identically() {
     let dir = temp_dir("lazyrecover");
     let make_cfg = || {
         ServeConfig::new(WmSketchConfig::new(64, 2).seed(1), 1)
-            .backend(ServeBackend::Threaded)
             .data_dir(&dir)
             // 150 KB: tight enough that registering four recovered
             // entries overshoots mid-recovery — recovery admission must

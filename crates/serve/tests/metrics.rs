@@ -1,9 +1,8 @@
 //! Telemetry integration: the `OP_METRICS` scrape against live nodes.
 //!
-//! * Backend-uniform STATS counters: `update_frames` /
-//!   `update_lock_acquisitions` advance on both backends, one lock
-//!   acquisition per UPDATE frame.
-//! * A 16-connection pipelined stress run on each backend, asserting
+//! * STATS counters: `update_frames` / `update_lock_acquisitions`
+//!   advance together, one lock acquisition per UPDATE frame.
+//! * A 16-connection pipelined stress run, asserting
 //!   the per-(model, op) latency-histogram counts equal the frames each
 //!   model processed — the scrape is the frame ledger.
 //! * A two-node gossip pair whose replication-lag gauges read zero once
@@ -47,12 +46,12 @@ fn template(seed: u64) -> Vec<u8> {
     WmSketch::new(WmSketchConfig::new(64, 2).lambda(1e-5).seed(seed)).to_snapshot_bytes()
 }
 
-/// The STATS tail counters advance uniformly on every backend: N
-/// sequential (unpipelined) UPDATE frames show exactly N frames and N
-/// learner-lock acquisitions on both backends.
-fn stats_counters_case(backend: ServeBackend) {
+/// The STATS tail counters advance together: N sequential (unpipelined)
+/// UPDATE frames show exactly N frames and N learner-lock acquisitions.
+#[test]
+fn stats_counters_uniform_event() {
     const N: u64 = 12;
-    let server = start(default_model().backend(backend));
+    let server = start(default_model());
     let mut c = ServeClient::connect(server.addr()).unwrap();
     let data = stream_for(1, FRAME * N as usize);
     for chunk in data.chunks(FRAME) {
@@ -60,7 +59,7 @@ fn stats_counters_case(backend: ServeBackend) {
     }
 
     let stats = c.stats().unwrap();
-    assert_eq!(stats.backend, backend);
+    assert_eq!(stats.backend, ServeBackend::Event);
     assert_eq!(stats.update_frames, N, "every UPDATE frame is counted");
     assert_eq!(
         stats.update_lock_acquisitions, N,
@@ -73,24 +72,14 @@ fn stats_counters_case(backend: ServeBackend) {
     server.shutdown();
 }
 
-#[test]
-fn stats_counters_uniform_threaded() {
-    stats_counters_case(ServeBackend::Threaded);
-}
-
-#[cfg(target_os = "linux")]
-#[test]
-fn stats_counters_uniform_event() {
-    stats_counters_case(ServeBackend::Event);
-}
-
 /// The acceptance gate: 16 pipelined connections, each hammering its own
 /// model; the scrape's per-(model, op="update") histogram count must
 /// equal the frames that model processed, examples and Count-Min rate
 /// estimates must line up, and STATS must show one learner-lock
 /// acquisition per frame.
-fn pipelined_stress_case(backend: ServeBackend) {
-    let server = start(default_model().backend(backend));
+#[test]
+fn pipelined_stress_metrics_match_frames_event() {
+    let server = start(default_model());
 
     std::thread::scope(|s| {
         for i in 0..CONNS {
@@ -158,23 +147,10 @@ fn pipelined_stress_case(backend: ServeBackend) {
     assert_eq!(stats.update_frames, total_frames as u64);
     assert_eq!(stats.update_lock_acquisitions, stats.update_frames);
 
-    if backend == ServeBackend::Event {
-        // Only the in-flight scrape itself may be outstanding.
-        assert!(report.value("executor_queue_depth", &[]).unwrap() <= 1.0);
-    }
+    // Only the in-flight scrape itself may be outstanding.
+    assert!(report.value("executor_queue_depth", &[]).unwrap() <= 1.0);
 
     server.shutdown();
-}
-
-#[test]
-fn pipelined_stress_metrics_match_frames_threaded() {
-    pipelined_stress_case(ServeBackend::Threaded);
-}
-
-#[cfg(target_os = "linux")]
-#[test]
-fn pipelined_stress_metrics_match_frames_event() {
-    pipelined_stress_case(ServeBackend::Event);
 }
 
 /// Two gossiping nodes: after anti-entropy converges, the follower's

@@ -14,7 +14,7 @@ use std::time::{Duration, Instant};
 use wmsketch_core::{decode_any_learner, SnapshotCodec, WmSketch, WmSketchConfig};
 use wmsketch_learn::{Label, SparseVector};
 use wmsketch_serve::protocol::PULL_SINCE_FULL;
-use wmsketch_serve::{ServeBackend, ServeClient, ServeConfig, ServeError, ServerHandle, WmServer};
+use wmsketch_serve::{ServeClient, ServeConfig, ServeError, ServerHandle, WmServer};
 
 /// The sketch geometry every test shares; small enough to converge fast,
 /// big enough that full snapshots dwarf deltas.
@@ -92,12 +92,12 @@ fn wait_for(secs: u64, mut f: impl FnMut() -> bool) -> bool {
 /// — yet every node's merged view must end bit-identical to a
 /// single-node reference fold (snapshot bytes, estimates, margins, and
 /// top-K alike).
-fn three_nodes_converge(backend: ServeBackend) {
+#[test]
+fn three_nodes_converge_event() {
     let seed = schedule_seed();
     let node = |id: u64| {
         start(
             ServeConfig::new(wm_cfg(), 1)
-                .backend(backend)
                 .node_id(id)
                 .gossip_every_ms(20),
         )
@@ -230,17 +230,6 @@ fn three_nodes_converge(backend: ServeBackend) {
     n1.shutdown();
     n2.shutdown();
     n3.shutdown();
-}
-
-#[test]
-fn three_nodes_converge_threaded() {
-    three_nodes_converge(ServeBackend::Threaded);
-}
-
-#[cfg(target_os = "linux")]
-#[test]
-fn three_nodes_converge_event() {
-    three_nodes_converge(ServeBackend::Event);
 }
 
 /// Wire-level delta economy: after ~1% more examples, PULL_DELTA ships a

@@ -184,10 +184,12 @@ fn two_node_snapshot_merge_matches_single_node_bit_for_bit() {
 /// — and a body framed by the previous `0xF2` header revision each get a
 /// typed ERR instead of being routed to a model, and the connection stays
 /// usable: a proper request on it then succeeds.
-fn headerless_body_case(backend: ServeBackend) {
-    let server = start(
-        ServeConfig::new(WmSketchConfig::new(64, 2).lambda(1e-5).seed(3), 1).backend(backend),
-    );
+#[test]
+fn headerless_body_gets_typed_error_and_connection_survives_event() {
+    let server = start(ServeConfig::new(
+        WmSketchConfig::new(64, 2).lambda(1e-5).seed(3),
+        1,
+    ));
     let mut raw = TcpStream::connect(server.addr()).unwrap();
     let mut examples = Writer::new();
     put_examples(&mut examples, &planted_stream(10));
@@ -200,32 +202,21 @@ fn headerless_body_case(backend: ServeBackend) {
     for body in [vec![OP_STATS], headerless_update, previous_revision] {
         write_frame(&mut raw, &body).unwrap();
         let resp = read_frame(&mut raw).unwrap().expect("a response, not EOF");
-        assert_eq!(resp[0], STATUS_ERR, "{backend:?}: headerless body accepted");
+        assert_eq!(resp[0], STATUS_ERR, "headerless body accepted");
         assert!(
             String::from_utf8_lossy(&resp[1..]).contains("malformed request header"),
-            "{backend:?}: {}",
+            "{}",
             String::from_utf8_lossy(&resp[1..])
         );
     }
 
     write_frame(&mut raw, &request_for_model(0, OP_STATS, Writer::new())).unwrap();
     let resp = read_frame(&mut raw).unwrap().expect("a response, not EOF");
-    assert_eq!(resp[0], STATUS_OK, "{backend:?}: connection unusable");
+    assert_eq!(resp[0], STATUS_OK, "connection unusable");
     // Neither rejected UPDATE reached the default model.
     let mut client = ServeClient::connect(server.addr()).unwrap();
     assert_eq!(client.stats().unwrap().routed, 0);
     server.shutdown();
-}
-
-#[test]
-fn headerless_body_gets_typed_error_and_connection_survives_threaded() {
-    headerless_body_case(ServeBackend::Threaded);
-}
-
-#[cfg(target_os = "linux")]
-#[test]
-fn headerless_body_gets_typed_error_and_connection_survives_event() {
-    headerless_body_case(ServeBackend::Event);
 }
 
 /// Registry lifecycle: CREATE/LIST/STATS report what the node hosts, and
@@ -586,8 +577,20 @@ fn shutdown_drains_despite_a_connection_stalled_mid_frame() {
     stalled.write_all(&[0u8; 10]).unwrap();
     stalled.flush().unwrap();
     std::thread::sleep(std::time::Duration::from_millis(60));
-    // Returns promptly instead of hanging on the stalled reader.
-    server.shutdown();
+    // Returns promptly instead of hanging on the stalled reader. The
+    // shutdown runs on a helper thread so a regression fails this test
+    // instead of hanging the suite.
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        server.shutdown();
+        let _ = done_tx.send(());
+    });
+    assert!(
+        done_rx
+            .recv_timeout(std::time::Duration::from_secs(5))
+            .is_ok(),
+        "shutdown did not finish within 5 s with a connection stalled mid-frame"
+    );
     drop(stalled);
 }
 
@@ -598,7 +601,7 @@ fn client_initiated_shutdown_drains_the_server() {
     let mut client = ServeClient::connect(addr).unwrap();
     client.update_batch(&planted_stream(50)).unwrap();
     client.shutdown_server().unwrap();
-    // The handle's join returns because the accept loop drained.
+    // The handle's join returns because the event loops drained.
     server.shutdown();
     // New connections are refused (or reset) once the listener is gone.
     std::thread::sleep(std::time::Duration::from_millis(50));
@@ -618,48 +621,50 @@ fn stats_reports_backend_and_coalescing_counters() {
         client.update_batch(chunk).unwrap();
     }
     let stats = client.stats().unwrap();
-    assert_eq!(stats.backend, server.backend());
+    assert_eq!(stats.backend, ServeBackend::Event);
     assert_eq!(stats.update_frames, 6);
     assert_eq!(stats.update_lock_acquisitions, 6);
     server.shutdown();
 }
 
-/// A STATS reply whose backend byte names no known backend is a typed
-/// codec error at the client, not a silently threaded node. A one-shot
-/// fake node answers the request with a well-formed payload whose only
-/// fault is backend byte 7.
+/// A STATS reply whose backend byte is not the event loop's 1 is a typed
+/// codec error at the client: 0 named a retired transport, 7 never named
+/// one. A one-shot fake node answers the request with a well-formed
+/// payload whose only fault is the backend byte.
 #[test]
 fn stats_rejects_an_unknown_backend_byte() {
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    let node = std::thread::spawn(move || {
-        let (mut conn, _) = listener.accept().unwrap();
-        read_frame(&mut conn).unwrap().expect("a STATS request");
-        let mut w = Writer::new();
-        w.put_u8(STATUS_OK);
-        w.put_u64(0); // routed
-        w.put_u64(0); // clock
-        w.put_u32(0); // no registry rows
-        w.put_u8(7); // backend: neither threaded (0) nor event (1)
-        w.put_u64(0); // lock acquisitions
-        w.put_u64(0); // update frames
-        w.put_u64(1); // node id
-        w.put_u32(0); // no replication rows
-        w.put_u64(0); // memory budget
-        w.put_u32(0); // resident models
-        w.put_u32(0); // spilled models
-        w.put_u64(0); // resident bytes
-        w.put_u64(0); // evictions
-        w.put_u64(0); // revivals
-        write_frame(&mut conn, &w.into_bytes()).unwrap();
-    });
-    let mut client = ServeClient::connect(addr).unwrap();
-    let err = client.stats().expect_err("corrupt backend byte accepted");
-    assert!(
-        matches!(err, ServeError::Codec(CodecError::Invalid(_))),
-        "{err:?}"
-    );
-    node.join().unwrap();
+    for backend in [0u8, 7] {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let node = std::thread::spawn(move || {
+            let (mut conn, _) = listener.accept().unwrap();
+            read_frame(&mut conn).unwrap().expect("a STATS request");
+            let mut w = Writer::new();
+            w.put_u8(STATUS_OK);
+            w.put_u64(0); // routed
+            w.put_u64(0); // clock
+            w.put_u32(0); // no registry rows
+            w.put_u8(backend);
+            w.put_u64(0); // lock acquisitions
+            w.put_u64(0); // update frames
+            w.put_u64(1); // node id
+            w.put_u32(0); // no replication rows
+            w.put_u64(0); // memory budget
+            w.put_u32(0); // resident models
+            w.put_u32(0); // spilled models
+            w.put_u64(0); // resident bytes
+            w.put_u64(0); // evictions
+            w.put_u64(0); // revivals
+            write_frame(&mut conn, &w.into_bytes()).unwrap();
+        });
+        let mut client = ServeClient::connect(addr).unwrap();
+        let err = client.stats().expect_err("corrupt backend byte accepted");
+        assert!(
+            matches!(err, ServeError::Codec(CodecError::Invalid(_))),
+            "backend byte {backend}: {err:?}"
+        );
+        node.join().unwrap();
+    }
 }
 
 #[test]

@@ -25,10 +25,10 @@ fn stream(n: usize) -> Vec<(SparseVector, Label)> {
         .collect()
 }
 
-fn telemetry_off_case(backend: ServeBackend) {
+#[test]
+fn telemetry_off_records_no_latency_event() {
     wmsketch_telemetry::set_enabled(false);
-    let cfg =
-        ServeConfig::new(WmSketchConfig::new(64, 2).lambda(1e-5).seed(40), 1).backend(backend);
+    let cfg = ServeConfig::new(WmSketchConfig::new(64, 2).lambda(1e-5).seed(40), 1);
     let server = WmServer::bind("127.0.0.1:0", cfg)
         .expect("bind ephemeral port")
         .spawn();
@@ -44,26 +44,15 @@ fn telemetry_off_case(backend: ServeBackend) {
     assert_eq!(
         report.value("op_latency_ns_count", &[("op", "update")]),
         None,
-        "{backend:?}: a telemetry-off node recorded UPDATE latency"
+        "a telemetry-off node recorded UPDATE latency"
     );
     assert!(
         report.all("op_latency_ns_count", &[]).is_empty(),
-        "{backend:?}: a telemetry-off node recorded op latency"
+        "a telemetry-off node recorded op latency"
     );
 
     let stats = c.stats().unwrap();
-    assert_eq!(stats.backend, backend);
+    assert_eq!(stats.backend, ServeBackend::Event);
     assert_eq!(stats.update_frames, FRAMES as u64);
     server.shutdown();
-}
-
-#[test]
-fn telemetry_off_records_no_latency_threaded() {
-    telemetry_off_case(ServeBackend::Threaded);
-}
-
-#[cfg(target_os = "linux")]
-#[test]
-fn telemetry_off_records_no_latency_event() {
-    telemetry_off_case(ServeBackend::Event);
 }

@@ -11,8 +11,7 @@
 //!
 //! Exits non-zero if any assertion fails — histogram counts must equal
 //! the frames actually sent, and the lag gauge must reach exactly zero
-//! — so CI runs this as the metrics smoke check (on both backends, via
-//! `WMSKETCH_SERVE_BACKEND`).
+//! — so CI runs this as the metrics smoke check.
 
 use std::time::{Duration, Instant};
 
@@ -28,8 +27,7 @@ fn main() {
     let wm = WmSketchConfig::new(1024, 4).lambda(1e-5).seed(42);
     let template = WmSketch::new(wm).to_snapshot_bytes();
 
-    // Two gossiping nodes; the backend comes from the ordinary
-    // `WMSKETCH_SERVE_BACKEND` switch so CI exercises both.
+    // Two gossiping nodes.
     let node = |id: u64| -> ServerHandle {
         WmServer::bind(
             "127.0.0.1:0",

@@ -72,7 +72,7 @@ fn main() {
     reference.merge_from(&ref_b);
 
     // Pipelined ingest: frames of 1024 examples with several in flight
-    // per connection, which the event backend reads ahead of execution.
+    // per connection, which the node reads ahead of execution.
     // The response ordering guarantee makes the returned counts the
     // exact cumulative sequence per-frame blocking calls would yield.
     let mut a = ServeClient::connect(node_a.addr()).expect("connect A");
