@@ -1,7 +1,9 @@
 //! Hash-family evaluation costs: the paper's tabulation-vs-k-wise choice
 //! (Appendix B) is a constant-factor question answered here. The
 //! `row_hashers` group times the sketch-row hashing layer of a WM update
-//! at the 8 KB Figure-7 shape (width 128, depth 14) on RCV1-like keys.
+//! at the 8 KB Figure-7 shape (width 128, depth 14) on RCV1-like keys,
+//! and `row_hashers_new` times building that shape's hashers: filling
+//! fresh tables, or taking a live holder's shared ones.
 //!
 //! ```text
 //! cargo bench -p wmsketch-bench --bench hashing
@@ -85,5 +87,32 @@ fn bench_row_hashers(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_families, bench_row_hashers);
+fn bench_row_hashers_new(c: &mut Criterion) {
+    let tab = HashFamilyKind::Tabulation;
+    let mut group = c.benchmark_group("row_hashers_new");
+    // No other holder of the seed is alive, so every build fills 14 rows
+    // of tables (and the drop frees them).
+    group.bench_function("cold_128x14", |b| {
+        let mut seed = 1u64 << 40;
+        b.iter(|| {
+            seed += 1;
+            RowHashers::new(tab, 14, 128, black_box(seed))
+        })
+    });
+    // A holder of the seed stays alive, so every build is an interner
+    // lookup that shares its tables.
+    let holder = RowHashers::new(tab, 14, 128, 2);
+    group.bench_function("interned_128x14", |b| {
+        b.iter(|| RowHashers::new(tab, 14, 128, black_box(2)))
+    });
+    drop(holder);
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_families,
+    bench_row_hashers,
+    bench_row_hashers_new
+);
 criterion_main!(benches);

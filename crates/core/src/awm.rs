@@ -265,7 +265,10 @@ impl AwmSketch {
     /// tables (16 KiB per row under tabulation), and the retained
     /// coordinate-plan/slot scratch. This is the figure a memory
     /// governor should charge — typically several times the §7.1 model
-    /// for small sketches, all of it reclaimed by spilling (hashers and
+    /// for small sketches. The tables are counted in full although every
+    /// live model with the same seed and depth shares one copy, so the
+    /// figure is an upper bound; spilling reclaims everything else, and
+    /// the tables only when no other model holds them (hashers and
     /// scratch rebuild deterministically on revival).
     #[must_use]
     pub fn resident_bytes(&self) -> usize {

@@ -250,8 +250,11 @@ impl WmSketch {
     /// array, the heap at its allocated capacity, the row-hash tables
     /// (16 KiB per row under tabulation), and the retained
     /// coordinate-plan scratch — the figure a memory governor should
-    /// charge, all of it reclaimed by spilling (hashers and scratch
-    /// rebuild deterministically on revival).
+    /// charge. The tables are counted in full although every live model
+    /// with the same seed and depth shares one copy, so the figure is an
+    /// upper bound; spilling reclaims everything else, and the tables
+    /// only when no other model holds them (hashers and scratch rebuild
+    /// deterministically on revival).
     #[must_use]
     pub fn resident_bytes(&self) -> usize {
         std::mem::size_of::<Self>()

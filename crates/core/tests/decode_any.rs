@@ -12,7 +12,7 @@ use wmsketch_core::{
     REGISTERED_LEARNER_KINDS,
 };
 use wmsketch_hashing::codec::{self, KIND_AWM, KIND_MULTICLASS_AWM, KIND_WM};
-use wmsketch_learn::SparseVector;
+use wmsketch_learn::{MergeableLearner, SparseVector};
 
 /// Offset of the kind byte in a `WMS1` envelope (after the 4-byte magic).
 const KIND_OFFSET: usize = 4;
@@ -186,4 +186,118 @@ fn substrate_kinds_are_unknown_to_the_learner_registry() {
             Some(CodecError::UnknownKind(kind))
         );
     }
+}
+
+/// Hash tables are shared by every live model with the same seeds, so
+/// each test below uses seeds no other test in this binary uses: then
+/// "after every holder has dropped" holds when it says so.
+const SHARED_WM_SEED: u64 = 0x007A_B1E5_0001;
+const SHARED_AWM_SEED: u64 = 0x007A_B1E5_0002;
+const MERGE_WM_SEED: u64 = 0x007A_B1E5_0003;
+const MERGE_AWM_SEED: u64 = 0x007A_B1E5_0004;
+
+/// 64-bit FNV-1a, a stable digest for pinning snapshot bytes.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xCBF2_9CE4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
+/// `n` examples with a planted signal on features 3 and 9 and a noise
+/// tail whose features depend on `salt`.
+fn salted_stream(n: u32, salt: u32) -> Vec<(SparseVector, i8)> {
+    (0..n)
+        .map(|t| {
+            let noise = 100 + (t * 17 + salt * 31) % 400;
+            if t % 2 == 0 {
+                (SparseVector::from_pairs(&[(3, 1.0), (noise, 0.5)]), 1)
+            } else {
+                (SparseVector::from_pairs(&[(9, 1.0), (noise, 0.5)]), -1)
+            }
+        })
+        .collect()
+}
+
+fn trained<L: OnlineLearner>(mut learner: L, salt: u32) -> L {
+    for (x, y) in salted_stream(1500, salt) {
+        learner.update(&x, y);
+    }
+    learner
+}
+
+/// Every estimate over the stream's feature range and every margin over
+/// its examples, as bits.
+fn fingerprint<L: OnlineLearner + WeightEstimator>(learner: &L) -> Vec<u64> {
+    let estimates = (0..600u32).map(|f| learner.estimate(f).to_bits());
+    let margins = salted_stream(64, 7)
+        .into_iter()
+        .map(|(x, _)| learner.margin(&x).to_bits());
+    estimates.chain(margins).collect()
+}
+
+/// Decodes `bytes` once while `holder` (a live model with the same seed)
+/// still holds the hash tables, and once after it and the first decode
+/// have dropped, so the second decode fills its own tables. Both twins
+/// must re-encode to `bytes` and agree bit for bit.
+fn assert_decodes_alike_shared_and_alone<L>(holder: L, bytes: &[u8])
+where
+    L: SnapshotCodec + OnlineLearner + WeightEstimator,
+{
+    let shared = L::from_snapshot_bytes(bytes).expect("decode beside a live holder");
+    assert_eq!(shared.to_snapshot_bytes(), bytes);
+    let shared_print = fingerprint(&shared);
+    assert_eq!(shared_print, fingerprint(&holder));
+    drop((holder, shared));
+    let alone = L::from_snapshot_bytes(bytes).expect("decode with no live holder");
+    assert_eq!(alone.to_snapshot_bytes(), bytes);
+    assert_eq!(fingerprint(&alone), shared_print);
+}
+
+#[test]
+fn decode_is_bit_identical_with_and_without_a_live_holder_of_the_seed() {
+    let wm = trained(
+        WmSketch::new(
+            WmSketchConfig::new(128, 14)
+                .heap_capacity(16)
+                .seed(SHARED_WM_SEED),
+        ),
+        1,
+    );
+    let bytes = wm.to_snapshot_bytes();
+    assert_decodes_alike_shared_and_alone(wm, &bytes);
+
+    let awm = trained(
+        AwmSketch::new(AwmSketchConfig::with_budget_bytes(2048).seed(SHARED_AWM_SEED)),
+        1,
+    );
+    let bytes = awm.to_snapshot_bytes();
+    assert_decodes_alike_shared_and_alone(awm, &bytes);
+}
+
+/// Merging two models that read the same shared tables gives the bytes
+/// the same merge gave when every model filled its own tables (pinned
+/// before the tables were shared).
+#[test]
+fn merge_between_models_sharing_tables_matches_pinned_bytes() {
+    let wm_cfg = WmSketchConfig::new(128, 14)
+        .heap_capacity(16)
+        .seed(MERGE_WM_SEED);
+    let mut wm = trained(WmSketch::new(wm_cfg), 1);
+    wm.merge_from(&trained(WmSketch::new(wm_cfg), 2));
+    let bytes = wm.to_snapshot_bytes();
+    assert_eq!(
+        (bytes.len(), fnv1a(&bytes)),
+        (14654, 0x7629_5383_AE96_18F7),
+        "WM merge"
+    );
+
+    let awm_cfg = AwmSketchConfig::with_budget_bytes(2048).seed(MERGE_AWM_SEED);
+    let mut awm = trained(AwmSketch::new(awm_cfg), 1);
+    awm.merge_from(&trained(AwmSketch::new(awm_cfg), 2));
+    let bytes = awm.to_snapshot_bytes();
+    assert_eq!(
+        (bytes.len(), fnv1a(&bytes)),
+        (3709, 0x415C_9A5C_C066_90B9),
+        "AWM merge"
+    );
 }

@@ -15,32 +15,19 @@
 //! heap re-estimation, paying the hash cost exactly once per
 //! `(feature, row)` pair.
 //!
-//! # Row-interleaved tabulation tables
+//! # Tabulation tables
 //!
-//! Row `j`'s tabulation function is the [`TabulationHash`] of the `j`-th
-//! seed drawn from the sketch seed, but the rows do not own separate
-//! tables. All `depth` functions live in one array: the entry for
-//! `(chunk, byte, row)` sits at `(chunk·256 + byte)·depth + row`. The
-//! words a key needs from every row are then eight contiguous
-//! `depth`-long lanes, one per key byte, and hashing the key for all rows
-//! is a sweep that XORs the lanes element by element. The array holds the
-//! same words as `depth` separate tables, so it costs the same 16 KiB per
-//! row.
-//!
-//! Feature ids are `u32`, so the four high bytes of a key are almost
-//! always zero and their four lanes are the same for every such key. Each
-//! row keeps their XOR (`hi_zero`), and a key below `2^32` sweeps only
-//! its four low lanes plus `hi_zero`. XOR is associative and commutative,
-//! so this gives every row the same hash bit for bit as the eight-lookup
-//! [`TabulationHash::hash`].
-//!
-//! A depth-1 sketch (the AWM-Sketch's usual shape) skips the sweep and
-//! makes the eight lookups directly: with one-word lanes, setting up the
-//! lanes costs more per key than the sweep saves.
+//! Under the tabulation default, row `j`'s function is the
+//! [`TabulationHash`] of the `j`-th seed drawn from the sketch seed. The
+//! rows share one row-interleaved array, hashed for all rows in one
+//! sweep, and that array is shared in turn with every other live
+//! `RowHashers` built from the same seed and depth, whatever its width:
+//! a fleet of models on one seed holds one copy. The
+//! [`crate::tabulation`] module docs describe both.
 
 use crate::mix::{fast_range, SplitMix64};
 use crate::poly::PolyHash;
-use crate::tabulation::{fill_interleaved, TabulationHash, NUM_CHUNKS, TABLE_SIZE};
+use crate::tabulation::{TabRows, TabulationHash};
 
 /// Which hash family backs a sketch's rows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -148,82 +135,6 @@ impl RowHasher {
     }
 }
 
-/// Every row's tabulation tables, row-interleaved (see the module docs).
-#[derive(Clone)]
-struct TabRows {
-    /// `NUM_CHUNKS × TABLE_SIZE × depth` words; `(chunk, byte, row)` sits
-    /// at `(chunk·TABLE_SIZE + byte)·depth + row`.
-    table: Box<[u64]>,
-    /// Per row, the XOR of chunks 4–7 at byte 0: the high half of the
-    /// hash of every key below `2^32`.
-    hi_zero: Box<[u64]>,
-}
-
-impl TabRows {
-    /// Interleaves the functions [`TabulationHash::new`] builds from each
-    /// of `row_seeds`, one row per seed.
-    fn new(row_seeds: &[u64]) -> Self {
-        let depth = row_seeds.len();
-        let mut table = vec![0u64; NUM_CHUNKS * TABLE_SIZE * depth].into_boxed_slice();
-        fill_interleaved(row_seeds, &mut table);
-        let hi_zero = (0..depth)
-            .map(|row| {
-                (4..NUM_CHUNKS).fold(0, |h, chunk| h ^ table[chunk * TABLE_SIZE * depth + row])
-            })
-            .collect();
-        Self { table, hi_zero }
-    }
-
-    fn depth(&self) -> usize {
-        self.hi_zero.len()
-    }
-
-    /// Row `row`'s hash of `key`: eight direct lookups.
-    #[inline]
-    fn hash(&self, row: usize, key: u64) -> u64 {
-        let depth = self.depth();
-        assert!(row < depth, "row {row} out of range for depth {depth}");
-        let mut h = 0u64;
-        for (chunk, &b) in key.to_le_bytes().iter().enumerate() {
-            h ^= self.table[(chunk * TABLE_SIZE + usize::from(b)) * depth + row];
-        }
-        h
-    }
-
-    /// The all-rows kernel: calls `f(row, hash)` for every row in order,
-    /// XORing the key's contiguous lanes (four and `hi_zero` for a key
-    /// below `2^32`, else eight) when `depth > 1`.
-    #[inline(always)]
-    fn for_each_row(&self, key: u64, mut f: impl FnMut(usize, u64)) {
-        let depth = self.depth();
-        if depth == 1 {
-            // One-word lanes: eight direct lookups skip the sweep's
-            // per-key lane set-up, which costs more than it saves here.
-            return f(0, self.hash(0, key));
-        }
-        let lane = |chunk: usize, byte: u8| {
-            let at = (chunk * TABLE_SIZE + usize::from(byte)) * depth;
-            &self.table[at..at + depth]
-        };
-        let b = key.to_le_bytes();
-        let (l0, l1, l2, l3) = (lane(0, b[0]), lane(1, b[1]), lane(2, b[2]), lane(3, b[3]));
-        if key >> 32 == 0 {
-            let hi = &self.hi_zero[..depth];
-            for j in 0..depth {
-                f(j, l0[j] ^ l1[j] ^ l2[j] ^ l3[j] ^ hi[j]);
-            }
-        } else {
-            let (l4, l5, l6, l7) = (lane(4, b[4]), lane(5, b[5]), lane(6, b[6]), lane(7, b[7]));
-            for j in 0..depth {
-                f(
-                    j,
-                    l0[j] ^ l1[j] ^ l2[j] ^ l3[j] ^ l4[j] ^ l5[j] ^ l6[j] ^ l7[j],
-                );
-            }
-        }
-    }
-}
-
 /// Monomorphized row storage: concrete hash functions per family, so
 /// the all-rows loop never dispatches per row.
 #[derive(Clone)]
@@ -264,8 +175,9 @@ impl Rows {
 
 /// The full set of row hashers for a depth-`s` sketch.
 ///
-/// Cloning copies the row hash functions byte for byte, so a clone assigns
-/// every key the same cells and signs, so sketches built from clones
+/// Cloning shares the tabulation tables (it copies only one `hi_zero`
+/// word per row) and copies polynomial coefficients, so a clone assigns
+/// every key the same cells and signs and sketches built from clones
 /// stay merge-compatible.
 #[derive(Clone)]
 pub struct RowHashers {
@@ -324,22 +236,33 @@ impl RowHashers {
         self.width
     }
 
-    /// Heap bytes the row hash functions own. For the tabulation default
+    /// Heap bytes the row hash functions hold. For the tabulation default
     /// this is 16 KiB *per row* (its share of the interleaved tables)
     /// plus one 8-byte `hi_zero` word — typically far more than a small
     /// sketch's cell array, and the reason a memory-governed registry
-    /// must not cost models by the paper's §7.1 figure alone (hashers
-    /// rebuild deterministically from the config seed, so spilling a
-    /// model to disk reclaims this in full).
+    /// must not cost models by the paper's §7.1 figure alone.
+    ///
+    /// The tables are counted in full even while other holders of the
+    /// same seed and depth share them, so a sum over models is an upper
+    /// bound on what they hold together. Spilling a model frees its
+    /// tables only if it was their last holder; otherwise it frees
+    /// nothing here.
     #[must_use]
     pub fn resident_bytes(&self) -> usize {
         match &self.rows {
-            Rows::Tab(t) => (t.table.len() + t.hi_zero.len()) * std::mem::size_of::<u64>(),
+            Rows::Tab(t) => t.resident_bytes(),
             Rows::Poly(v) => {
                 v.capacity() * std::mem::size_of::<PolyHash>()
                     + v.iter().map(PolyHash::resident_bytes).sum::<usize>()
             }
         }
+    }
+
+    /// Whether `self` and `other` read the same tabulation table
+    /// allocation.
+    #[cfg(test)]
+    fn shares_tables_with(&self, other: &Self) -> bool {
+        matches!((&self.rows, &other.rows), (Rows::Tab(a), Rows::Tab(b)) if a.shares_with(b))
     }
 
     /// The bucket and sign row `j` assigns to `key`.
@@ -754,6 +677,49 @@ mod tests {
                 depth as usize * (16_384 + 8),
                 "depth {depth}"
             );
+        }
+    }
+
+    #[test]
+    fn same_seed_and_depth_share_tables_at_any_width() {
+        // Seeds no other test in this crate uses, so a parallel test
+        // cannot hold these tables.
+        let tab = HashFamilyKind::Tabulation;
+        let a = RowHashers::new(tab, 14, 128, 0x5EA5_0001);
+        let b = RowHashers::new(tab, 14, 4096, 0x5EA5_0001);
+        assert!(a.shares_tables_with(&b));
+        assert!(a.shares_tables_with(&a.clone()));
+        assert_eq!(a.resident_bytes(), b.resident_bytes());
+        // The row seeds of depth 13 are a prefix of depth 14's, but the
+        // interleaved layout differs, so they must not share.
+        assert!(!a.shares_tables_with(&RowHashers::new(tab, 13, 128, 0x5EA5_0001)));
+        assert!(!a.shares_tables_with(&RowHashers::new(tab, 14, 128, 0x5EA5_0002)));
+        let poly = RowHashers::new(HashFamilyKind::Polynomial(4), 14, 128, 0x5EA5_0001);
+        assert!(!a.shares_tables_with(&poly));
+    }
+
+    #[test]
+    fn shared_tables_hash_like_freshly_filled_ones() {
+        let tab = HashFamilyKind::Tabulation;
+        let (depth, seed) = (14, 0x5EA5_0003);
+        let expect: Vec<Vec<(usize, f64)>> = {
+            let alone = RowHashers::new(tab, depth, 128, seed);
+            WIDE_KEYS
+                .iter()
+                .map(|&key| {
+                    let mut coords = Vec::new();
+                    alone.for_each_coord(key, |offset, sign| coords.push((offset, sign)));
+                    coords
+                })
+                .collect()
+        };
+        let holder = RowHashers::new(tab, depth, 256, seed);
+        let shared = RowHashers::new(tab, depth, 128, seed);
+        assert!(shared.shares_tables_with(&holder));
+        for (key, expect) in WIDE_KEYS.iter().zip(&expect) {
+            let mut coords = Vec::new();
+            shared.for_each_coord(*key, |offset, sign| coords.push((offset, sign)));
+            assert_eq!(&coords, expect, "key {key:#x}");
         }
     }
 

@@ -144,10 +144,13 @@ pub trait DynLearner: Send {
     /// resident — allocated buffers at capacity, hash-function tables,
     /// retained scratch — as opposed to [`DynLearner::memory_bytes`]'s
     /// config-derived §7.1 figure. This is what a memory governor should
-    /// charge for keeping the model hot: spilling the model to disk and
-    /// reviving it from its snapshot reclaims (and later re-pays)
-    /// roughly this amount. Defaults to the §7.1 figure for learners
-    /// without instance-owned state worth separating.
+    /// charge for keeping the model hot. State shared between instances
+    /// (the sketch learners' hash tables, one copy per seed and depth in
+    /// a process) is counted in full by each holder, so a sum over
+    /// models is an upper bound, and spilling a model to disk and
+    /// reviving it from its snapshot reclaims (and later re-pays) at most
+    /// this amount. Defaults to the §7.1 figure for learners without
+    /// instance-owned state worth separating.
     fn resident_bytes(&self) -> usize {
         self.memory_bytes()
     }

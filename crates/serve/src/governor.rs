@@ -2,15 +2,21 @@
 //! against a configurable resident-byte budget, so one node can host a
 //! fleet of models far larger than its memory.
 //!
-//! The governor charges each model its truthful resident footprint
+//! The governor charges each model its resident footprint
 //! ([`wmsketch_learn::DynLearner::resident_bytes`] — buffers, hashers,
 //! scratch — plus the registry entry's own overhead: the entry struct,
 //! its name, and its spec template, which stay resident even when the
-//! learner is spilled). When the charged total exceeds the budget, the
-//! least-recently-accessed *evictable* model is spilled to disk as a
-//! sealed WMS1 checkpoint record through the durability layer's atomic
-//! write path, leaving a lightweight stub in the registry. The next
-//! request for a spilled model revives it transparently — decode and
+//! learner is spilled). Models with the same hash seed and depth share
+//! one copy of their tabulation tables, yet each is charged for them in
+//! full, so while tables are shared the charged total is an upper bound
+//! on what the hot models hold, and spilling a model whose tables
+//! another hot model shares frees less than its charge.
+//!
+//! When the charged total exceeds the budget, the least-recently-accessed
+//! *evictable* model is spilled to disk as a sealed WMS1 checkpoint
+//! record through the durability layer's atomic write path, leaving a
+//! lightweight stub in the registry. The next request for a spilled
+//! model revives it transparently — decode and
 //! [`wmsketch_learn::DynLearner::restore_snapshot`], bit-identical by
 //! the codec's twin guarantee — under the model's own slot mutex, so
 //! concurrent requests for the same cold model pay exactly one decode
