@@ -54,7 +54,7 @@ use std::time::{Duration, Instant};
 use crate::error::ServeError;
 use crate::poller::{widen_backlog, Event, Poller, EVENT_READ, EVENT_WRITE};
 use crate::protocol::{ExamplesScratch, FrameAssembler};
-use crate::server::{encode_response, handle_request, is_shutdown_request, ServerState};
+use crate::server::{handle_request, ServerState};
 
 /// Token of the listening socket.
 const TOKEN_LISTENER: u64 = 0;
@@ -364,19 +364,15 @@ impl<'a> EventLoop<'a> {
                     break;
                 };
                 nm.queue_depth.dec();
-                let result = handle_request(&body, state, &mut self.scratch);
+                let before = conn.wbuf.len();
                 // An honored SHUTDOWN is the last request this connection
                 // gets answered.
-                if result.is_ok() && is_shutdown_request(&body) {
+                if handle_request(&body, state, &mut self.scratch, &mut conn.wbuf) {
                     conn.close_after_flush = true;
                     nm.queue_depth.add(-(conn.pending.len() as i64));
                     conn.pending.clear();
                 }
-                let resp = encode_response(result);
-                conn.wbuf
-                    .extend_from_slice(&(resp.len() as u32).to_le_bytes());
-                conn.wbuf.extend_from_slice(&resp);
-                nm.bytes_tx.add(resp.len() as u64 + 4);
+                nm.bytes_tx.add((conn.wbuf.len() - before) as u64);
             }
             // `net.frame_write` failpoint: the requests behind these
             // unsent bytes were applied, but the responses die with the

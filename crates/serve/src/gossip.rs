@@ -195,7 +195,7 @@ fn apply_pulled(
             return Ok(false);
         }
         let recovered = wmsketch_core::decode_any_learner(bytes)?;
-        let mut learner = entry.learner()?;
+        let mut learner = entry.learner(state)?;
         if recovered.examples_seen() <= learner.examples_seen() {
             return Ok(false);
         }

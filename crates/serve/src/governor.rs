@@ -12,10 +12,20 @@
 //! on what the hot models hold, and spilling a model whose tables
 //! another hot model shares frees less than its charge.
 //!
+//! Every model is charged once, by the server's one registration
+//! routine, before it joins the registry: strictly for the default model
+//! and OP_CREATE (victims are evicted to make room, and a model that
+//! still does not fit is refused with [`ERR_BUDGET`]), best-effort for
+//! startup recovery (no eviction, no refusal). A registration that then
+//! loses its registry checks rolls the charge back.
+//!
 //! When the charged total exceeds the budget, the least-recently-accessed
-//! *evictable* model is spilled to disk as a sealed WMS1 checkpoint
+//! resident model is spilled to disk as a sealed WMS1 checkpoint
 //! record through the durability layer's atomic write path, leaving a
-//! lightweight stub in the registry. The next request for a spilled
+//! lightweight stub in the registry. The governor keeps no model index
+//! of its own: it picks each victim from the registry's entries, which
+//! carry the LRU stamp and the charged cost, and entries hold no
+//! reference back to the governor. The next request for a spilled
 //! model revives it transparently — decode and
 //! [`wmsketch_learn::DynLearner::restore_snapshot`], bit-identical by
 //! the codec's twin guarantee — under the model's own slot mutex, so
@@ -25,27 +35,27 @@
 //! Every hosted model, the default model included, is one plain learner
 //! and therefore evictable: its snapshot captures its whole state.
 //!
-//! Deadlock discipline: the eviction path takes the victim table and
-//! then only ever `try_lock`s other models' checkpoint-I/O and slot
-//! mutexes, in that order (a contended lock is a hot or
-//! checkpoint-in-flight model — exactly the wrong victim). Revival
+//! Deadlock discipline: the eviction path holds the registry read lock
+//! only while it picks a victim, and then only ever `try_lock`s that
+//! model's checkpoint-I/O and slot mutexes, in that order (a contended
+//! lock is a hot or checkpoint-in-flight model — exactly the wrong
+//! victim). Revival
 //! itself never evicts: budget pressure from a revival is resolved by
 //! the request path *after* it releases the revived model's slot mutex
 //! (see `LearnerGuard`'s drop), so victim spill I/O never runs under
 //! any slot lock. No lock in this module is ever awaited while a slot
 //! mutex is held.
 
-use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
 use wmsketch_telemetry::LatencyHistogram;
 
 use crate::durability;
 use crate::error::ServeError;
-use crate::server::{ModelEntry, ModelSlot, SpilledStub};
+use crate::server::{ModelEntry, ModelSlot, Registry, SpilledStub};
 
 /// The typed admission error OP_CREATE returns when the budget cannot
 /// be met even after evicting every cold model.
@@ -86,9 +96,6 @@ pub(crate) struct MemoryGovernor {
     /// Wall-clock revival latency (telemetry-gated like every
     /// histogram).
     revival_latency: LatencyHistogram,
-    /// Evictable models: id → entry (every hosted model). `Weak` keeps
-    /// the table from cycling with `ModelEntry::governor`.
-    victims: Mutex<HashMap<u32, Weak<ModelEntry>>>,
     /// Serializes strict (OP_CREATE) admissions so two concurrent
     /// CREATEs cannot each charge their cost, both observe the combined
     /// total over budget, and both be spuriously rejected.
@@ -109,7 +116,6 @@ impl MemoryGovernor {
             revival_failures: AtomicU64::new(0),
             spill_failures: AtomicU64::new(0),
             revival_latency: LatencyHistogram::new(),
-            victims: Mutex::new(HashMap::new()),
             admit_lock: Mutex::new(()),
         }
     }
@@ -119,28 +125,25 @@ impl MemoryGovernor {
         self.tick.fetch_add(1, Ordering::Relaxed) + 1
     }
 
-    /// Marks an entry as evictable.
-    pub(crate) fn register_victim(&self, entry: &Arc<ModelEntry>) {
-        self.victims
-            .lock()
-            .expect("victim table")
-            .insert(entry.id, Arc::downgrade(entry));
-    }
-
     /// Charges a newly admitted model and counts it resident. With
-    /// `strict` (OP_CREATE) victims are evicted to make room, and the
-    /// charge is rolled back with a typed error when the budget cannot
-    /// be met even then. Without it (startup recovery) admission always
+    /// `strict` (OP_CREATE) victims are evicted from `registry` to make
+    /// room, and the charge is rolled back with a typed error when the
+    /// budget cannot be met even then. Without it (startup recovery) admission always
     /// succeeds and — critically — never evicts: mid-recovery an entry
     /// still holds the fresh template build, and spilling it would
     /// overwrite its real checkpoint with fresh state. Recovery's lazy
     /// stub pass resolves the overshoot instead.
-    pub(crate) fn admit(&self, cost: u64, strict: bool) -> Result<(), ServeError> {
+    pub(crate) fn admit(
+        &self,
+        cost: u64,
+        strict: bool,
+        registry: &RwLock<Registry>,
+    ) -> Result<(), ServeError> {
         if strict {
             let _admissions = self.admit_lock.lock().expect("admit lock");
             // Make headroom for the new model before charging it, so the
             // eviction target accounts for the incoming cost.
-            self.evict_down_to(self.budget.saturating_sub(cost), u32::MAX);
+            self.evict_down_to(registry, self.budget.saturating_sub(cost), u32::MAX);
             // Reserve with a compare-exchange instead of
             // add-then-check: a concurrent charge (a revival, or a
             // non-strict admission) that lands between our load and
@@ -222,29 +225,30 @@ impl MemoryGovernor {
     /// Spills least-recently-accessed victims until the charged total
     /// fits the budget (or nothing evictable remains). `exempt` — e.g.
     /// a just-revived model — is never selected. Callers must not hold
-    /// any slot mutex.
-    pub(crate) fn evict_to_budget(&self, exempt: u32) {
-        self.evict_down_to(self.budget, exempt);
+    /// any slot mutex or the registry lock.
+    pub(crate) fn evict_to_budget(&self, registry: &RwLock<Registry>, exempt: u32) {
+        self.evict_down_to(registry, self.budget, exempt);
     }
 
-    /// Spills least-recently-accessed victims until the charged total
-    /// fits `limit` (or nothing evictable remains). Each candidate is
-    /// attempted at most once per call, so a model whose spill fails
-    /// cannot loop forever.
-    fn evict_down_to(&self, limit: u64, exempt: u32) {
+    /// Spills least-recently-accessed resident models of `registry`
+    /// until the charged total fits `limit` (or nothing evictable
+    /// remains). The registry read lock is held only to pick a victim,
+    /// never across its spill. Each candidate is attempted at most once
+    /// per call, so a model whose spill fails cannot loop forever.
+    fn evict_down_to(&self, registry: &RwLock<Registry>, limit: u64, exempt: u32) {
         let mut attempted: Vec<u32> = Vec::new();
         while self.resident_bytes.load(Ordering::Relaxed) > limit {
-            let victim = {
-                let victims = self.victims.lock().expect("victim table");
-                victims
-                    .iter()
-                    .filter(|(id, _)| **id != exempt && !attempted.contains(id))
-                    .filter_map(|(id, weak)| weak.upgrade().map(|e| (*id, e)))
-                    .filter(|(_, e)| e.resident_cost.load(Ordering::Relaxed) > 0)
-                    .min_by_key(|(_, e)| e.last_access.load(Ordering::Relaxed))
-            };
-            let Some((id, entry)) = victim else { break };
-            attempted.push(id);
+            let victim = registry
+                .read()
+                .expect("registry lock")
+                .by_id
+                .iter()
+                .filter(|e| e.id != exempt && !attempted.contains(&e.id))
+                .filter(|e| e.resident_cost.load(Ordering::Relaxed) > 0)
+                .min_by_key(|e| e.last_access.load(Ordering::Relaxed))
+                .map(Arc::clone);
+            let Some(entry) = victim else { break };
+            attempted.push(entry.id);
             self.try_spill(&entry);
         }
     }

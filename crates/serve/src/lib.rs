@@ -299,10 +299,10 @@
 //!   entry is synced — a crash mid-write leaves the previous checkpoint
 //!   intact, and stale temporaries are swept at startup.
 //!
-//! CREATE writes a `.spec` sidecar (name and untrained template, plus
-//! legacy shards and mode fields written as 0) through the same atomic
-//! path, so the registry
-//! shape itself is durable. On bind, a node with a data directory
+//! CREATE writes a `.spec` sidecar (the model's name and untrained
+//! template) through the same atomic path, so the registry shape itself
+//! is durable. A spec an older node wrote may carry a legacy shards and
+//! mode tail after the name; recovery reads and ignores it. On bind, a node with a data directory
 //! recovers in two passes: every readable spec re-registers its model
 //! (same name; ids are assigned fresh), then every readable checkpoint
 //! **restores** its model's state. Restore is not a peer merge: where
@@ -464,7 +464,9 @@
 //!
 //! The `model` label is the registry *name* (stable across nodes, unlike
 //! ids); registry-level ops and requests that never resolved a model are
-//! attributed to the reserved pseudo-model `_registry`.
+//! attributed to the reserved pseudo-model `_registry`. A request whose
+//! header does not decode is recorded there as op `other`; an unknown
+//! opcode addressing a hosted model is op `other` under that model.
 //!
 //! ## Transport
 //!

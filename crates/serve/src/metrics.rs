@@ -17,15 +17,14 @@ use std::collections::BTreeMap;
 use std::sync::Mutex;
 use std::time::Instant;
 
-use wmsketch_hashing::codec::Reader;
 use wmsketch_telemetry::{Counter, ExpoWriter, Gauge, Journal, LatencyHistogram};
 
 use crate::protocol::{
-    take_request_head, OP_ACK, OP_CHECKPOINT, OP_CREATE, OP_ESTIMATE, OP_LIST, OP_MERGE,
-    OP_METRICS, OP_PEER_JOIN, OP_PREDICT, OP_PULL_DELTA, OP_RESET, OP_RESTORE, OP_SHUTDOWN,
-    OP_SNAPSHOT, OP_STATS, OP_TOPK, OP_UPDATE,
+    OP_ACK, OP_CHECKPOINT, OP_CREATE, OP_ESTIMATE, OP_LIST, OP_MERGE, OP_METRICS, OP_PEER_JOIN,
+    OP_PREDICT, OP_PULL_DELTA, OP_RESET, OP_RESTORE, OP_SHUTDOWN, OP_SNAPSHOT, OP_STATS, OP_TOPK,
+    OP_UPDATE,
 };
-use crate::server::ServerState;
+use crate::server::{ModelEntry, ServerState};
 
 /// Number of op classes a latency-histogram array holds: one per wire
 /// opcode plus a trailing catch-all for unknown/malformed requests.
@@ -213,31 +212,22 @@ pub(crate) fn now_if_enabled() -> Option<Instant> {
     wmsketch_telemetry::enabled().then(Instant::now)
 }
 
-/// Records one dispatched request (every frame):
-/// latency, wire bytes, errors, and query-rate accounting, attributed to
-/// the addressed model or to the `_registry` pseudo-model.
-pub(crate) fn record_request(state: &ServerState, body: &[u8], started: Instant, ok: bool) {
-    let elapsed = started.elapsed();
-    let wire_bytes = body.len() as u64 + 4;
-    let metrics = &state.metrics;
-    let (class, entry) = match take_request_head(&mut Reader::new(body)) {
-        Err(_) => (OP_CLASSES - 1, None),
-        Ok(head) => {
-            let class = op_class(head.op);
-            let entry = if matches!(
-                head.op,
-                OP_CREATE | OP_LIST | OP_SHUTDOWN | OP_PEER_JOIN | OP_METRICS
-            ) {
-                None
-            } else {
-                crate::server::resolve_model(state, head.model).ok()
-            };
-            (class, entry)
-        }
-    };
-    let tele = entry.as_ref().map_or(&metrics.registry, |e| &e.telemetry);
-    tele.op_latency[class].record_duration(elapsed);
-    tele.request_bytes.add(wire_bytes);
+/// Records one dispatched request (every frame): latency, wire bytes and
+/// errors, under the model the request resolved to, or under the
+/// `_registry` pseudo-model for registry-level ops and requests that
+/// resolved none. `op` is `None` for a malformed header, which counts as
+/// op `other`; `body_len` excludes the 4-byte length prefix.
+pub(crate) fn record_request(
+    state: &ServerState,
+    op: Option<u8>,
+    entry: Option<&ModelEntry>,
+    body_len: usize,
+    started: Instant,
+    ok: bool,
+) {
+    let tele = entry.map_or(&state.metrics.registry, |e| &e.telemetry);
+    tele.op_latency[op.map_or(OP_CLASSES - 1, op_class)].record_duration(started.elapsed());
+    tele.request_bytes.add(body_len as u64 + 4);
     if !ok {
         tele.errors.inc();
     }

@@ -3,6 +3,22 @@
 //! AWM, multiclass), each one plain learner behind its own mutex so
 //! traffic to different models never serializes.
 //!
+//! The node's state (`ServerState`) is built without a socket: its
+//! constructor makes the registry, the memory governor and the default
+//! model, and [`WmServer::bind`] adds the transport and startup recovery
+//! around it. Every model enters the registry through one routine,
+//! `ServerState::register`, whether it is the default model, an
+//! OP_CREATE or a model recovered from disk: it charges the governor,
+//! checks the model cap and the name under the registry write lock,
+//! rolls the charge back when either check fails, and pushes the entry.
+//! The registry is also the governor's list of eviction candidates.
+//!
+//! Each request frame is decoded once (`handle_request`): its head gives
+//! the op and, for a model op, the one registry lookup that resolves the
+//! entry. The same op and entry go to telemetry, and the response is
+//! written as `len | status | payload` straight into the connection's
+//! write buffer.
+//!
 //! The transport is a few run-to-completion event loops
 //! (`crate::event_loop`), each over its own raw-`epoll` poller:
 //! incremental frame reassembly and request pipelining, every frame run
@@ -327,9 +343,6 @@ pub(crate) struct ModelEntry {
     /// Per-model op telemetry — one array index from the entry `Arc` the
     /// hot path already holds, so recording never takes a lock.
     pub(crate) telemetry: metrics::ModelTelemetry,
-    /// The node's memory governor, when governed. `None` keeps every
-    /// governor touch off the hot path entirely.
-    governor: Option<Arc<crate::governor::MemoryGovernor>>,
     /// LRU stamp: the governor tick of this model's last access.
     pub(crate) last_access: AtomicU64,
     /// Learner bytes currently charged against the governor budget
@@ -351,6 +364,8 @@ pub(crate) struct ModelEntry {
 /// them.
 pub(crate) struct LearnerGuard<'a> {
     entry: &'a ModelEntry,
+    /// The node the entry belongs to: its governor and registry.
+    state: &'a ServerState,
     /// `Some` until drop; taken there so the slot unlocks before any
     /// deferred eviction runs.
     guard: Option<std::sync::MutexGuard<'a, ModelSlot>>,
@@ -375,7 +390,7 @@ impl LearnerGuard<'_> {
         let old = self.entry.resident_cost.swap(cost, Ordering::Relaxed);
         *self.slot_mut() = ModelSlot::Resident(fresh);
         self.entry.installs.fetch_add(1, Ordering::Relaxed);
-        if let Some(gov) = &self.entry.governor {
+        if let Some(gov) = &self.state.governor {
             gov.note_install(old, cost, false);
         }
     }
@@ -407,34 +422,31 @@ impl Drop for LearnerGuard<'_> {
             // never run under this model's lock. The just-revived model
             // is exempt from its own pressure resolution.
             drop(self.guard.take());
-            if let Some(gov) = &self.entry.governor {
-                gov.evict_to_budget(self.entry.id);
+            if let Some(gov) = &self.state.governor {
+                gov.evict_to_budget(&self.state.registry, self.entry.id);
             }
         }
     }
 }
 
 impl ModelEntry {
-    /// Builds an entry (resident learner, fresh replication state).
-    /// Governor accounting (admission charge, victim registration) is
-    /// the caller's job — it depends on whether the path is CREATE
-    /// (strict) or recovery (best-effort).
+    /// Builds an entry (resident learner, fresh replication state) whose
+    /// last access is governor tick `tick`. Only
+    /// [`ServerState::register`] calls this; it does the governor
+    /// accounting.
     fn new(
         id: u32,
         name: String,
-        label_domain: LabelDomain,
         template: Vec<u8>,
         learner: Box<dyn DynLearner>,
-        governor: Option<Arc<crate::governor::MemoryGovernor>>,
+        tick: u64,
     ) -> Self {
-        let kind = learner.kind();
         let resident = learner.resident_bytes() as u64;
-        let tick = governor.as_ref().map_or(0, |g| g.touch());
         Self {
             id,
             name,
-            kind,
-            label_domain,
+            kind: learner.kind(),
+            label_domain: learner.label_domain(),
             template,
             slot: Mutex::new(ModelSlot::Resident(learner)),
             installs: AtomicU64::new(0),
@@ -442,7 +454,6 @@ impl ModelEntry {
             repl: Mutex::new(ReplState::default()),
             merged: Mutex::new(MergedCache::default()),
             telemetry: metrics::ModelTelemetry::new(),
-            governor,
             last_access: AtomicU64::new(tick),
             resident_cost: AtomicU64::new(resident),
         }
@@ -465,15 +476,18 @@ impl ModelEntry {
     /// revival (unreadable or corrupt spill record) leaves the stub in
     /// place, counts `governor_revival_failures_total`, and returns a
     /// typed error — the node keeps serving.
-    pub(crate) fn learner(&self) -> Result<LearnerGuard<'_>, ServeError> {
+    pub(crate) fn learner<'a>(
+        &'a self,
+        state: &'a ServerState,
+    ) -> Result<LearnerGuard<'a>, ServeError> {
         let mut slot = self.slot.lock().expect("slot mutex");
         let mut revived_now = false;
         if let ModelSlot::Spilled(stub) = &*slot {
             let started = std::time::Instant::now();
-            let gov = self
+            let gov = state
                 .governor
                 .as_ref()
-                .expect("spilled slot on an ungoverned entry");
+                .expect("spilled slot on an ungoverned node");
             let revived = std::fs::read(&stub.path)
                 .map_err(ServeError::from)
                 .and_then(|bytes| {
@@ -497,11 +511,12 @@ impl ModelEntry {
                 }
             }
         }
-        if let Some(gov) = &self.governor {
+        if let Some(gov) = &state.governor {
             self.last_access.store(gov.touch(), Ordering::Relaxed);
         }
         Ok(LearnerGuard {
             entry: self,
+            state,
             guard: Some(slot),
             evict_on_release: revived_now,
         })
@@ -511,7 +526,7 @@ impl ModelEntry {
     /// RESET / RESTORE / recovery path. A corrupt spill file can
     /// therefore never wedge a RESET: the stub is simply overwritten by
     /// the fresh instance and accounting moves back to resident.
-    pub(crate) fn install(&self, fresh: Box<dyn DynLearner>) {
+    pub(crate) fn install(&self, state: &ServerState, fresh: Box<dyn DynLearner>) {
         let cost = fresh.resident_bytes() as u64;
         let mut slot = self.slot.lock().expect("slot mutex");
         let was_spilled = matches!(&*slot, ModelSlot::Spilled(_));
@@ -519,7 +534,7 @@ impl ModelEntry {
         *slot = ModelSlot::Resident(fresh);
         self.installs.fetch_add(1, Ordering::Relaxed);
         drop(slot);
-        if let Some(gov) = &self.governor {
+        if let Some(gov) = &state.governor {
             gov.note_install(old, cost, was_spilled);
             self.last_access.store(gov.touch(), Ordering::Relaxed);
         }
@@ -529,7 +544,7 @@ impl ModelEntry {
     /// existing checkpoint as this entry's lazy stub without reading
     /// it. The fresh (untrained) learner the entry was registered with
     /// is discarded and its charge released.
-    pub(crate) fn adopt_lazy_stub(&self, path: PathBuf) {
+    fn adopt_lazy_stub(&self, gov: &crate::governor::MemoryGovernor, path: PathBuf) {
         let mut slot = self.slot.lock().expect("slot mutex");
         if !matches!(&*slot, ModelSlot::Resident(_)) {
             return;
@@ -540,10 +555,7 @@ impl ModelEntry {
             path,
         });
         drop(slot);
-        let freed = self.resident_cost.swap(0, Ordering::Relaxed);
-        if let Some(gov) = &self.governor {
-            gov.note_lazy_stub(freed);
-        }
+        gov.note_lazy_stub(self.resident_cost.swap(0, Ordering::Relaxed));
     }
 
     /// The model's clock without forcing a revival: the live learner's
@@ -576,27 +588,18 @@ impl ModelEntry {
 
 /// The model registry: id → entry plus a name index. Entries are `Arc`s
 /// so request handling drops the registry lock before touching a model.
-struct Registry {
-    by_id: Vec<Arc<ModelEntry>>,
+/// Ids are dense indices into `by_id`: they are assigned in order and a
+/// model is never removed.
+#[derive(Default)]
+pub(crate) struct Registry {
+    pub(crate) by_id: Vec<Arc<ModelEntry>>,
     by_name: HashMap<String, u32>,
-    next_id: u32,
-}
-
-impl Registry {
-    fn get(&self, id: u32) -> Option<Arc<ModelEntry>> {
-        // Ids are dense vector indices (assigned sequentially, models
-        // never removed), so resolution is O(1); the filter keeps the
-        // lookup correct even if that invariant ever changes.
-        self.by_id
-            .get(id as usize)
-            .filter(|e| e.id == id)
-            .map(Arc::clone)
-    }
 }
 
 /// State shared between the event loops and every request handler.
 pub(crate) struct ServerState {
-    registry: RwLock<Registry>,
+    /// Every hosted model; the governor picks its victims from here too.
+    pub(crate) registry: RwLock<Registry>,
     pub(crate) addr: SocketAddr,
     pub(crate) shutdown: AtomicBool,
     /// UPDATE frames executed (reported in both STATS tail slots).
@@ -620,20 +623,123 @@ pub(crate) struct ServerState {
     /// span journal, gossip counters, replication-lag gauges).
     pub(crate) metrics: metrics::NodeMetrics,
     /// The memory governor, when [`ServeConfig::memory_budget`] is set.
-    pub(crate) governor: Option<Arc<crate::governor::MemoryGovernor>>,
+    /// `None` keeps every governor touch off the hot path.
+    pub(crate) governor: Option<crate::governor::MemoryGovernor>,
 }
 
 impl ServerState {
+    /// Builds a node's state from `cfg` with no socket: the registry, the
+    /// governor (when budgeted) and the default model (registry id 0,
+    /// name `"default"`). `addr` is where OP_SHUTDOWN sends its wake-up
+    /// connection. Startup recovery is [`WmServer::bind`]'s job.
+    ///
+    /// # Errors
+    /// [`std::io::ErrorKind::InvalidInput`] when a memory budget is set
+    /// without a data directory, or is too small to hold the default
+    /// model.
+    pub(crate) fn new(cfg: &ServeConfig, addr: SocketAddr) -> std::io::Result<Self> {
+        let invalid = |msg| std::io::Error::new(std::io::ErrorKind::InvalidInput, msg);
+        let governor = match (cfg.memory_budget, &cfg.data_dir) {
+            (Some(budget), Some(dir)) => {
+                Some(crate::governor::MemoryGovernor::new(budget, dir.clone()))
+            }
+            (Some(_), None) => {
+                return Err(invalid(
+                    "memory_budget requires a data_dir (spills need somewhere to live)",
+                ))
+            }
+            (None, _) => None,
+        };
+        let state = Self {
+            registry: RwLock::new(Registry::default()),
+            addr,
+            shutdown: AtomicBool::new(false),
+            update_frames: AtomicU64::new(0),
+            node_id: cfg.node_id,
+            gossip_interval_ms: cfg.gossip_interval_ms,
+            peers: Mutex::new(BTreeMap::new()),
+            data_dir: cfg.data_dir.clone(),
+            checkpoint_interval_ms: cfg.checkpoint_interval_ms,
+            crashed: AtomicBool::new(false),
+            metrics: metrics::NodeMetrics::new(),
+            governor,
+        };
+        // The default model is hosted like any created model: its
+        // template is its own fresh snapshot (encoded, not decoded, so
+        // building the state pays no decode).
+        let learner: Box<dyn DynLearner> = Box::new(WmSketch::new(cfg.wm));
+        let template = learner
+            .snapshot()
+            .expect("a WM learner always has a snapshot codec");
+        // Registered first, so it gets id 0 (`protocol::DEFAULT_MODEL_ID`).
+        // A budget too small to even hold it is a configuration error.
+        state
+            .register("default".to_string(), template, learner, true)
+            .map_err(|_| {
+                invalid("memory_budget is smaller than the default model's resident footprint")
+            })?;
+        Ok(state)
+    }
+
+    /// Registers a model under `name` and returns its id; the default
+    /// model, OP_CREATE and startup recovery all come through here.
+    ///
+    /// The governor is charged first, *outside* the registry lock: a
+    /// `strict` admission (the default model, CREATE) may spill victims
+    /// to make room — snapshot and file I/O that must never run under
+    /// the lock every model lookup needs — and fails with the typed
+    /// budget error when even that is not enough. A non-strict one
+    /// (recovery) always succeeds and never evicts. The model cap and
+    /// the name are then checked under the write lock (two racing
+    /// CREATEs can both pass any earlier probe), and a failed check rolls
+    /// the charge back.
+    fn register(
+        &self,
+        name: String,
+        template: Vec<u8>,
+        learner: Box<dyn DynLearner>,
+        strict: bool,
+    ) -> Result<u32, ServeError> {
+        let cost = learner.resident_bytes() as u64
+            + crate::governor::entry_overhead(name.len(), template.len());
+        if let Some(gov) = &self.governor {
+            gov.admit(cost, strict, &self.registry)?;
+        }
+        let mut registry = self.registry.write().expect("registry lock");
+        let refused = if registry.by_id.len() >= self.max_models() {
+            Some("model registry is full")
+        } else if registry.by_name.contains_key(&name) {
+            Some("model name already registered")
+        } else {
+            None
+        };
+        if let Some(reason) = refused {
+            if let Some(gov) = &self.governor {
+                gov.release_admission(cost);
+            }
+            return Err(ServeError::Protocol(reason));
+        }
+        let id = registry.by_id.len() as u32;
+        let tick = self.governor.as_ref().map_or(0, |g| g.touch());
+        registry.by_name.insert(name.clone(), id);
+        registry
+            .by_id
+            .push(Arc::new(ModelEntry::new(id, name, template, learner, tick)));
+        Ok(id)
+    }
+
+    /// The model registered as `id`, its `Arc` cloned out from under the
+    /// registry lock so per-model work never holds it.
+    pub(crate) fn model(&self, id: u32) -> Option<Arc<ModelEntry>> {
+        let registry = self.registry.read().expect("registry lock");
+        registry.by_id.get(id as usize).map(Arc::clone)
+    }
+
     /// Every hosted model, id-ascending (Arc clones out from under the
     /// registry lock).
     pub(crate) fn entries(&self) -> Vec<Arc<ModelEntry>> {
-        self.registry
-            .read()
-            .expect("registry lock")
-            .by_id
-            .iter()
-            .map(Arc::clone)
-            .collect()
+        let registry = self.registry.read().expect("registry lock");
+        registry.by_id.iter().map(Arc::clone).collect()
     }
 
     /// The registry's model cap: byte-governed nodes trade the count cap
@@ -669,79 +775,14 @@ impl WmServer {
     /// # Errors
     /// Propagates socket errors from binding, poller (`epoll`) set-up
     /// errors, and I/O errors creating the data directory. Off Linux the
-    /// error is always [`std::io::ErrorKind::Unsupported`]. Individual
+    /// error is always [`std::io::ErrorKind::Unsupported`]. A memory
+    /// budget without a data directory, or too small for the default
+    /// model, is [`std::io::ErrorKind::InvalidInput`]. Individual
     /// unreadable or corrupt durable files are skipped (counted in
     /// `recovery_rejected_total`), not fatal.
     pub fn bind(addr: impl ToSocketAddrs, cfg: ServeConfig) -> std::io::Result<Self> {
         let transport = crate::event_loop::Transport::bind(addr)?;
-        let addr = transport.local_addr()?;
-        let node_id = cfg.node_id;
-        let gossip_interval_ms = cfg.gossip_interval_ms;
-        let data_dir = cfg.data_dir.clone();
-        let checkpoint_interval_ms = cfg.checkpoint_interval_ms;
-        let governor = match (cfg.memory_budget, &data_dir) {
-            (Some(budget), Some(dir)) => Some(Arc::new(crate::governor::MemoryGovernor::new(
-                budget,
-                dir.clone(),
-            ))),
-            (Some(_), None) => {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidInput,
-                    "memory_budget requires a data_dir (spills need somewhere to live)",
-                ));
-            }
-            (None, _) => None,
-        };
-        // The default model is hosted like any created model: its
-        // template is its own fresh snapshot (encoded, not decoded, so
-        // bind pays no decode).
-        let learner: Box<dyn DynLearner> = Box::new(WmSketch::new(cfg.wm));
-        let template = learner
-            .snapshot()
-            .expect("a WM learner always has a snapshot codec");
-        // A budget too small to even hold the default model is a
-        // configuration error surfaced at bind.
-        if let Some(gov) = &governor {
-            let cost = learner.resident_bytes() as u64
-                + crate::governor::entry_overhead("default".len(), template.len());
-            gov.admit(cost, true).map_err(|_| {
-                std::io::Error::new(
-                    std::io::ErrorKind::InvalidInput,
-                    "memory_budget is smaller than the default model's resident footprint",
-                )
-            })?;
-        }
-        let default = Arc::new(ModelEntry::new(
-            protocol::DEFAULT_MODEL_ID,
-            "default".to_string(),
-            LabelDomain::Binary,
-            template,
-            learner,
-            governor.clone(),
-        ));
-        if let Some(gov) = &governor {
-            gov.register_victim(&default);
-        }
-        let mut by_name = HashMap::new();
-        by_name.insert(default.name.clone(), default.id);
-        let state = Arc::new(ServerState {
-            registry: RwLock::new(Registry {
-                by_id: vec![default],
-                by_name,
-                next_id: 1,
-            }),
-            addr,
-            shutdown: AtomicBool::new(false),
-            update_frames: AtomicU64::new(0),
-            node_id,
-            gossip_interval_ms,
-            peers: Mutex::new(BTreeMap::new()),
-            data_dir,
-            checkpoint_interval_ms,
-            crashed: AtomicBool::new(false),
-            metrics: metrics::NodeMetrics::new(),
-            governor,
-        });
+        let state = Arc::new(ServerState::new(&cfg, transport.local_addr()?)?);
         if state.data_dir.is_some() {
             recover_registry(&state)?;
         }
@@ -972,7 +1013,11 @@ fn recover_registry(state: &ServerState) -> std::io::Result<()> {
                         "spec record name does not match its file stem",
                     ));
                 }
-                register_recovered_model(state, name, template)
+                // Best-effort admission: the node must come back up
+                // whatever its budget; pass 2 stubs checkpointed entries
+                // straight back out, resolving any overshoot.
+                let learner = wmsketch_core::decode_any_learner(&template)?;
+                state.register(name, template, learner, false)
             });
         if recovered.is_err() {
             state.metrics.recovery_rejected.inc();
@@ -993,23 +1038,21 @@ fn recover_registry(state: &ServerState) -> std::io::Result<()> {
     // rejection).
     for (name, path) in durability::scan(&dir, durability::CKPT_EXT) {
         let restored = (|| -> Result<(), ServeError> {
-            let entry = {
-                let registry = state.registry.read().expect("registry lock");
-                registry
-                    .by_name
-                    .get(&name)
-                    .copied()
-                    .and_then(|id| registry.get(id))
-                    .ok_or(ServeError::Protocol("checkpoint for a model with no spec"))?
-            };
-            if state.governor.is_some() {
-                entry.adopt_lazy_stub(path);
+            let registry = state.registry.read().expect("registry lock");
+            let entry = registry
+                .by_name
+                .get(&name)
+                .map(|&id| Arc::clone(&registry.by_id[id as usize]))
+                .ok_or(ServeError::Protocol("checkpoint for a model with no spec"))?;
+            drop(registry);
+            if let Some(gov) = &state.governor {
+                entry.adopt_lazy_stub(gov, path);
                 return Ok(());
             }
             let bytes = std::fs::read(&path)?;
             let mut fresh = entry.fresh_learner()?;
             fresh.restore_snapshot(&bytes)?;
-            entry.install(fresh);
+            entry.install(state, fresh);
             Ok(())
         })();
         match restored {
@@ -1020,114 +1063,9 @@ fn recover_registry(state: &ServerState) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Re-registers one model from a recovered spec record — the recovery
-/// twin of `handle_create`'s registration tail.
-fn register_recovered_model(
-    state: &ServerState,
-    name: String,
-    template: Vec<u8>,
-) -> Result<(), ServeError> {
-    let learner = wmsketch_core::decode_any_learner(&template)?;
-    let label_domain = learner.label_domain();
-    // Recovery admission is best-effort: the node must come back up
-    // regardless of budget; pass 2 immediately stubs checkpointed
-    // entries back out, resolving any overshoot.
-    let cost = learner.resident_bytes() as u64
-        + crate::governor::entry_overhead(name.len(), template.len());
-    if let Some(gov) = &state.governor {
-        gov.admit(cost, false)?;
-    }
-    let release = |e: ServeError| {
-        if let Some(gov) = &state.governor {
-            gov.release_admission(cost);
-        }
-        e
-    };
-    let mut registry = state.registry.write().expect("registry lock");
-    if registry.by_id.len() >= state.max_models() {
-        return Err(release(ServeError::Protocol("model registry is full")));
-    }
-    if registry.by_name.contains_key(&name) {
-        return Err(release(ServeError::Protocol(
-            "model name already registered",
-        )));
-    }
-    let id = registry.next_id;
-    registry.next_id += 1;
-    registry.by_name.insert(name.clone(), id);
-    let entry = Arc::new(ModelEntry::new(
-        id,
-        name,
-        label_domain,
-        template,
-        learner,
-        state.governor.clone(),
-    ));
-    if let Some(gov) = &state.governor {
-        gov.register_victim(&entry);
-    }
-    registry.by_id.push(entry);
-    Ok(())
-}
-
-/// Encodes a handler result as a response frame body, substituting a
-/// typed ERR for oversized payloads (e.g. a SNAPSHOT of a sketch too
-/// large for one frame) instead of sending a frame the client's
-/// `read_frame` rejects, which would end the connection.
-pub(crate) fn encode_response(result: Result<Vec<u8>, ServeError>) -> Vec<u8> {
-    let mut response = match result {
-        Ok(payload) => {
-            let mut w = Writer::new();
-            w.put_u8(STATUS_OK);
-            w.put_bytes(&payload);
-            w.into_bytes()
-        }
-        Err(e) => {
-            let mut w = Writer::new();
-            w.put_u8(STATUS_ERR);
-            w.put_bytes(e.to_string().as_bytes());
-            w.into_bytes()
-        }
-    };
-    if response.len() > MAX_FRAME_LEN as usize {
-        let mut w = Writer::new();
-        w.put_u8(STATUS_ERR);
-        w.put_bytes(b"response exceeds MAX_FRAME_LEN");
-        response = w.into_bytes();
-    }
-    response
-}
-
-/// Whether a (successfully handled) request body was an OP_SHUTDOWN.
-pub(crate) fn is_shutdown_request(body: &[u8]) -> bool {
-    matches!(
-        take_request_head(&mut Reader::new(body)),
-        Ok(head) if head.op == OP_SHUTDOWN
-    )
-}
-
-/// Looks up the addressed model, cloning its `Arc` out from under the
-/// registry lock so per-model work never holds it.
-pub(crate) fn resolve_model(state: &ServerState, id: u32) -> Result<Arc<ModelEntry>, ServeError> {
-    state
-        .registry
-        .read()
-        .expect("registry lock")
-        .get(id)
-        .ok_or(ServeError::Protocol("unknown model id"))
-}
-
 /// Registry rows for every hosted model, id-ascending.
 fn registry_rows(state: &ServerState) -> Vec<ModelInfo> {
-    let entries: Vec<Arc<ModelEntry>> = state
-        .registry
-        .read()
-        .expect("registry lock")
-        .by_id
-        .iter()
-        .map(Arc::clone)
-        .collect();
-    entries.iter().map(|e| e.info()).collect()
+    state.entries().iter().map(|e| e.info()).collect()
 }
 
 /// Handles OP_CREATE: registers a named model built from an untrained
@@ -1171,8 +1109,7 @@ fn handle_create(r: &mut Reader<'_>, state: &ServerState) -> Result<u32, ServeEr
     if learner.examples_seen() != 0 {
         return Err(ServeError::Protocol("model template must be untrained"));
     }
-    let label_domain = learner.label_domain();
-    if let LabelDomain::Classes(m) = label_domain {
+    if let LabelDomain::Classes(m) = learner.label_domain() {
         if m > MAX_WIRE_CLASSES {
             return Err(ServeError::Protocol(
                 "class count exceeds the wire label encoding (i8 class indices)",
@@ -1186,47 +1123,9 @@ fn handle_create(r: &mut Reader<'_>, state: &ServerState) -> Result<u32, ServeEr
         .as_ref()
         .map(|_| durability::encode_spec_record(&name, &template));
     let stem = durability::file_stem(&name);
-    // Governor admission — *before* the registry write lock, because
-    // making room may spill victims (snapshot + file I/O), which must
-    // never run under the lock every other connection's model lookup
-    // needs. Strict: when the budget cannot be met even after evicting
-    // every cold model, CREATE fails with the typed budget error.
-    let cost = learner.resident_bytes() as u64
-        + crate::governor::entry_overhead(name.len(), template.len());
-    if let Some(gov) = &state.governor {
-        gov.admit(cost, true)?;
-    }
-    let release = |e: ServeError| {
-        if let Some(gov) = &state.governor {
-            gov.release_admission(cost);
-        }
-        e
-    };
-    let mut registry = state.registry.write().expect("registry lock");
-    if registry.by_id.len() >= state.max_models() {
-        return Err(release(ServeError::Protocol("model registry is full")));
-    }
-    if registry.by_name.contains_key(&name) {
-        return Err(release(ServeError::Protocol(
-            "model name already registered",
-        )));
-    }
-    let id = registry.next_id;
-    registry.next_id += 1;
-    registry.by_name.insert(name.clone(), id);
-    let entry = Arc::new(ModelEntry::new(
-        id,
-        name,
-        label_domain,
-        template,
-        learner,
-        state.governor.clone(),
-    ));
-    if let Some(gov) = &state.governor {
-        gov.register_victim(&entry);
-    }
-    registry.by_id.push(entry);
-    drop(registry);
+    // Strict: when the budget cannot be met even after evicting every
+    // cold model, CREATE fails with the typed budget error.
+    let id = state.register(name, template, learner, true)?;
     // Persist the spec sidecar so a restart re-registers the model.
     // Best-effort: a failed (or fault-injected) write costs the model its
     // durability, not the client its CREATE — the counter makes the miss
@@ -1258,17 +1157,17 @@ fn handle_create(r: &mut Reader<'_>, state: &ServerState) -> Result<u32, ServeEr
 /// basis. Lock order: `learner` → `repl` → `merged`.
 fn serve_query<R>(
     entry: &ModelEntry,
-    node_id: u64,
+    state: &ServerState,
     f: impl FnOnce(&dyn DynLearner) -> R,
 ) -> Result<R, ServeError> {
-    let learner = entry.learner()?;
+    let learner = entry.learner(state)?;
     let repl = entry.repl.lock().expect("repl mutex");
     if repl.origins.is_empty() {
         drop(repl);
         return Ok(f(learner.as_ref()));
     }
     let mut basis: Vec<(u64, u64)> = Vec::with_capacity(repl.origins.len() + 1);
-    basis.push((node_id, learner.examples_seen()));
+    basis.push((state.node_id, learner.examples_seen()));
     for (&origin, replica) in &repl.origins {
         basis.push((origin, replica.applied));
     }
@@ -1276,7 +1175,7 @@ fn serve_query<R>(
     let mut merged = entry.merged.lock().expect("merged mutex");
     if merged.view.is_none() || merged.basis != basis {
         let mut snaps: Vec<(u64, Vec<u8>)> = Vec::with_capacity(repl.origins.len() + 1);
-        snaps.push((node_id, learner.snapshot()?));
+        snaps.push((state.node_id, learner.snapshot()?));
         for (&origin, replica) in &repl.origins {
             snaps.push((origin, replica.learner.snapshot()?));
         }
@@ -1318,40 +1217,83 @@ fn replication_rows(state: &ServerState) -> Vec<ReplRow> {
     rows
 }
 
-/// Decodes and executes one request, returning the OK payload.
-/// `scratch` is the calling connection's reusable UPDATE decode buffer.
+/// Runs one request frame and appends its response frame to `wbuf`;
+/// returns whether it was an honored OP_SHUTDOWN, the last request its
+/// connection gets answered. `scratch` is the calling loop's reusable
+/// UPDATE decode buffer.
 ///
-/// This is [`dispatch_request`] wrapped in telemetry: when the global
-/// switch is on, the whole dispatch is timed and recorded against the
-/// addressed model's (or the `_registry` pseudo-model's) op histogram.
-/// With `WMSKETCH_TELEMETRY=off` the wrapper is one relaxed load.
+/// The request head is decoded once, here, and a model op's entry is
+/// looked up once. Both go to telemetry: when the global switch is on,
+/// the whole dispatch is timed and recorded against the addressed
+/// model's (or the `_registry` pseudo-model's) op histogram. With
+/// `WMSKETCH_TELEMETRY=off` that costs one relaxed load.
 pub(crate) fn handle_request(
     body: &[u8],
-    state: &Arc<ServerState>,
+    state: &ServerState,
     scratch: &mut ExamplesScratch,
-) -> Result<Vec<u8>, ServeError> {
+    wbuf: &mut Vec<u8>,
+) -> bool {
     let started = metrics::now_if_enabled();
-    let result = dispatch_request(body, state, scratch);
+    let mut r = Reader::new(body);
+    let (op, entry) = match take_request_head(&mut r) {
+        Ok(head) if is_registry_op(head.op) => (Some(head.op), None),
+        Ok(head) => (Some(head.op), state.model(head.model)),
+        Err(_) => (None, None),
+    };
+    let result = dispatch(op, &mut r, entry.as_deref(), state, scratch);
     if let Some(t0) = started {
-        metrics::record_request(state, body, t0, result.is_ok());
+        metrics::record_request(state, op, entry.as_deref(), body.len(), t0, result.is_ok());
     }
-    result
+    let shutdown = result.is_ok() && op == Some(OP_SHUTDOWN);
+    write_response(wbuf, result);
+    shutdown
 }
 
-/// The untimed request dispatcher behind [`handle_request`].
-fn dispatch_request(
-    body: &[u8],
-    state: &Arc<ServerState>,
+/// Ops that address the registry rather than a model: their model id is
+/// ignored, and their telemetry goes to the `_registry` pseudo-model.
+fn is_registry_op(op: u8) -> bool {
+    matches!(
+        op,
+        OP_CREATE | OP_LIST | OP_SHUTDOWN | OP_PEER_JOIN | OP_METRICS
+    )
+}
+
+/// Appends one response frame, `len (u32) | status | payload`, to
+/// `wbuf`: the OK payload or the error's message. A response too large
+/// for one frame (e.g. a SNAPSHOT of a sketch too large for one frame)
+/// becomes a typed ERR instead of a frame the client's `read_frame`
+/// rejects, which would end the connection.
+fn write_response(wbuf: &mut Vec<u8>, result: Result<Vec<u8>, ServeError>) {
+    let (status, payload) = match result {
+        Ok(payload) => (STATUS_OK, payload),
+        Err(e) => (STATUS_ERR, e.to_string().into_bytes()),
+    };
+    let (status, payload) = if payload.len() < MAX_FRAME_LEN as usize {
+        (status, &payload[..])
+    } else {
+        (STATUS_ERR, &b"response exceeds MAX_FRAME_LEN"[..])
+    };
+    wbuf.extend_from_slice(&(payload.len() as u32 + 1).to_le_bytes());
+    wbuf.push(status);
+    wbuf.extend_from_slice(payload);
+}
+
+/// Executes one request whose head [`handle_request`] decoded (`op` is
+/// `None` when that failed) against the model it resolved, returning
+/// the OK payload.
+fn dispatch(
+    op: Option<u8>,
+    r: &mut Reader<'_>,
+    entry: Option<&ModelEntry>,
+    state: &ServerState,
     scratch: &mut ExamplesScratch,
 ) -> Result<Vec<u8>, ServeError> {
-    let mut r = Reader::new(body);
-    let head =
-        take_request_head(&mut r).map_err(|_| ServeError::Protocol("malformed request header"))?;
+    let op = op.ok_or(ServeError::Protocol("malformed request header"))?;
     let mut out = Writer::new();
     // Registry-level ops first: they don't address a model.
-    match head.op {
+    match op {
         OP_CREATE => {
-            let id = handle_create(&mut r, state)?;
+            let id = handle_create(r, state)?;
             out.put_u32(id);
             return Ok(out.into_bytes());
         }
@@ -1401,16 +1343,16 @@ fn dispatch_request(
         }
         _ => {}
     }
-    let entry = resolve_model(state, head.model)?;
-    match head.op {
+    let entry = entry.ok_or(ServeError::Protocol("unknown model id"))?;
+    match op {
         OP_UPDATE => {
             // Labels are validated against the addressed model's domain
             // (±1 for binary models, class indices for multiclass) before
             // anything reaches the learner.
-            take_examples_into(&mut r, scratch, entry.label_domain)?;
+            take_examples_into(r, scratch, entry.label_domain)?;
             r.finish()?;
             let seen = {
-                let mut learner = entry.learner()?;
+                let mut learner = entry.learner(state)?;
                 learner.update_batch(scratch.examples());
                 learner.examples_seen()
             };
@@ -1425,21 +1367,21 @@ fn dispatch_request(
             out.put_u64(seen);
         }
         OP_PREDICT => {
-            let x = take_features(&mut r)?;
+            let x = take_features(r)?;
             r.finish()?;
-            let (margin, label) = serve_query(&entry, state.node_id, |l| l.margin_and_label(&x))?;
+            let (margin, label) = serve_query(entry, state, |l| l.margin_and_label(&x))?;
             out.put_f64(margin);
             out.put_i8(label);
         }
         OP_ESTIMATE => {
             let feature = r.take_u32()?;
             r.finish()?;
-            out.put_f64(serve_query(&entry, state.node_id, |l| l.estimate(feature))?);
+            out.put_f64(serve_query(entry, state, |l| l.estimate(feature))?);
         }
         OP_TOPK => {
             let k = r.take_u32()?;
             r.finish()?;
-            let top = serve_query(&entry, state.node_id, |l| l.recover_top_k(k as usize))?;
+            let top = serve_query(entry, state, |l| l.recover_top_k(k as usize))?;
             out.put_u32(top.len() as u32);
             for e in top {
                 out.put_u32(e.feature);
@@ -1448,7 +1390,7 @@ fn dispatch_request(
         }
         OP_SNAPSHOT => {
             r.finish()?;
-            out.put_bytes(&serve_query(&entry, state.node_id, |l| l.snapshot())??);
+            out.put_bytes(&serve_query(entry, state, |l| l.snapshot())??);
         }
         OP_MERGE => {
             let bytes = r.take_bytes(r.remaining())?;
@@ -1465,13 +1407,12 @@ fn dispatch_request(
             // linearity merge holds it, so a large MERGE cannot stall
             // concurrent UPDATE/PREDICT traffic on the same model.
             let peer = wmsketch_core::decode_any_learner(bytes)?;
-            let mut learner = entry.learner()?;
+            let mut learner = entry.learner(state)?;
             learner.absorb_peer(&*peer)?;
             out.put_u64(learner.examples_seen());
         }
         OP_CHECKPOINT => {
-            let path =
-                durability::resolve_client_path(state.data_dir.as_deref(), &take_path(&mut r)?)?;
+            let path = durability::resolve_client_path(state.data_dir.as_deref(), &take_path(r)?)?;
             // Hold the slot lock only to sync and encode; the disk
             // write (to a possibly slow filesystem) must not stall
             // ingest on other connections. The checkpoint-I/O mutex,
@@ -1480,15 +1421,14 @@ fn dispatch_request(
             // must not be clobbered by this older state (lock order
             // ckpt_io → slot, same as the background checkpointer).
             let _ckpt_io = entry.ckpt_io.lock().expect("checkpoint io mutex");
-            let bytes = entry.learner()?.snapshot()?;
+            let bytes = entry.learner(state)?.snapshot()?;
             // Atomic replace-on-rename: a crash mid-write leaves the
             // previous checkpoint intact plus a stale `.tmp`, never a
             // torn file under the final name.
             out.put_u64(durability::write_atomic(&path, &bytes)?);
         }
         OP_RESTORE => {
-            let path =
-                durability::resolve_client_path(state.data_dir.as_deref(), &take_path(&mut r)?)?;
+            let path = durability::resolve_client_path(state.data_dir.as_deref(), &take_path(r)?)?;
             let bytes = std::fs::read(&path)?;
             let mut fresh = entry.fresh_learner()?;
             fresh.restore_snapshot(&bytes)?;
@@ -1496,7 +1436,7 @@ fn dispatch_request(
             // `install` swaps the slot without touching any spill record
             // — a RESTORE onto a spilled model must succeed even when
             // the spill file is corrupt.
-            entry.install(fresh);
+            entry.install(state, fresh);
             out.put_u64(clock);
         }
         OP_STATS => {
@@ -1508,7 +1448,7 @@ fn dispatch_request(
             // Every UPDATE frame takes the learner lock once, so the
             // frame count fills both counter slots.
             let update_frames = state.update_frames.load(Ordering::Relaxed);
-            let gov = state.governor.as_deref();
+            let gov = state.governor.as_ref();
             let stats = ServeStats {
                 routed: clock,
                 root_examples: clock,
@@ -1533,7 +1473,7 @@ fn dispatch_request(
             // `install`, not the reviving accessor: RESET discards model
             // state by contract, so it must work even when the model is
             // spilled and its spill record is unreadable.
-            entry.install(fresh);
+            entry.install(state, fresh);
         }
         OP_PULL_DELTA => {
             let origin = r.take_u64()?;
@@ -1545,7 +1485,7 @@ fn dispatch_request(
                 // use and falls back to a full snapshot whenever a delta
                 // cannot be proven exact (PULL_SINCE_FULL lands here by
                 // construction: it exceeds any clock).
-                let mut learner = entry.learner()?;
+                let mut learner = entry.learner(state)?;
                 let clock = learner.examples_seen();
                 out.put_u64(clock);
                 if since == PULL_SINCE_FULL || since < clock {
@@ -1600,4 +1540,117 @@ fn take_path(r: &mut Reader<'_>) -> Result<std::path::PathBuf, ServeError> {
     r.finish()?;
     let s = std::str::from_utf8(bytes).map_err(|_| ServeError::Protocol("path is not UTF-8"))?;
     Ok(std::path::PathBuf::from(s))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::protocol::{put_examples, request_for_model, take_stats};
+    use std::sync::Weak;
+    use wmsketch_core::{AwmSketch, AwmSketchConfig, SnapshotCodec};
+    use wmsketch_learn::{Label, SparseVector};
+
+    /// Splits one response frame into its status and payload.
+    fn parse_response(wbuf: &[u8]) -> (u8, &[u8]) {
+        let len = u32::from_le_bytes(wbuf[..4].try_into().unwrap()) as usize;
+        assert_eq!(wbuf.len(), 4 + len, "one whole frame");
+        (wbuf[4], &wbuf[5..])
+    }
+
+    /// Runs one request through `handle_request`; the OK payload, or the
+    /// ERR message.
+    fn call(state: &ServerState, model: u32, op: u8, payload: Writer) -> Result<Vec<u8>, String> {
+        let mut wbuf = Vec::new();
+        let body = request_for_model(model, op, payload);
+        handle_request(&body, state, &mut ExamplesScratch::new(), &mut wbuf);
+        match parse_response(&wbuf) {
+            (STATUS_OK, payload) => Ok(payload.to_vec()),
+            (_, msg) => Err(String::from_utf8(msg.to_vec()).unwrap()),
+        }
+    }
+
+    #[test]
+    fn oversized_response_becomes_a_typed_err() {
+        let mut wbuf = vec![0xAA];
+        write_response(&mut wbuf, Ok(vec![7; MAX_FRAME_LEN as usize]));
+        let (status, msg) = parse_response(&wbuf[1..]);
+        assert_eq!(status, STATUS_ERR);
+        assert_eq!(msg, b"response exceeds MAX_FRAME_LEN");
+        assert_eq!(wbuf[0], 0xAA, "earlier responses are kept");
+
+        // One byte less fits: status plus payload is exactly the limit.
+        let mut wbuf = Vec::new();
+        write_response(&mut wbuf, Ok(vec![7; MAX_FRAME_LEN as usize - 1]));
+        let (status, payload) = parse_response(&wbuf);
+        assert_eq!(status, STATUS_OK);
+        assert_eq!(payload.len(), MAX_FRAME_LEN as usize - 1);
+
+        let mut wbuf = Vec::new();
+        write_response(&mut wbuf, Err(ServeError::Protocol("unknown model id")));
+        let (status, msg) = parse_response(&wbuf);
+        assert_eq!(status, STATUS_ERR);
+        assert_eq!(msg, b"protocol violation: unknown model id");
+    }
+
+    /// A governed node's state, driven request by request with no socket:
+    /// CREATE, UPDATE, SNAPSHOT and STATS through `handle_request`, with
+    /// the snapshot checked bit for bit against an in-process learner.
+    /// Once the state is dropped nothing keeps it or its models alive:
+    /// there is no `Arc` cycle between the registry, its entries and the
+    /// governor.
+    #[test]
+    fn state_serves_requests_without_a_socket() {
+        let dir = std::env::temp_dir().join(format!("wmsketch-state-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let cfg = ServeConfig::new(WmSketchConfig::new(64, 2).seed(3), 1)
+            .data_dir(&dir)
+            .memory_budget_bytes(1 << 30);
+        let state = Arc::new(ServerState::new(&cfg, "127.0.0.1:0".parse().unwrap()).unwrap());
+
+        let awm = AwmSketchConfig::new(8, 64).lambda(1e-5).seed(5);
+        let mut create = Writer::new();
+        create.put_u32(3);
+        create.put_bytes(b"awm");
+        create.put_u32(0);
+        create.put_bytes(&AwmSketch::new(awm).to_snapshot_bytes());
+        let created = call(&state, 0, OP_CREATE, create).unwrap();
+        let id = Reader::new(&created).take_u32().unwrap();
+        assert_eq!(id, 1, "the default model holds id 0");
+
+        let batch: Vec<(SparseVector, Label)> = (0..40u32)
+            .map(|t| {
+                let x = SparseVector::from_pairs(&[(t % 7, 1.0), (100 + t, 0.5)]);
+                (x, if t % 3 == 0 { 1 } else { -1 })
+            })
+            .collect();
+        let mut update = Writer::new();
+        put_examples(&mut update, &batch);
+        let seen = call(&state, id, OP_UPDATE, update).unwrap();
+        assert_eq!(Reader::new(&seen).take_u64().unwrap(), 40);
+
+        let mut oracle = AwmSketch::new(awm);
+        DynLearner::update_batch(&mut oracle, &batch);
+        let snapshot = call(&state, id, OP_SNAPSHOT, Writer::new()).unwrap();
+        assert_eq!(snapshot, oracle.to_snapshot_bytes());
+
+        let stats = take_stats(&call(&state, id, OP_STATS, Writer::new()).unwrap()).unwrap();
+        assert_eq!(stats.routed, 40);
+        assert_eq!(stats.update_frames, 1);
+        assert_eq!(stats.models.len(), 2);
+        assert_eq!((stats.resident_models, stats.spilled_models), (2, 0));
+        assert_eq!(stats.memory_budget, 1 << 30);
+
+        assert_eq!(
+            call(&state, 9, OP_STATS, Writer::new()),
+            Err("protocol violation: unknown model id".to_string())
+        );
+
+        let weak_state = Arc::downgrade(&state);
+        let weak_entries: Vec<Weak<ModelEntry>> =
+            state.entries().iter().map(Arc::downgrade).collect();
+        drop(state);
+        assert!(weak_state.upgrade().is_none());
+        assert!(weak_entries.iter().all(|e| e.upgrade().is_none()));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }

@@ -7,12 +7,19 @@
 //!   model processed — the scrape is the frame ledger.
 //! * A two-node gossip pair whose replication-lag gauges read zero once
 //!   anti-entropy converges.
+//! * Attribution: which model label each kind of frame is recorded
+//!   under, and which responses count as errors.
 
+use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use wmsketch_core::{SnapshotCodec, WmSketch, WmSketchConfig};
+use wmsketch_hashing::codec::Writer;
 use wmsketch_learn::{Label, SparseVector};
-use wmsketch_serve::{ServeBackend, ServeClient, ServeConfig, ServerHandle, WmServer};
+use wmsketch_serve::protocol::{read_frame, request_for_model, write_frame, STATUS_ERR};
+use wmsketch_serve::{
+    MetricsReport, ServeBackend, ServeClient, ServeConfig, ServerHandle, WmServer,
+};
 
 const CONNS: usize = 16;
 const FRAME: usize = 32;
@@ -212,4 +219,90 @@ fn replication_lag_gauge_drains_to_zero() {
 
     a.shutdown();
     b.shutdown();
+}
+
+/// Sends one raw request body and returns the response's status byte.
+fn raw_status(stream: &mut TcpStream, body: &[u8]) -> u8 {
+    write_frame(stream, body).unwrap();
+    read_frame(stream).unwrap().expect("a response frame")[0]
+}
+
+fn op_count(report: &MetricsReport, model: &str, op: &str) -> Option<f64> {
+    report.value("op_latency_ns_count", &[("model", model), ("op", op)])
+}
+
+/// Every frame is recorded once, under the model it resolved to or under
+/// the `_registry` pseudo-model: registry-level ops (LIST, CREATE,
+/// METRICS), a request for an unknown model id and a malformed header go
+/// to `_registry`; model ops, an unknown opcode among them, go to the
+/// model's name. `op_errors_total` counts each ERR response where it was
+/// recorded.
+#[test]
+fn telemetry_attributes_each_frame_to_its_model_or_the_registry() {
+    let server = start(default_model());
+    let mut c = ServeClient::connect(server.addr()).unwrap();
+    let id = c.create_model("attr", &template(11), 0).unwrap();
+    assert!(
+        c.create_model("attr", &template(11), 0).is_err(),
+        "duplicate name"
+    );
+    c.list_models().unwrap();
+
+    c.set_model(id).unwrap();
+    c.update_batch(&stream_for(0, 8)).unwrap();
+    c.estimate(3).unwrap();
+    assert!(c.merge_snapshot(b"not a snapshot").is_err());
+
+    c.set_model(999).unwrap();
+    assert!(c.estimate(3).is_err(), "unknown model id");
+
+    let mut raw = TcpStream::connect(server.addr()).unwrap();
+    assert_eq!(
+        raw_status(&mut raw, &[0x00, 1, 2]),
+        STATUS_ERR,
+        "bad header"
+    );
+    assert_eq!(
+        raw_status(&mut raw, &request_for_model(id, 0x7F, Writer::new())),
+        STATUS_ERR,
+        "unknown opcode"
+    );
+
+    // A scrape is recorded after it renders, so the second one sees the
+    // first.
+    c.metrics().unwrap();
+    let report = c.metrics().unwrap();
+
+    let registry = "_registry";
+    assert_eq!(op_count(&report, registry, "create"), Some(2.0));
+    assert_eq!(op_count(&report, registry, "list"), Some(1.0));
+    assert_eq!(op_count(&report, registry, "metrics"), Some(1.0));
+    assert_eq!(op_count(&report, registry, "estimate"), Some(1.0));
+    assert_eq!(op_count(&report, registry, "other"), Some(1.0));
+    assert_eq!(op_count(&report, registry, "update"), None);
+    // Duplicate CREATE, unknown model id, malformed header.
+    assert_eq!(
+        report.value("op_errors_total", &[("model", registry)]),
+        Some(3.0)
+    );
+
+    assert_eq!(op_count(&report, "attr", "update"), Some(1.0));
+    assert_eq!(op_count(&report, "attr", "estimate"), Some(1.0));
+    assert_eq!(op_count(&report, "attr", "merge"), Some(1.0));
+    assert_eq!(op_count(&report, "attr", "other"), Some(1.0));
+    assert_eq!(op_count(&report, "attr", "create"), None);
+    // The failed MERGE and the unknown opcode.
+    assert_eq!(
+        report.value("op_errors_total", &[("model", "attr")]),
+        Some(2.0)
+    );
+
+    assert!(report
+        .all("op_latency_ns_count", &[("model", "default")])
+        .is_empty());
+    assert_eq!(
+        report.value("op_errors_total", &[("model", "default")]),
+        Some(0.0)
+    );
+    server.shutdown();
 }
