@@ -3,7 +3,9 @@
 //! `row_hashers` group times the sketch-row hashing layer of a WM update
 //! at the 8 KB Figure-7 shape (width 128, depth 14) on RCV1-like keys,
 //! and `row_hashers_new` times building that shape's hashers: filling
-//! fresh tables, or taking a live holder's shared ones.
+//! fresh tables, or taking a live holder's shared ones. The `codec` group
+//! times the CRC-64 footer that every `WMS1` seal and verify pays, on its
+//! own and inside the snapshot encode and decode of the 8 KB WM model.
 //!
 //! ```text
 //! cargo bench -p wmsketch-bench --bench hashing
@@ -11,7 +13,9 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
+use wmsketch_core::{OnlineLearner, SnapshotCodec, WmSketch, WmSketchConfig};
 use wmsketch_datagen::SyntheticClassification;
+use wmsketch_hashing::codec::crc64;
 use wmsketch_hashing::{
     murmur3_32, splitmix64, CoordPlan, HashFamilyKind, PolyHash, RowHashers, TabulationHash,
 };
@@ -109,10 +113,51 @@ fn bench_row_hashers_new(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_codec(c: &mut Criterion) {
+    // A broken kernel fails the run before anything is timed.
+    assert_eq!(
+        crc64(b"123456789"),
+        0x995D_C9BB_DF19_39FA,
+        "CRC-64/XZ check value"
+    );
+    let mut group = c.benchmark_group("codec");
+    // 2173 B is the `fleet` AWM template, 16 KiB about a WM 128×14
+    // snapshot, and 1 MiB a large checkpoint.
+    let bytes: Vec<u8> = (0..1u64 << 20).map(|i| splitmix64(i) as u8).collect();
+    for (name, len) in [("2173B", 2173), ("16KiB", 16 << 10), ("1MiB", 1 << 20)] {
+        let input = &bytes[..len];
+        group.bench_function(format!("crc64/{name}"), |b| {
+            b.iter(|| crc64(black_box(input)))
+        });
+    }
+    // The `wm_ingest` model, trained. It stays alive through the decode
+    // row, so each decode shares its hash tables instead of filling them.
+    let mut wm = WmSketch::new(WmSketchConfig::new(128, 14).heap_capacity(128).seed(7));
+    for (x, y) in SyntheticClassification::rcv1_like(7).take(4096) {
+        wm.update(&x, y);
+    }
+    let snapshot = wm.to_snapshot_bytes();
+    assert_eq!(
+        WmSketch::from_snapshot_bytes(&snapshot)
+            .expect("own snapshot decodes")
+            .to_snapshot_bytes(),
+        snapshot
+    );
+    group.bench_function("snapshot/wm_8kb_encode", |b| {
+        b.iter(|| black_box(&wm).to_snapshot_bytes())
+    });
+    group.bench_function("snapshot/wm_8kb_decode", |b| {
+        b.iter(|| WmSketch::from_snapshot_bytes(black_box(&snapshot)))
+    });
+    drop(wm);
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_families,
     bench_row_hashers,
-    bench_row_hashers_new
+    bench_row_hashers_new,
+    bench_codec
 );
 criterion_main!(benches);
