@@ -27,27 +27,9 @@ use crate::multiclass::MulticlassAwmSketch;
 use crate::truncation::{ProbabilisticTruncation, SimpleTruncation};
 use crate::wm::WmSketch;
 
-/// Decodes `bytes` as a peer of `me`'s own type and merges it in — the
-/// typed core of every [`DynLearner::absorb_snapshot`]. Incompatibility
-/// is a typed error rather than `merge_from`'s panic: the bytes come from
-/// outside the process.
-fn absorb_typed<L: MergeableLearner + SnapshotCodec>(
-    me: &mut L,
-    bytes: &[u8],
-) -> Result<(), CodecError> {
-    let peer = L::from_snapshot_bytes(bytes)?;
-    if !me.merge_compatible(&peer) {
-        return Err(CodecError::Invalid(
-            "peer snapshot is not merge-compatible with this model",
-        ));
-    }
-    me.merge_from(&peer);
-    Ok(())
-}
-
-/// Downcasts a dyn peer to the concrete type a learner merges with —
-/// the lock-friendly sibling of [`absorb_typed`] (the caller decodes the
-/// peer outside its critical section, the merge only needs this cast).
+/// Downcasts a dyn peer to the concrete type a learner merges with (the
+/// caller decodes the peer outside its critical section, the merge only
+/// needs this cast).
 fn downcast_peer<L: 'static>(expected_kind: u8, peer: &dyn DynLearner) -> Result<&L, CodecError> {
     peer.as_any()
         .downcast_ref::<L>()
@@ -113,10 +95,6 @@ macro_rules! impl_dyn_mergeable {
                 Ok(SnapshotCodec::to_snapshot_bytes(self))
             }
 
-            fn absorb_snapshot(&mut self, bytes: &[u8]) -> Result<(), CodecError> {
-                absorb_typed(self, bytes)
-            }
-
             /// Decode-and-replace: the snapshot captures this kind's full
             /// state, so restore adopts it bit for bit (including the
             /// pre-scale representation a merge would normalize away).
@@ -175,10 +153,6 @@ macro_rules! impl_dyn_baseline {
             dyn_learner_common!($ty);
 
             fn snapshot(&self) -> Result<Vec<u8>, CodecError> {
-                Err(NO_SNAPSHOT_CODEC)
-            }
-
-            fn absorb_snapshot(&mut self, _bytes: &[u8]) -> Result<(), CodecError> {
                 Err(NO_SNAPSHOT_CODEC)
             }
 
@@ -374,9 +348,11 @@ mod tests {
             assert_eq!(l.snapshot().is_ok(), has_codec, "{}", l.method_name());
             if !has_codec {
                 assert!(matches!(
-                    l.absorb_snapshot(&[]),
+                    l.restore_snapshot(&[]),
                     Err(CodecError::Invalid(_))
                 ));
+                let peer = WmSketch::new(WmSketchConfig::new(64, 2).seed(1));
+                assert!(matches!(l.absorb_peer(&peer), Err(CodecError::Invalid(_))));
             }
         }
     }
@@ -481,7 +457,9 @@ mod tests {
         }
         let snap_b = DynLearner::snapshot(&b).unwrap();
         let dyn_a: &mut dyn DynLearner = &mut a;
-        dyn_a.absorb_snapshot(&snap_b).unwrap();
+        dyn_a
+            .absorb_peer(&*decode_any_learner(&snap_b).unwrap())
+            .unwrap();
         assert_eq!(dyn_a.examples_seen(), 1000);
         // Merged stream sums match the reference sum of both halves.
         for f in 0..100u32 {
@@ -492,12 +470,12 @@ mod tests {
         let awm = AwmSketch::new(AwmSketchConfig::new(8, 64).seed(3));
         let snap_awm = DynLearner::snapshot(&awm).unwrap();
         assert!(matches!(
-            dyn_a.absorb_snapshot(&snap_awm),
+            dyn_a.absorb_peer(&*decode_any_learner(&snap_awm).unwrap()),
             Err(CodecError::WrongKind { .. })
         ));
         let alien = WmSketch::new(WmSketchConfig::new(128, 4).seed(99)).to_snapshot_bytes();
         assert!(matches!(
-            dyn_a.absorb_snapshot(&alien),
+            dyn_a.absorb_peer(&*decode_any_learner(&alien).unwrap()),
             Err(CodecError::Invalid(_))
         ));
     }

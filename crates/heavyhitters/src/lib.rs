@@ -16,17 +16,13 @@
 //! * [`SpaceSaving`] — the Metwally et al. Space-Saving algorithm backing
 //!   the paper's "SS" frequent-features baseline and the MacroBase-style
 //!   heavy-hitters explanation baseline (Fig. 8).
-//! * [`MisraGries`] — the classic deterministic counter algorithm, an
-//!   additional baseline for ablations.
 
 #![warn(missing_docs)]
 
 pub mod indexed_heap;
-pub mod misragries;
 pub mod spacesaving;
 pub mod topk;
 
 pub use indexed_heap::IndexedHeap;
-pub use misragries::MisraGries;
 pub use spacesaving::{SpaceSaving, SsEntry};
 pub use topk::{Offer, TopKWeights, WeightEntry};

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use wmsketch_hashing::codec::{Reader, Writer};
-use wmsketch_hh::{IndexedHeap, MisraGries, Offer, SpaceSaving, TopKWeights, WeightEntry};
+use wmsketch_hh::{IndexedHeap, Offer, SpaceSaving, TopKWeights, WeightEntry};
 
 /// Few distinct magnitudes, both signs and both zeros, so |weight| ties
 /// (and ±0.0 ties) are the common case.
@@ -315,24 +315,5 @@ proptest! {
             prop_assert!(ss.guaranteed(e.item) <= t + 1e-9);
         }
         prop_assert!(ss.len() <= cap);
-    }
-
-    /// Misra–Gries never overestimates and undercounts by at most
-    /// N/(capacity+1).
-    #[test]
-    fn misragries_invariants(stream in prop::collection::vec(0u64..30, 1..400), cap in 1usize..16) {
-        let mut mg = MisraGries::new(cap);
-        let mut truth = std::collections::HashMap::new();
-        for &item in &stream {
-            *truth.entry(item).or_insert(0u64) += 1;
-            mg.update(item);
-        }
-        let bound = stream.len() as f64 / (cap as f64 + 1.0);
-        for (&item, &t) in &truth {
-            let est = mg.estimate(item);
-            prop_assert!(est <= t);
-            prop_assert!(t as f64 - est as f64 <= bound + 1e-9);
-        }
-        prop_assert!(mg.len() <= cap);
     }
 }

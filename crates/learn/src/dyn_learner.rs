@@ -15,12 +15,12 @@
 //! Capabilities that not every learner has are part of the contract
 //! rather than separate traits, with explicit degraded forms:
 //!
-//! * **Snapshots.** [`DynLearner::snapshot`] /
-//!   [`DynLearner::absorb_snapshot`] move whole models across process
-//!   boundaries as `WMS1` buffers. The exact-state baselines (truncation,
-//!   Space-Saving, CM-FF, feature hashing) have no codec and return a
-//!   typed [`CodecError`] — they are not linear, so there is nothing
-//!   exact to ship-and-sum.
+//! * **Snapshots.** [`DynLearner::snapshot`] moves whole models across
+//!   process boundaries as `WMS1` buffers, which a host decodes and
+//!   merges with [`DynLearner::absorb_peer`]. The exact-state baselines
+//!   (truncation, Space-Saving, CM-FF, feature hashing) have no codec
+//!   and return a typed [`CodecError`] — they are not linear, so there
+//!   is nothing exact to ship-and-sum.
 //! * **Top-K.** [`DynLearner::recover_top_k`] is native recovery;
 //!   [`DynLearner::top_k_estimates`] falls back to scanning a feature
 //!   domain for learners with anonymous state (feature hashing — exactly
@@ -162,19 +162,8 @@ pub trait DynLearner: Send {
     /// codec.
     fn snapshot(&self) -> Result<Vec<u8>, CodecError>;
 
-    /// Decodes `bytes` as a peer model of this learner's own kind and
-    /// merges it in (exact by sketch linearity).
-    ///
-    /// # Errors
-    /// Any [`CodecError`] from decoding; [`CodecError::WrongKind`] when
-    /// `bytes` holds another kind; [`CodecError::Invalid`] when the peer
-    /// is not merge-compatible or this kind cannot merge at all. Unlike
-    /// `MergeableLearner::merge_from`, incompatibility is an error, not
-    /// a panic: the bytes come from outside the process.
-    fn absorb_snapshot(&mut self, bytes: &[u8]) -> Result<(), CodecError>;
-
     /// Reinstates `bytes` as this learner's *own* checkpointed state —
-    /// the durability counterpart of [`DynLearner::absorb_snapshot`].
+    /// the durability counterpart of [`DynLearner::absorb_peer`].
     ///
     /// Absorb has peer-merge semantics: the foreign clock adds to this
     /// model's clock, and the merge folds the peer's scale into logical
@@ -186,14 +175,13 @@ pub trait DynLearner: Send {
     /// exact trajectory the checkpoint interrupted, and the clock is the
     /// checkpoint's, not a sum.
     ///
-    /// The default delegates to [`DynLearner::absorb_snapshot`] for
-    /// learner kinds without a stronger notion of identity.
-    ///
     /// # Errors
-    /// As [`DynLearner::absorb_snapshot`]: decode failures, a wrong
-    /// kind, or a shape-incompatible snapshot.
+    /// Decode failures, a wrong kind, or a shape-incompatible snapshot;
+    /// [`CodecError::Invalid`] for kinds without a snapshot codec (the
+    /// default).
     fn restore_snapshot(&mut self, bytes: &[u8]) -> Result<(), CodecError> {
-        self.absorb_snapshot(bytes)
+        let _ = bytes;
+        Err(NO_SNAPSHOT_CODEC)
     }
 
     /// Encodes the model state changed since clock `since` as a `WMS1`
@@ -229,13 +217,13 @@ pub trait DynLearner: Send {
     /// [`DynLearner::absorb_peer`].
     fn as_any(&self) -> &dyn std::any::Any;
 
-    /// Merges an *already decoded* peer (exact by sketch linearity).
-    ///
-    /// The split from [`DynLearner::absorb_snapshot`] exists for lock
-    /// hygiene: a host holding this learner behind a mutex can decode
-    /// the peer bytes (the expensive, validation-heavy step) *outside*
-    /// the critical section — e.g. via `decode_any_learner` — and only
-    /// take the lock for the cheap merge.
+    /// Merges an *already decoded* peer (exact by sketch linearity) —
+    /// the one merge entry point. Peer bytes are decoded first (e.g. via
+    /// `decode_any_learner`), so a host holding this learner behind a
+    /// mutex runs that expensive, validation-heavy step *outside* the
+    /// critical section and only takes the lock for the cheap merge.
+    /// Unlike `MergeableLearner::merge_from`, incompatibility is an
+    /// error, not a panic: the peer comes from outside the process.
     ///
     /// # Errors
     /// [`CodecError::WrongKind`] when `peer` is another concrete type;
@@ -245,7 +233,8 @@ pub trait DynLearner: Send {
 }
 
 /// The error every codec-less learner kind returns from
-/// [`DynLearner::snapshot`] / [`DynLearner::absorb_snapshot`].
+/// [`DynLearner::snapshot`] / [`DynLearner::restore_snapshot`] /
+/// [`DynLearner::absorb_peer`].
 pub const NO_SNAPSHOT_CODEC: CodecError =
     CodecError::Invalid("this learner kind has no snapshot codec");
 
@@ -294,10 +283,6 @@ impl DynLearner for FeatureHashingClassifier {
     }
 
     fn snapshot(&self) -> Result<Vec<u8>, CodecError> {
-        Err(NO_SNAPSHOT_CODEC)
-    }
-
-    fn absorb_snapshot(&mut self, _bytes: &[u8]) -> Result<(), CodecError> {
         Err(NO_SNAPSHOT_CODEC)
     }
 
@@ -351,6 +336,8 @@ mod tests {
         assert!(top.contains(&10) && top.contains(&20), "top = {top:?}");
         // No snapshot codec: typed errors, not panics.
         assert!(l.snapshot().is_err());
-        assert!(l.absorb_snapshot(&[]).is_err());
+        assert!(l.restore_snapshot(&[]).is_err());
+        let peer = FeatureHashingClassifier::new(FeatureHashingConfig::new(1024).seed(1));
+        assert!(l.absorb_peer(&peer).is_err());
     }
 }

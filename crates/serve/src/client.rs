@@ -462,7 +462,8 @@ impl ServeClient {
     }
 }
 
-fn path_payload(path: &str) -> Writer {
+/// A CHECKPOINT/RESTORE payload: `path_len (u32) | UTF-8 path`.
+pub(crate) fn path_payload(path: &str) -> Writer {
     let mut w = Writer::new();
     w.put_u32(path.len() as u32);
     w.put_bytes(path.as_bytes());

@@ -66,7 +66,7 @@ const SPEC_SECTION_TEMPLATE: u8 = 0x02;
 
 /// The flat file stem a model's durable records live under:
 /// `m-` + lowercase hex of the registry name's UTF-8 bytes.
-pub(crate) fn file_stem(model_name: &str) -> String {
+fn file_stem(model_name: &str) -> String {
     let mut s = String::with_capacity(STEM_PREFIX.len() + model_name.len() * 2);
     s.push_str(STEM_PREFIX);
     for b in model_name.bytes() {
@@ -74,6 +74,13 @@ pub(crate) fn file_stem(model_name: &str) -> String {
         s.push(char::from_digit(u32::from(b & 0xF), 16).expect("nibble"));
     }
     s
+}
+
+/// Where the model `name`'s record with extension `ext` lives in `dir`
+/// (`<dir>/m-<hex(name)>.<ext>`): the checkpointer, the governor's spill
+/// and OP_CREATE's spec sidecar all name their files here.
+pub(crate) fn record_path(dir: &Path, name: &str, ext: &str) -> PathBuf {
+    dir.join(format!("{}.{ext}", file_stem(name)))
 }
 
 /// Inverse of [`file_stem`]; `None` for stems this layout didn't write.

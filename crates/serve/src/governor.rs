@@ -2,22 +2,32 @@
 //! against a configurable resident-byte budget, so one node can host a
 //! fleet of models far larger than its memory.
 //!
-//! The governor charges each model its resident footprint
-//! ([`wmsketch_learn::DynLearner::resident_bytes`] — buffers, hashers,
-//! scratch — plus the registry entry's own overhead: the entry struct,
+//! The governor charges each model its learner's
+//! [`wmsketch_learn::DynLearner::resident_bytes`] (buffers, hashers,
+//! scratch) plus the registry entry's own overhead: the entry struct,
 //! its name, and its spec template, which stay resident even when the
-//! learner is spilled). Models with the same hash seed and depth share
-//! one copy of their tabulation tables, yet each is charged for them in
-//! full, so while tables are shared the charged total is an upper bound
-//! on what the hot models hold, and spilling a model whose tables
-//! another hot model shares frees less than its charge.
+//! learner is spilled. The learner charge is taken when the learner
+//! enters its slot — at admission, revival, or install (RESET, RESTORE,
+//! recovery, gossip adoption) — and is not refreshed after that: UPDATE
+//! never recharges, so allocations a model grows while training are
+//! charged only once it has been spilled and revived. Origin replicas
+//! and the merged query view of a replicated model are not charged at
+//! all. Models with the same hash seed and depth share one copy of
+//! their tabulation tables, yet each is charged for them in full, so
+//! spilling a model whose tables another hot model shares frees less
+//! than its charge.
 //!
 //! Every model is charged once, by the server's one registration
 //! routine, before it joins the registry: strictly for the default model
 //! and OP_CREATE (victims are evicted to make room, and a model that
 //! still does not fit is refused with [`ERR_BUDGET`]), best-effort for
 //! startup recovery (no eviction, no refusal). A registration that then
-//! loses its registry checks rolls the charge back.
+//! loses its registry checks rolls the charge back. After that, the
+//! learner charge moves only through the entry's one slot transition
+//! (`ModelEntry::set_slot`), which calls [`MemoryGovernor::recharge`].
+//! The governor counts events (evictions, revivals, failures), not
+//! models: how many models are resident or spilled is read from the
+//! registry entries.
 //!
 //! When the charged total exceeds the budget, the least-recently-accessed
 //! resident model is spilled to disk as a sealed WMS1 checkpoint
@@ -79,10 +89,6 @@ pub(crate) struct MemoryGovernor {
     /// Bytes currently charged (resident learners plus every entry's
     /// registry overhead).
     resident_bytes: AtomicU64,
-    /// Models whose learner is resident.
-    resident_models: AtomicU64,
-    /// Models currently living as on-disk stubs.
-    spilled_models: AtomicU64,
     /// Spills performed (admission- or revival-pressure driven).
     evictions: AtomicU64,
     /// Transparent revivals performed.
@@ -109,8 +115,6 @@ impl MemoryGovernor {
             data_dir,
             tick: AtomicU64::new(0),
             resident_bytes: AtomicU64::new(0),
-            resident_models: AtomicU64::new(0),
-            spilled_models: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             revivals: AtomicU64::new(0),
             revival_failures: AtomicU64::new(0),
@@ -125,20 +129,23 @@ impl MemoryGovernor {
         self.tick.fetch_add(1, Ordering::Relaxed) + 1
     }
 
-    /// Charges a newly admitted model and counts it resident. With
-    /// `strict` (OP_CREATE) victims are evicted from `registry` to make
-    /// room, and the charge is rolled back with a typed error when the
-    /// budget cannot be met even then. Without it (startup recovery) admission always
-    /// succeeds and — critically — never evicts: mid-recovery an entry
-    /// still holds the fresh template build, and spilling it would
-    /// overwrite its real checkpoint with fresh state. Recovery's lazy
-    /// stub pass resolves the overshoot instead.
-    pub(crate) fn admit(
+    /// Charges a newly admitted model `cost` bytes, then runs `join`,
+    /// which puts the model in the registry, and returns its result. A
+    /// `join` that fails rolls the charge back. With `strict` (the
+    /// default model, OP_CREATE) victims are evicted from `registry` to
+    /// make room, and the model is refused with a typed error when the
+    /// budget cannot be met even then. Without it (startup recovery)
+    /// admission always succeeds and — critically — never evicts:
+    /// mid-recovery an entry still holds the fresh template build, and
+    /// spilling it would overwrite its real checkpoint with fresh state.
+    /// Recovery's lazy stub pass resolves the overshoot instead.
+    pub(crate) fn admit<T>(
         &self,
         cost: u64,
         strict: bool,
         registry: &RwLock<Registry>,
-    ) -> Result<(), ServeError> {
+        join: impl FnOnce() -> Result<T, ServeError>,
+    ) -> Result<T, ServeError> {
         if strict {
             let _admissions = self.admit_lock.lock().expect("admit lock");
             // Make headroom for the new model before charging it, so the
@@ -167,59 +174,37 @@ impl MemoryGovernor {
         } else {
             self.resident_bytes.fetch_add(cost, Ordering::Relaxed);
         }
-        self.resident_models.fetch_add(1, Ordering::Relaxed);
-        Ok(())
+        let joined = join();
+        if joined.is_err() {
+            self.resident_bytes.fetch_sub(cost, Ordering::Relaxed);
+        }
+        joined
     }
 
-    /// Rolls back a successful [`MemoryGovernor::admit`] whose
-    /// registration then lost (duplicate name / full registry under the
-    /// write lock).
-    pub(crate) fn release_admission(&self, cost: u64) {
-        self.resident_bytes.fetch_sub(cost, Ordering::Relaxed);
-        self.resident_models.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// Accounts a completed revival: charges the revived cost and
-    /// records latency. Deliberately does **not** evict — the caller
-    /// still holds the revived model's slot mutex, and spilling victims
-    /// here would run their snapshot encoding and disk writes under
-    /// that lock, stalling every request queued on the hot,
-    /// just-revived model. Budget pressure is instead resolved by
+    /// Moves a model's learner charge from `old` to `new` bytes. Only
+    /// `ModelEntry::set_slot` calls this, under the model's slot lock.
+    /// It never evicts: the caller holds that lock, and spilling victims
+    /// here would run their snapshot encoding and disk writes under it.
+    /// Pressure from a revival is resolved by
     /// [`crate::server::LearnerGuard`]'s drop, which calls
     /// [`MemoryGovernor::evict_to_budget`] *after* releasing the slot.
-    pub(crate) fn note_revival(&self, cost: u64, started: Instant) {
-        self.resident_bytes.fetch_add(cost, Ordering::Relaxed);
-        self.resident_models.fetch_add(1, Ordering::Relaxed);
-        self.spilled_models.fetch_sub(1, Ordering::Relaxed);
+    pub(crate) fn recharge(&self, old: u64, new: u64) {
+        if new >= old {
+            self.resident_bytes.fetch_add(new - old, Ordering::Relaxed);
+        } else {
+            self.resident_bytes.fetch_sub(old - new, Ordering::Relaxed);
+        }
+    }
+
+    /// Counts a completed revival and records its latency.
+    pub(crate) fn count_revival(&self, started: Instant) {
         self.revivals.fetch_add(1, Ordering::Relaxed);
         self.revival_latency.record_duration(started.elapsed());
     }
 
-    /// Accounts a failed revival (stub intact, request errored).
-    pub(crate) fn note_revival_failure(&self) {
+    /// Counts a failed revival (stub intact, request errored).
+    pub(crate) fn count_revival_failure(&self) {
         self.revival_failures.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Accounts an in-place learner replacement (RESET / RESTORE /
-    /// gossip adoption): swaps the learner charge and, when the slot
-    /// held a stub, flips it back to resident. These paths install
-    /// without reading the spill record, so a corrupt spill can never
-    /// wedge a RESET.
-    pub(crate) fn note_install(&self, old_cost: u64, new_cost: u64, was_spilled: bool) {
-        self.resident_bytes.fetch_add(new_cost, Ordering::Relaxed);
-        self.resident_bytes.fetch_sub(old_cost, Ordering::Relaxed);
-        if was_spilled {
-            self.resident_models.fetch_add(1, Ordering::Relaxed);
-            self.spilled_models.fetch_sub(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Accounts startup recovery registering a checkpoint as a lazy
-    /// stub instead of restoring it hot.
-    pub(crate) fn note_lazy_stub(&self, freed: u64) {
-        self.resident_bytes.fetch_sub(freed, Ordering::Relaxed);
-        self.resident_models.fetch_sub(1, Ordering::Relaxed);
-        self.spilled_models.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Spills least-recently-accessed victims until the charged total
@@ -269,10 +254,10 @@ impl MemoryGovernor {
     /// record overwritten by the older deferred checkpoint — silently
     /// losing acknowledged updates on revival.
     ///
-    /// All accounting runs while the slot guard is still held, so a
-    /// concurrent revival can never complete between the stub install
-    /// and the discharge (which would leave a resident model charged
-    /// zero and the counters corrupted).
+    /// The stub goes in through the entry's slot transition while the
+    /// slot guard is still held, so a concurrent revival can never
+    /// complete between the stub install and the discharge (which would
+    /// leave a resident model charged zero).
     pub(crate) fn try_spill(&self, entry: &ModelEntry) -> bool {
         let Ok(_ckpt_io) = entry.ckpt_io.try_lock() else {
             return false; // checkpoint write in flight
@@ -285,7 +270,9 @@ impl MemoryGovernor {
         };
         let clock = learner.examples_seen();
         let memory_bytes = learner.memory_bytes() as u64;
-        let path = self.spill_path(entry.name());
+        // The model's checkpoint path: a spill doubles as a durable
+        // checkpoint, and startup recovery finds it with the ordinary scan.
+        let path = durability::record_path(&self.data_dir, entry.name(), durability::CKPT_EXT);
         let written = learner
             .snapshot()
             .map_err(ServeError::from)
@@ -294,28 +281,14 @@ impl MemoryGovernor {
             self.spill_failures.fetch_add(1, Ordering::Relaxed);
             return false;
         }
-        *slot = ModelSlot::Spilled(SpilledStub {
+        let stub = SpilledStub {
             clock,
             memory_bytes,
             path,
-        });
-        let freed = entry.resident_cost.swap(0, Ordering::Relaxed);
-        self.resident_bytes.fetch_sub(freed, Ordering::Relaxed);
-        self.resident_models.fetch_sub(1, Ordering::Relaxed);
-        self.spilled_models.fetch_add(1, Ordering::Relaxed);
+        };
+        entry.set_slot(&mut slot, ModelSlot::Spilled(stub), false, Some(self));
         self.evictions.fetch_add(1, Ordering::Relaxed);
         true
-    }
-
-    /// Where a model's spill record lives — its checkpoint path, so a
-    /// spill doubles as a durable checkpoint and startup recovery finds
-    /// it with the ordinary scan.
-    pub(crate) fn spill_path(&self, name: &str) -> PathBuf {
-        self.data_dir.join(format!(
-            "{}.{}",
-            durability::file_stem(name),
-            durability::CKPT_EXT
-        ))
     }
 
     /// The configured resident-byte ceiling.
@@ -326,16 +299,6 @@ impl MemoryGovernor {
     /// Bytes currently charged against the budget.
     pub(crate) fn resident_bytes(&self) -> u64 {
         self.resident_bytes.load(Ordering::Relaxed)
-    }
-
-    /// Models whose learner is resident.
-    pub(crate) fn resident_models(&self) -> u64 {
-        self.resident_models.load(Ordering::Relaxed)
-    }
-
-    /// Models currently spilled to disk.
-    pub(crate) fn spilled_models(&self) -> u64 {
-        self.spilled_models.load(Ordering::Relaxed)
     }
 
     /// Spills performed since startup.

@@ -350,9 +350,10 @@
 //! long tail to disk.
 //!
 //! * **Charging.** Every registered model charges its learner's
-//!   measured `resident_bytes` plus a permanent per-entry registry
-//!   overhead (the entry struct, name, and template copy) against the
-//!   budget. CREATE is **admission-controlled**: if the new model still
+//!   measured `resident_bytes` (taken at admission, revival, RESET or
+//!   RESTORE; UPDATE does not refresh it) plus a permanent per-entry
+//!   registry overhead (the entry struct, name, and template copy)
+//!   against the budget. CREATE is **admission-controlled**: if the new model still
 //!   does not fit after evicting every candidate, the op fails with a
 //!   typed protocol error (`model does not fit in the node's memory
 //!   budget`) and the registry is unchanged.

@@ -302,10 +302,11 @@ pub(crate) fn render(state: &ServerState) -> String {
     // fault-injection block — an ungoverned node's exposition proves
     // governance is off).
     if let Some(gov) = &state.governor {
+        let (resident, spilled) = state.residency();
         w.sample_u64("governor_budget_bytes", &[], gov.budget());
         w.sample_u64("governor_resident_bytes", &[], gov.resident_bytes());
-        w.sample_u64("governor_resident_models", &[], gov.resident_models());
-        w.sample_u64("governor_spilled_models", &[], gov.spilled_models());
+        w.sample_u64("governor_resident_models", &[], resident);
+        w.sample_u64("governor_spilled_models", &[], spilled);
         w.sample_u64("governor_evictions_total", &[], gov.evictions());
         w.sample_u64("governor_revivals_total", &[], gov.revivals());
         w.sample_u64(

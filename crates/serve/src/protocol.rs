@@ -472,18 +472,6 @@ pub fn put_examples(w: &mut Writer, batch: &[(SparseVector, Label)]) {
     }
 }
 
-/// Decodes a batch written by [`put_examples`], validating every label is
-/// `±1` (the [`LabelDomain::Binary`] convenience form of
-/// [`take_examples_into`]).
-///
-/// # Errors
-/// [`CodecError`] on truncation or an out-of-domain label.
-pub fn take_examples(r: &mut Reader<'_>) -> Result<Vec<(SparseVector, Label)>, CodecError> {
-    let mut scratch = ExamplesScratch::new();
-    take_examples_into(r, &mut scratch, LabelDomain::Binary)?;
-    Ok(scratch.into_examples())
-}
-
 /// Reusable decode buffers for UPDATE frames.
 ///
 /// The server keeps one of these per connection: each decoded example
@@ -514,22 +502,14 @@ impl ExamplesScratch {
     pub fn examples(&self) -> &[(SparseVector, Label)] {
         &self.examples[..self.len]
     }
-
-    /// Consumes the scratch, returning the decoded examples as an owned
-    /// batch (spare slots beyond the live count are dropped).
-    #[must_use]
-    pub fn into_examples(mut self) -> Vec<(SparseVector, Label)> {
-        self.examples.truncate(self.len);
-        self.examples
-    }
 }
 
-/// Scratch-reusing form of [`take_examples`]: decodes a batch written by
-/// [`put_examples`] into `scratch`, validating every label against the
-/// addressed model's `domain` — `±1` for binary models, a class index in
-/// `0..classes` for multiclass ones. On success the batch is available as
-/// [`ExamplesScratch::examples`]; canonicalization is identical to
-/// [`take_examples`].
+/// Decodes a batch written by [`put_examples`] into `scratch`, reusing its
+/// buffers, and validates every label against the addressed model's
+/// `domain` — `±1` for binary models, a class index in `0..classes` for
+/// multiclass ones. On success the batch is available as
+/// [`ExamplesScratch::examples`], each vector canonicalized as
+/// [`SparseVector::from_pairs`] does.
 ///
 /// # Errors
 /// [`CodecError`] on truncation or an out-of-domain label (the scratch
@@ -685,14 +665,24 @@ mod tests {
         put_examples(&mut w, &batch);
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes);
-        let back = take_examples(&mut r).unwrap();
+        let mut scratch = ExamplesScratch::new();
+        take_examples_into(&mut r, &mut scratch, LabelDomain::Binary).unwrap();
         r.finish().unwrap();
-        assert_eq!(back, batch);
+        assert_eq!(scratch.examples(), &batch[..]);
     }
 
-    /// The scratch decoder is a drop-in for [`take_examples`]: identical
-    /// batches across reuse, including shrinking frames (stale slots from
-    /// a larger previous frame must not leak into the live window) and
+    /// Decodes one UPDATE batch the way the server does, binary labels.
+    fn take_binary(bytes: &[u8]) -> Result<(), CodecError> {
+        take_examples_into(
+            &mut Reader::new(bytes),
+            &mut ExamplesScratch::new(),
+            LabelDomain::Binary,
+        )
+    }
+
+    /// The scratch decoder returns the encoded batch across reuse,
+    /// including shrinking frames (stale slots from a larger previous
+    /// frame must not leak into the live window), and canonicalizes
     /// non-canonical encodings (unsorted / duplicated indices).
     #[test]
     fn scratch_decode_matches_allocating_decode_across_reuse() {
@@ -720,11 +710,9 @@ mod tests {
             take_examples_into(&mut Reader::new(&bytes), &mut scratch, LabelDomain::Binary)
                 .unwrap();
             assert_eq!(scratch.examples(), &batch[..]);
-            let fresh = take_examples(&mut Reader::new(&bytes)).unwrap();
-            assert_eq!(scratch.examples(), &fresh[..]);
         }
         // A non-canonical wire encoding (unsorted + duplicate index) is
-        // canonicalized identically by both decoders.
+        // canonicalized.
         let mut w = Writer::new();
         w.put_u32(1);
         w.put_i8(1);
@@ -735,8 +723,8 @@ mod tests {
         }
         let bytes = w.into_bytes();
         take_examples_into(&mut Reader::new(&bytes), &mut scratch, LabelDomain::Binary).unwrap();
-        let fresh = take_examples(&mut Reader::new(&bytes)).unwrap();
-        assert_eq!(scratch.examples(), &fresh[..]);
+        let canonical = SparseVector::from_pairs(&[(9, 1.0), (2, 2.0), (9, 0.5)]);
+        assert_eq!(scratch.examples(), &[(canonical, 1)][..]);
         assert_eq!(scratch.examples()[0].0.indices(), &[2, 9]);
         assert_eq!(scratch.examples()[0].0.values(), &[2.0, 1.5]);
     }
@@ -766,7 +754,7 @@ mod tests {
             w.put_u32(0);
             w.put_f64(bad);
             assert!(matches!(
-                take_examples(&mut Reader::new(&w.into_bytes())),
+                take_binary(&w.into_bytes()),
                 Err(CodecError::Invalid(_))
             ));
         }
@@ -792,7 +780,7 @@ mod tests {
         w.put_i8(0);
         w.put_u32(0);
         assert!(matches!(
-            take_examples(&mut Reader::new(&w.into_bytes())),
+            take_binary(&w.into_bytes()),
             Err(CodecError::Invalid(_))
         ));
     }

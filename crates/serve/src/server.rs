@@ -28,7 +28,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Duration;
@@ -345,9 +345,14 @@ pub(crate) struct ModelEntry {
     pub(crate) telemetry: metrics::ModelTelemetry,
     /// LRU stamp: the governor tick of this model's last access.
     pub(crate) last_access: AtomicU64,
-    /// Learner bytes currently charged against the governor budget
-    /// (0 while spilled). The entry's own registry overhead is charged
-    /// separately at admission and never discharged.
+    /// Learner bytes currently charged against the governor budget:
+    /// the learner's `resident_bytes()` when it entered the slot (at
+    /// admission, revival or install), 0 while spilled. UPDATE does not
+    /// refresh it, so a model's growth from training is charged only
+    /// after its next spill and revival. Written only by
+    /// [`ModelEntry::set_slot`] once the entry is built; the entry's own
+    /// registry overhead is charged separately at admission and never
+    /// discharged.
     pub(crate) resident_cost: AtomicU64,
 }
 
@@ -383,16 +388,12 @@ impl LearnerGuard<'_> {
         self.guard.as_deref_mut().expect("guard taken before drop")
     }
 
-    /// Replaces the learner through the held lock, keeping governor
-    /// accounting truthful (gossip's recovered-copy adoption path).
+    /// Replaces the learner through the held lock (gossip's
+    /// recovered-copy adoption path); the twin of
+    /// [`ModelEntry::install`].
     pub(crate) fn install(&mut self, fresh: Box<dyn DynLearner>) {
-        let cost = fresh.resident_bytes() as u64;
-        let old = self.entry.resident_cost.swap(cost, Ordering::Relaxed);
-        *self.slot_mut() = ModelSlot::Resident(fresh);
-        self.entry.installs.fetch_add(1, Ordering::Relaxed);
-        if let Some(gov) = &self.state.governor {
-            gov.note_install(old, cost, false);
-        }
+        let (entry, gov) = (self.entry, self.state.governor.as_ref());
+        entry.set_slot(self.slot_mut(), ModelSlot::Resident(fresh), true, gov);
     }
 }
 
@@ -488,25 +489,16 @@ impl ModelEntry {
                 .governor
                 .as_ref()
                 .expect("spilled slot on an ungoverned node");
-            let revived = std::fs::read(&stub.path)
-                .map_err(ServeError::from)
-                .and_then(|bytes| {
-                    let mut fresh = self.fresh_learner()?;
-                    fresh.restore_snapshot(&bytes)?;
-                    Ok(fresh)
-                });
-            match revived {
+            match self.load(&stub.path) {
                 Ok(fresh) => {
-                    let cost = fresh.resident_bytes() as u64;
-                    *slot = ModelSlot::Resident(fresh);
-                    self.resident_cost.store(cost, Ordering::Relaxed);
-                    gov.note_revival(cost, started);
+                    self.set_slot(&mut slot, ModelSlot::Resident(fresh), false, Some(gov));
+                    gov.count_revival(started);
                     // Pressure from the revived charge is resolved when
                     // the guard drops, after the slot unlocks.
                     revived_now = true;
                 }
                 Err(e) => {
-                    gov.note_revival_failure();
+                    gov.count_revival_failure();
                     return Err(e);
                 }
             }
@@ -527,17 +519,52 @@ impl ModelEntry {
     /// therefore never wedge a RESET: the stub is simply overwritten by
     /// the fresh instance and accounting moves back to resident.
     pub(crate) fn install(&self, state: &ServerState, fresh: Box<dyn DynLearner>) {
-        let cost = fresh.resident_bytes() as u64;
+        let gov = state.governor.as_ref();
         let mut slot = self.slot.lock().expect("slot mutex");
-        let was_spilled = matches!(&*slot, ModelSlot::Spilled(_));
-        let old = self.resident_cost.swap(cost, Ordering::Relaxed);
-        *slot = ModelSlot::Resident(fresh);
-        self.installs.fetch_add(1, Ordering::Relaxed);
+        self.set_slot(&mut slot, ModelSlot::Resident(fresh), true, gov);
         drop(slot);
-        if let Some(gov) = &state.governor {
-            gov.note_install(old, cost, was_spilled);
+        if let Some(gov) = gov {
             self.last_access.store(gov.touch(), Ordering::Relaxed);
         }
+    }
+
+    /// The one residency transition: every revival, install, spill and
+    /// recovery stub puts its new slot contents in through here, under
+    /// the slot guard the caller holds. It swaps the entry's charge for
+    /// what `new` holds (the learner's `resident_bytes()`, or 0 for a
+    /// stub) and passes the change to the governor, when there is one.
+    /// `install` marks a wholesale replacement (RESET, RESTORE,
+    /// recovery, gossip adoption), which the checkpointer's dirty check
+    /// must see; a revival brings back the state that was spilled and a
+    /// stub holds no learner, so neither is one.
+    pub(crate) fn set_slot(
+        &self,
+        slot: &mut ModelSlot,
+        new: ModelSlot,
+        install: bool,
+        gov: Option<&crate::governor::MemoryGovernor>,
+    ) {
+        let cost = match &new {
+            ModelSlot::Resident(learner) => learner.resident_bytes() as u64,
+            ModelSlot::Spilled(_) => 0,
+        };
+        *slot = new;
+        let old = self.resident_cost.swap(cost, Ordering::Relaxed);
+        if install {
+            self.installs.fetch_add(1, Ordering::Relaxed);
+        }
+        if let Some(gov) = gov {
+            gov.recharge(old, cost);
+        }
+    }
+
+    /// The learner a checkpoint or spill record at `path` holds: the
+    /// file, restored into a fresh build of the model's template.
+    fn load(&self, path: &Path) -> Result<Box<dyn DynLearner>, ServeError> {
+        let bytes = std::fs::read(path)?;
+        let mut fresh = self.fresh_learner()?;
+        fresh.restore_snapshot(&bytes)?;
+        Ok(fresh)
     }
 
     /// Startup-recovery twin of the governor's spill: registers an
@@ -546,16 +573,14 @@ impl ModelEntry {
     /// is discarded and its charge released.
     fn adopt_lazy_stub(&self, gov: &crate::governor::MemoryGovernor, path: PathBuf) {
         let mut slot = self.slot.lock().expect("slot mutex");
-        if !matches!(&*slot, ModelSlot::Resident(_)) {
-            return;
+        if matches!(&*slot, ModelSlot::Resident(_)) {
+            let stub = SpilledStub {
+                clock: 0,
+                memory_bytes: 0,
+                path,
+            };
+            self.set_slot(&mut slot, ModelSlot::Spilled(stub), false, Some(gov));
         }
-        *slot = ModelSlot::Spilled(SpilledStub {
-            clock: 0,
-            memory_bytes: 0,
-            path,
-        });
-        drop(slot);
-        gov.note_lazy_stub(self.resident_cost.swap(0, Ordering::Relaxed));
     }
 
     /// The model's clock without forcing a revival: the live learner's
@@ -691,8 +716,8 @@ impl ServerState {
     /// budget error when even that is not enough. A non-strict one
     /// (recovery) always succeeds and never evicts. The model cap and
     /// the name are then checked under the write lock (two racing
-    /// CREATEs can both pass any earlier probe), and a failed check rolls
-    /// the charge back.
+    /// CREATEs can both pass any earlier probe), and the governor rolls
+    /// the charge back when a check fails.
     fn register(
         &self,
         name: String,
@@ -702,30 +727,39 @@ impl ServerState {
     ) -> Result<u32, ServeError> {
         let cost = learner.resident_bytes() as u64
             + crate::governor::entry_overhead(name.len(), template.len());
-        if let Some(gov) = &self.governor {
-            gov.admit(cost, strict, &self.registry)?;
-        }
-        let mut registry = self.registry.write().expect("registry lock");
-        let refused = if registry.by_id.len() >= self.max_models() {
-            Some("model registry is full")
-        } else if registry.by_name.contains_key(&name) {
-            Some("model name already registered")
-        } else {
-            None
-        };
-        if let Some(reason) = refused {
-            if let Some(gov) = &self.governor {
-                gov.release_admission(cost);
+        let join = || {
+            let mut registry = self.registry.write().expect("registry lock");
+            if registry.by_id.len() >= self.max_models() {
+                return Err(ServeError::Protocol("model registry is full"));
             }
-            return Err(ServeError::Protocol(reason));
+            if registry.by_name.contains_key(&name) {
+                return Err(ServeError::Protocol("model name already registered"));
+            }
+            let id = registry.by_id.len() as u32;
+            let tick = self.governor.as_ref().map_or(0, |g| g.touch());
+            registry.by_name.insert(name.clone(), id);
+            registry
+                .by_id
+                .push(Arc::new(ModelEntry::new(id, name, template, learner, tick)));
+            Ok(id)
+        };
+        match &self.governor {
+            Some(gov) => gov.admit(cost, strict, &self.registry, join),
+            None => join(),
         }
-        let id = registry.by_id.len() as u32;
-        let tick = self.governor.as_ref().map_or(0, |g| g.touch());
-        registry.by_name.insert(name.clone(), id);
-        registry
+    }
+
+    /// How many models are resident and how many spilled, counted from
+    /// the entries: a model is resident exactly when its learner is
+    /// charged.
+    pub(crate) fn residency(&self) -> (u64, u64) {
+        let registry = self.registry.read().expect("registry lock");
+        let resident = registry
             .by_id
-            .push(Arc::new(ModelEntry::new(id, name, template, learner, tick)));
-        Ok(id)
+            .iter()
+            .filter(|e| e.resident_cost.load(Ordering::Relaxed) > 0)
+            .count() as u64;
+        (resident, registry.by_id.len() as u64 - resident)
     }
 
     /// The model registered as `id`, its `Arc` cloned out from under the
@@ -966,11 +1000,7 @@ fn checkpoint_pass(state: &ServerState, last_persisted: &mut HashMap<u32, (u64, 
         let written = snapshot
             .map_err(ServeError::from)
             .and_then(|(version, bytes)| {
-                let path = dir.join(format!(
-                    "{}.{}",
-                    durability::file_stem(entry.name()),
-                    durability::CKPT_EXT
-                ));
+                let path = durability::record_path(&dir, entry.name(), durability::CKPT_EXT);
                 durability::write_atomic(&path, &bytes)?;
                 Ok(version)
             });
@@ -1049,10 +1079,7 @@ fn recover_registry(state: &ServerState) -> std::io::Result<()> {
                 entry.adopt_lazy_stub(gov, path);
                 return Ok(());
             }
-            let bytes = std::fs::read(&path)?;
-            let mut fresh = entry.fresh_learner()?;
-            fresh.restore_snapshot(&bytes)?;
-            entry.install(state, fresh);
+            entry.install(state, entry.load(&path)?);
             Ok(())
         })();
         match restored {
@@ -1118,11 +1145,12 @@ fn handle_create(r: &mut Reader<'_>, state: &ServerState) -> Result<u32, ServeEr
     }
     // Encode the durable rebuild recipe before `template` moves into the
     // entry; it is only written out once registration has succeeded.
-    let spec_record = state
-        .data_dir
-        .as_ref()
-        .map(|_| durability::encode_spec_record(&name, &template));
-    let stem = durability::file_stem(&name);
+    let spec = state.data_dir.as_ref().map(|dir| {
+        (
+            durability::record_path(dir, &name, durability::SPEC_EXT),
+            durability::encode_spec_record(&name, &template),
+        )
+    });
     // Strict: when the budget cannot be met even after evicting every
     // cold model, CREATE fails with the typed budget error.
     let id = state.register(name, template, learner, true)?;
@@ -1130,8 +1158,7 @@ fn handle_create(r: &mut Reader<'_>, state: &ServerState) -> Result<u32, ServeEr
     // Best-effort: a failed (or fault-injected) write costs the model its
     // durability, not the client its CREATE — the counter makes the miss
     // visible, and the next process simply won't know this model.
-    if let (Some(dir), Some(record)) = (&state.data_dir, spec_record) {
-        let path = dir.join(format!("{stem}.{}", durability::SPEC_EXT));
+    if let Some((path, record)) = spec {
         match durability::write_atomic(&path, &record) {
             Ok(_) => state.metrics.checkpoints_written.inc(),
             Err(_) => state.metrics.checkpoint_failures.inc(),
@@ -1146,9 +1173,9 @@ fn handle_create(r: &mut Reader<'_>, state: &ServerState) -> Result<u32, ServeEr
 
 /// Runs a read query against the state the model *serves*: the local
 /// learner when the model holds no origin replicas, otherwise the
-/// **canonical merged view** — the origin snapshots (the local copy
-/// included, keyed by this node's id) decoded and absorbed in ascending
-/// origin-id order. The canonical order matters: floating-point merge
+/// **canonical merged view** — the origin copies (the local one
+/// included, keyed by this node's id) absorbed in ascending origin-id
+/// order. The canonical order matters: floating-point merge
 /// addition is not associative, so only a fixed fold order makes every
 /// node's merged view bit-identical once their replicas agree.
 ///
@@ -1174,15 +1201,17 @@ fn serve_query<R>(
     basis.sort_unstable();
     let mut merged = entry.merged.lock().expect("merged mutex");
     if merged.view.is_none() || merged.basis != basis {
-        let mut snaps: Vec<(u64, Vec<u8>)> = Vec::with_capacity(repl.origins.len() + 1);
-        snaps.push((state.node_id, learner.snapshot()?));
+        // The first origin's copy is decoded into an owned view; every
+        // later one is absorbed as it stands, with no encode or decode.
+        let mut copies: Vec<(u64, &dyn DynLearner)> = Vec::with_capacity(basis.len());
+        copies.push((state.node_id, learner.as_ref()));
         for (&origin, replica) in &repl.origins {
-            snaps.push((origin, replica.learner.snapshot()?));
+            copies.push((origin, replica.learner.as_ref()));
         }
-        snaps.sort_by_key(|&(origin, _)| origin);
-        let mut view = wmsketch_core::decode_any_learner(&snaps[0].1)?;
-        for (_, snap) in &snaps[1..] {
-            view.absorb_snapshot(snap)?;
+        copies.sort_by_key(|&(origin, _)| origin);
+        let mut view = wmsketch_core::decode_any_learner(&copies[0].1.snapshot()?)?;
+        for &(_, copy) in &copies[1..] {
+            view.absorb_peer(copy)?;
         }
         merged.basis = basis;
         merged.view = Some(view);
@@ -1429,9 +1458,7 @@ fn dispatch(
         }
         OP_RESTORE => {
             let path = durability::resolve_client_path(state.data_dir.as_deref(), &take_path(r)?)?;
-            let bytes = std::fs::read(&path)?;
-            let mut fresh = entry.fresh_learner()?;
-            fresh.restore_snapshot(&bytes)?;
+            let fresh = entry.load(&path)?;
             let clock = fresh.examples_seen();
             // `install` swaps the slot without touching any spill record
             // — a RESTORE onto a spilled model must succeed even when
@@ -1449,6 +1476,7 @@ fn dispatch(
             // frame count fills both counter slots.
             let update_frames = state.update_frames.load(Ordering::Relaxed);
             let gov = state.governor.as_ref();
+            let (resident, spilled) = gov.map_or((0, 0), |_| state.residency());
             let stats = ServeStats {
                 routed: clock,
                 root_examples: clock,
@@ -1459,8 +1487,8 @@ fn dispatch(
                 node_id: state.node_id,
                 replication: replication_rows(state),
                 memory_budget: gov.map_or(0, |g| g.budget()),
-                resident_models: gov.map_or(0, |g| g.resident_models() as u32),
-                spilled_models: gov.map_or(0, |g| g.spilled_models() as u32),
+                resident_models: resident as u32,
+                spilled_models: spilled as u32,
                 resident_bytes: gov.map_or(0, |g| g.resident_bytes()),
                 evictions_total: gov.map_or(0, |g| g.evictions()),
                 revivals_total: gov.map_or(0, |g| g.revivals()),
@@ -1651,6 +1679,124 @@ mod tests {
         drop(state);
         assert!(weak_state.upgrade().is_none());
         assert!(weak_entries.iter().all(|e| e.upgrade().is_none()));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The governor's accounting follows the registry through every
+    /// residency change: on a governed node with room for about two
+    /// small models, CREATEs and UPDATEs spill and revive models, RESET
+    /// and RESTORE replace spilled ones, and CHECKPOINT snapshots one.
+    /// After every step the charged total is the entries' learner
+    /// charges plus their registry overheads, a model is charged exactly
+    /// while its learner is resident, and STATS counts the resident and
+    /// spilled slots.
+    #[test]
+    fn governor_accounting_matches_the_registry_at_every_step() {
+        fn audit(state: &ServerState, step: &str) {
+            let (mut charged, mut resident, mut spilled) = (0, 0, 0);
+            for e in state.entries() {
+                let cost = e.resident_cost.load(Ordering::Relaxed);
+                let is_resident = matches!(&*e.slot.lock().unwrap(), ModelSlot::Resident(_));
+                assert_eq!(cost > 0, is_resident, "{step}: model {}", e.id);
+                if is_resident {
+                    resident += 1;
+                } else {
+                    spilled += 1;
+                }
+                charged += cost + crate::governor::entry_overhead(e.name.len(), e.template.len());
+            }
+            let gov = state.governor.as_ref().unwrap();
+            assert_eq!(gov.resident_bytes(), charged, "{step}: charged bytes");
+            let stats = take_stats(&call(state, 0, OP_STATS, Writer::new()).unwrap()).unwrap();
+            assert_eq!(
+                (stats.resident_models, stats.spilled_models),
+                (resident, spilled),
+                "{step}: model counts"
+            );
+        }
+        fn a_spilled_model(state: &ServerState) -> u32 {
+            let entries = state.entries();
+            let entry = entries
+                .iter()
+                .find(|e| matches!(&*e.slot.lock().unwrap(), ModelSlot::Spilled(_)))
+                .expect("a spilled model");
+            entry.id
+        }
+
+        let dir = std::env::temp_dir().join(format!("wmsketch-accounting-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let wm = WmSketchConfig::new(64, 2).seed(3);
+        let awm = AwmSketchConfig::new(8, 64).lambda(1e-5).seed(5);
+        let template = AwmSketch::new(awm).to_snapshot_bytes();
+        // Room for the default model, or for two of the four AWMs once
+        // it has been spilled.
+        let awm_cost = AwmSketch::new(awm).resident_bytes() as u64
+            + crate::governor::entry_overhead(2, template.len());
+        let cfg = ServeConfig::new(wm, 1)
+            .data_dir(&dir)
+            .memory_budget_bytes(3 * awm_cost);
+        let state = ServerState::new(&cfg, "127.0.0.1:0".parse().unwrap()).unwrap();
+        audit(&state, "construction");
+
+        let mut ids = Vec::new();
+        for m in 0..4 {
+            let mut create = Writer::new();
+            create.put_u32(2);
+            create.put_bytes(format!("m{m}").as_bytes());
+            create.put_u32(0);
+            create.put_bytes(&template);
+            let created = call(&state, 0, OP_CREATE, create).unwrap();
+            ids.push(Reader::new(&created).take_u32().unwrap());
+            audit(&state, &format!("CREATE m{m}"));
+        }
+        for round in 0..3u32 {
+            for &id in &ids {
+                let batch: Vec<(SparseVector, Label)> = (0..20u32)
+                    .map(|t| {
+                        let x = SparseVector::from_pairs(&[(t % 5, 1.0), (id * 50 + t, 0.5)]);
+                        (x, if (t + round) % 3 == 0 { 1 } else { -1 })
+                    })
+                    .collect();
+                let mut update = Writer::new();
+                put_examples(&mut update, &batch);
+                call(&state, id, OP_UPDATE, update).unwrap();
+                audit(&state, &format!("UPDATE {id} round {round}"));
+            }
+        }
+        let stats = take_stats(&call(&state, 0, OP_STATS, Writer::new()).unwrap()).unwrap();
+        assert!(stats.evictions_total > 0 && stats.revivals_total > 0);
+
+        let cold = a_spilled_model(&state);
+        call(&state, cold, OP_RESET, Writer::new()).unwrap();
+        audit(&state, "RESET of a spilled model");
+
+        let hot = ids[3];
+        call(
+            &state,
+            hot,
+            OP_CHECKPOINT,
+            crate::client::path_payload("manual.ckpt"),
+        )
+        .unwrap();
+        audit(&state, "CHECKPOINT");
+
+        let cold = a_spilled_model(&state);
+        call(
+            &state,
+            cold,
+            OP_RESTORE,
+            crate::client::path_payload("manual.ckpt"),
+        )
+        .unwrap();
+        audit(&state, "RESTORE onto a spilled model");
+        assert_eq!(
+            call(&state, cold, OP_SNAPSHOT, Writer::new()),
+            call(&state, hot, OP_SNAPSHOT, Writer::new()),
+            "the restored model holds the checkpointed state"
+        );
+        audit(&state, "SNAPSHOT");
+
+        drop(state);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -191,8 +191,11 @@ fn three_nodes_converge_event() {
         })
         .collect();
     let mut reference = decode_any_learner(&locals[0]).unwrap();
-    reference.absorb_snapshot(&locals[1]).unwrap();
-    reference.absorb_snapshot(&locals[2]).unwrap();
+    for local in &locals[1..] {
+        reference
+            .absorb_peer(&*decode_any_learner(local).unwrap())
+            .unwrap();
+    }
     let want = reference.snapshot().unwrap();
 
     // Every node's SNAPSHOT must converge to the reference bytes.
@@ -414,7 +417,9 @@ fn restarted_node_adopts_its_default_model_from_a_peer_replica() {
         local.update_batch(chunk);
     }
     let mut reference = decode_any_learner(&local.snapshot().unwrap()).unwrap();
-    reference.absorb_snapshot(&template).unwrap();
+    reference
+        .absorb_peer(&*decode_any_learner(&template).unwrap())
+        .unwrap();
     let want = reference.snapshot().unwrap();
     assert!(
         wait_for(10, || c1.snapshot().unwrap() == want),

@@ -105,8 +105,10 @@ fn main() {
         })
         .collect();
     let mut reference = decode_any_learner(&locals[0]).expect("decode");
-    reference.absorb_snapshot(&locals[1]).expect("fold node 2");
-    reference.absorb_snapshot(&locals[2]).expect("fold node 3");
+    for local in &locals[1..] {
+        let peer = decode_any_learner(local).expect("decode");
+        reference.absorb_peer(&*peer).expect("fold");
+    }
     let want = reference.snapshot().expect("reference snapshot");
 
     // Wait for anti-entropy to carry every origin everywhere. The timed

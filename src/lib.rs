@@ -12,7 +12,7 @@
 //!
 //! * [`hashing`] — tabulation / k-wise polynomial / MurmurHash3 families.
 //! * [`sketch`] — Count-Sketch and Count-Min substrates.
-//! * [`hh`] — Space-Saving, Misra–Gries, indexed heaps, top-K tracking.
+//! * [`hh`] — Space-Saving, indexed heaps, top-K tracking.
 //! * [`learn`] — losses, OGD, sparse vectors, logistic regression,
 //!   feature hashing, evaluation metrics.
 //! * [`core`] — the WM-Sketch and AWM-Sketch themselves, the truncation and
