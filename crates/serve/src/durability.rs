@@ -77,10 +77,26 @@ fn file_stem(model_name: &str) -> String {
 }
 
 /// Where the model `name`'s record with extension `ext` lives in `dir`
-/// (`<dir>/m-<hex(name)>.<ext>`): the checkpointer, the governor's spill
-/// and OP_CREATE's spec sidecar all name their files here.
+/// (`<dir>/m-<hex(name)>.<ext>`): the model's one file writer
+/// (`ModelEntry::persist`, which the checkpointer and the governor's
+/// spill share) and OP_CREATE's spec sidecar name their files here.
 pub(crate) fn record_path(dir: &Path, name: &str, ext: &str) -> PathBuf {
     dir.join(format!("{}.{ext}", file_stem(name)))
+}
+
+/// Whether `path`'s file name is one this layout writes itself: a
+/// model's `.ckpt` or `.spec` record, or the `.tmp` of its atomic write.
+/// OP_CHECKPOINT refuses these, so a client export can never replace
+/// a model's durable state with another model's.
+pub(crate) fn is_node_record(path: &Path) -> bool {
+    let name = path
+        .file_name()
+        .and_then(|n| n.to_str())
+        .unwrap_or_default();
+    let name = name.strip_suffix(".tmp").unwrap_or(name);
+    name.rsplit_once('.').is_some_and(|(stem, ext)| {
+        [CKPT_EXT, SPEC_EXT].contains(&ext) && decode_file_stem(stem).is_some()
+    })
 }
 
 /// Inverse of [`file_stem`]; `None` for stems this layout didn't write.

@@ -30,9 +30,12 @@
 //! registry entries.
 //!
 //! When the charged total exceeds the budget, the least-recently-accessed
-//! resident model is spilled to disk as a sealed WMS1 checkpoint
-//! record through the durability layer's atomic write path, leaving a
-//! lightweight stub in the registry. The governor keeps no model index
+//! resident model is spilled: its learner is replaced by a lightweight
+//! stub, and its state lives on in its own checkpoint file, which one
+//! routine (`ModelEntry::persist`, shared with the checkpointer) writes.
+//! That routine knows which version the file holds, so a model that is
+//! clean, such as one revived by a read and not updated since, spills
+//! with no I/O at all. The governor keeps no model index
 //! of its own: it picks each victim from the registry's entries, which
 //! carry the LRU stamp and the charged cost, and entries hold no
 //! reference back to the governor. The next request for a spilled
@@ -56,16 +59,15 @@
 //! any slot lock. No lock in this module is ever awaited while a slot
 //! mutex is held.
 
-use std::path::PathBuf;
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use wmsketch_telemetry::LatencyHistogram;
 
-use crate::durability;
 use crate::error::ServeError;
-use crate::server::{ModelEntry, ModelSlot, Registry, SpilledStub};
+use crate::server::{ModelEntry, ModelSlot, ServerState, SpilledStub};
 
 /// The typed admission error OP_CREATE returns when the budget cannot
 /// be met even after evicting every cold model.
@@ -80,9 +82,6 @@ pub(crate) const ERR_BUDGET: &str = "model does not fit in the node's memory bud
 pub(crate) struct MemoryGovernor {
     /// The resident-byte ceiling.
     budget: u64,
-    /// Where spill records are written (the node's data dir; a spill
-    /// file *is* a checkpoint and uses the same naming scheme).
-    data_dir: PathBuf,
     /// Monotonic access clock for LRU ordering; each model access
     /// stamps the entry with the next tick.
     tick: AtomicU64,
@@ -109,10 +108,9 @@ pub(crate) struct MemoryGovernor {
 }
 
 impl MemoryGovernor {
-    pub(crate) fn new(budget: u64, data_dir: PathBuf) -> Self {
+    pub(crate) fn new(budget: u64) -> Self {
         Self {
             budget,
-            data_dir,
             tick: AtomicU64::new(0),
             resident_bytes: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
@@ -132,7 +130,7 @@ impl MemoryGovernor {
     /// Charges a newly admitted model `cost` bytes, then runs `join`,
     /// which puts the model in the registry, and returns its result. A
     /// `join` that fails rolls the charge back. With `strict` (the
-    /// default model, OP_CREATE) victims are evicted from `registry` to
+    /// default model, OP_CREATE) victims are evicted from `state` to
     /// make room, and the model is refused with a typed error when the
     /// budget cannot be met even then. Without it (startup recovery)
     /// admission always succeeds and — critically — never evicts:
@@ -143,14 +141,14 @@ impl MemoryGovernor {
         &self,
         cost: u64,
         strict: bool,
-        registry: &RwLock<Registry>,
+        state: &ServerState,
         join: impl FnOnce() -> Result<T, ServeError>,
     ) -> Result<T, ServeError> {
         if strict {
             let _admissions = self.admit_lock.lock().expect("admit lock");
             // Make headroom for the new model before charging it, so the
             // eviction target accounts for the incoming cost.
-            self.evict_down_to(registry, self.budget.saturating_sub(cost), u32::MAX);
+            self.evict_down_to(state, self.budget.saturating_sub(cost), u32::MAX);
             // Reserve with a compare-exchange instead of
             // add-then-check: a concurrent charge (a revival, or a
             // non-strict admission) that lands between our load and
@@ -211,19 +209,21 @@ impl MemoryGovernor {
     /// fits the budget (or nothing evictable remains). `exempt` — e.g.
     /// a just-revived model — is never selected. Callers must not hold
     /// any slot mutex or the registry lock.
-    pub(crate) fn evict_to_budget(&self, registry: &RwLock<Registry>, exempt: u32) {
-        self.evict_down_to(registry, self.budget, exempt);
+    pub(crate) fn evict_to_budget(&self, state: &ServerState, exempt: u32) {
+        self.evict_down_to(state, self.budget, exempt);
     }
 
-    /// Spills least-recently-accessed resident models of `registry`
-    /// until the charged total fits `limit` (or nothing evictable
-    /// remains). The registry read lock is held only to pick a victim,
-    /// never across its spill. Each candidate is attempted at most once
-    /// per call, so a model whose spill fails cannot loop forever.
-    fn evict_down_to(&self, registry: &RwLock<Registry>, limit: u64, exempt: u32) {
+    /// Spills least-recently-accessed resident models until the charged
+    /// total fits `limit` (or nothing evictable remains). The registry
+    /// read lock is held only to pick a victim, never across its spill;
+    /// each candidate is tried once per call, so a failing spill cannot
+    /// loop forever.
+    fn evict_down_to(&self, state: &ServerState, limit: u64, exempt: u32) {
+        let dir = state.data_dir.as_deref().expect("spills need a data dir");
         let mut attempted: Vec<u32> = Vec::new();
         while self.resident_bytes.load(Ordering::Relaxed) > limit {
-            let victim = registry
+            let victim = state
+                .registry
                 .read()
                 .expect("registry lock")
                 .by_id
@@ -234,57 +234,37 @@ impl MemoryGovernor {
                 .map(Arc::clone);
             let Some(entry) = victim else { break };
             attempted.push(entry.id);
-            self.try_spill(&entry);
+            self.try_spill(dir, &entry);
         }
     }
 
-    /// Attempts to spill one resident model: snapshot under its
-    /// checkpoint-I/O and slot mutexes (both `try_lock` — a contended
-    /// lock means a hot model or a checkpoint write in flight, either
-    /// way the wrong victim), atomically write the sealed WMS1 record
-    /// to the model's checkpoint path, then replace the learner with a
-    /// stub and discharge its cost. Returns whether the model was
-    /// spilled.
+    /// Attempts to spill one resident model: bring its own file up to
+    /// date through [`ModelEntry::persist`] (a clean model costs no
+    /// I/O), then swap in a stub through the entry's slot transition,
+    /// which discharges its cost. Returns whether the model was spilled.
     ///
-    /// The checkpoint-I/O mutex (taken first — lock order `ckpt_io` →
-    /// `slot`) is what keeps a spill from interleaving with the
-    /// background checkpointer or OP_CHECKPOINT: those paths snapshot
-    /// under the slot lock but write the file outside it, and without
-    /// this mutex a spill landing in that window would have its newer
-    /// record overwritten by the older deferred checkpoint — silently
-    /// losing acknowledged updates on revival.
-    ///
-    /// The stub goes in through the entry's slot transition while the
-    /// slot guard is still held, so a concurrent revival can never
-    /// complete between the stub install and the discharge (which would
-    /// leave a resident model charged zero).
-    pub(crate) fn try_spill(&self, entry: &ModelEntry) -> bool {
-        let Ok(_ckpt_io) = entry.ckpt_io.try_lock() else {
+    /// Both mutexes are only `try_lock`ed, `ckpt_io` → `slot`: a
+    /// contended lock means a hot model or a checkpoint write in flight,
+    /// either way the wrong victim. The slot stays locked from the write
+    /// to the stub, so no update can slip in after the state was written
+    /// and no revival can land before the discharge.
+    pub(crate) fn try_spill(&self, dir: &Path, entry: &ModelEntry) -> bool {
+        let Ok(mut file) = entry.ckpt_io.try_lock() else {
             return false; // checkpoint write in flight
         };
-        let Ok(mut slot) = entry.slot.try_lock() else {
+        let Ok(slot) = entry.slot.try_lock() else {
             return false;
         };
         let ModelSlot::Resident(learner) = &*slot else {
             return false; // already a stub
         };
-        let clock = learner.examples_seen();
-        let memory_bytes = learner.memory_bytes() as u64;
-        // The model's checkpoint path: a spill doubles as a durable
-        // checkpoint, and startup recovery finds it with the ordinary scan.
-        let path = durability::record_path(&self.data_dir, entry.name(), durability::CKPT_EXT);
-        let written = learner
-            .snapshot()
-            .map_err(ServeError::from)
-            .and_then(|bytes| durability::write_atomic(&path, &bytes).map_err(ServeError::from));
-        if written.is_err() {
+        let stub = SpilledStub {
+            clock: learner.examples_seen(),
+            memory_bytes: learner.memory_bytes() as u64,
+        };
+        let Ok((_, Some(mut slot))) = entry.persist(dir, &mut file, slot, true) else {
             self.spill_failures.fetch_add(1, Ordering::Relaxed);
             return false;
-        }
-        let stub = SpilledStub {
-            clock,
-            memory_bytes,
-            path,
         };
         entry.set_slot(&mut slot, ModelSlot::Spilled(stub), false, Some(self));
         self.evictions.fetch_add(1, Ordering::Relaxed);

@@ -285,8 +285,10 @@
 //! A node given a data directory ([`ServeConfig::data_dir`]) is
 //! **crash-safe**: a background checkpointer thread
 //! ([`ServeConfig::checkpoint_every_ms`]) persists every registered
-//! model whose clock moved since its last checkpoint. Each write is
-//! atomic and self-verifying:
+//! model whose file is behind it. One routine writes a model's file, for
+//! the checkpointer and the governor's spill alike, and it records which
+//! version of the model the file holds. Each write is atomic and
+//! self-verifying:
 //!
 //! * every persisted record carries the `WMS1` envelope's integrity
 //!   footer (flag `0x02`): a CRC-64/XZ of everything before the footer,
@@ -323,7 +325,9 @@
 //! it: paths are joined beneath the directory and any absolute path or
 //! `..` traversal is rejected with a typed error before touching the
 //! filesystem (nodes without a data directory keep the legacy verbatim
-//! behavior).
+//! behavior). CHECKPOINT is an export: it refuses a file name the node
+//! writes itself (a model's `.ckpt` or `.spec`), so it can never replace
+//! a model's durable state.
 //!
 //! The failure drills themselves are deterministic: the
 //! `wmsketch-faults` registry (armed via the `WMSKETCH_FAULTS` /
@@ -359,11 +363,11 @@
 //!   budget`) and the registry is unchanged.
 //! * **Eviction.** Under pressure the governor spills the
 //!   least-recently-used model, the default model included: the
-//!   learner is snapshotted
-//!   through the same sealed-`WMS1` atomic-write path as a checkpoint —
-//!   the spill record **is** the model's checkpoint file — and the
-//!   registry entry collapses to a stub holding only the clock, cost,
-//!   and path. Its budget charge is released.
+//!   routine that writes checkpoints brings the model's file up to date
+//!   — the spill record **is** the model's checkpoint file — and the
+//!   registry entry collapses to a stub holding only the clock and
+//!   cost. Its budget charge is released. A clean model, such as one
+//!   revived by a read and not updated since, spills with no I/O.
 //! * **Revival.** Any request addressing a cold model revives it inline
 //!   before executing: the spill record is decoded and restored through
 //!   the bit-exact recovery path, so a spilled-and-revived model
@@ -439,8 +443,8 @@
 //! | `gossip_attempts_total` | counter | per-peer exchanges attempted |
 //! | `gossip_failures_total` | counter | exchanges failed (peer enters backoff) |
 //! | `gossip_backoff_skips_total` | counter | peer visits skipped inside a backoff window |
-//! | `checkpoints_written_total` | counter | checkpoint files atomically renamed into place (spec sidecars included) |
-//! | `checkpoints_skipped_total` | counter | checkpointer passes skipped because a model's clock had not moved |
+//! | `checkpoints_written_total` | counter | files atomically renamed into place by the checkpointer and by CREATE (spec sidecars); spills are not counted |
+//! | `checkpoints_skipped_total` | counter | checkpointer passes skipped because the model's file already holds its current version |
 //! | `checkpoint_failures_total` | counter | checkpoint writes that failed (e.g. torn by an injected fault; retried next pass) |
 //! | `models_recovered_total` | counter | models restored from a checkpoint at startup |
 //! | `recovery_rejected_total` | counter | corrupt/unreadable/incompatible durable files skipped during recovery |

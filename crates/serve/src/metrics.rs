@@ -144,11 +144,12 @@ pub(crate) struct NodeMetrics {
     /// Peer visits skipped because the peer was inside its backoff
     /// window.
     pub(crate) gossip_backoff_skips: Counter,
-    /// Checkpoint/spec files durably written (background checkpointer,
-    /// CREATE spec sidecars, and client-driven CHECKPOINT alike).
+    /// Checkpoint/spec files durably written by the background
+    /// checkpointer and CREATE's spec sidecars (spills and client
+    /// CHECKPOINT exports are not counted).
     pub(crate) checkpoints_written: Counter,
-    /// Checkpointer sweeps that skipped a model because its clock had
-    /// not moved since the last durable write (dirty-clock tracking).
+    /// Checkpointer sweeps that skipped a model because its file already
+    /// holds its current version.
     pub(crate) checkpoints_skipped: Counter,
     /// Checkpoint/spec writes that failed (I/O error or injected fault);
     /// the previous durable file stays intact and the write is retried

@@ -30,7 +30,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 use std::time::Duration;
 
 use wmsketch_core::{DynLearner, LabelDomain, WmSketch, WmSketchConfig};
@@ -102,9 +102,8 @@ pub struct ServeConfig {
     pub data_dir: Option<PathBuf>,
     /// Background checkpoint cadence in milliseconds; 0 (the default)
     /// disables the checkpointer thread. Requires
-    /// [`ServeConfig::data_dir`]. Clean models (clock unchanged since
-    /// their last checkpoint) are skipped, so an idle node costs no
-    /// I/O.
+    /// [`ServeConfig::data_dir`]. Clean models (whose file already holds
+    /// their current state) are skipped, so an idle node costs no I/O.
     pub checkpoint_interval_ms: u64,
     /// Resident-byte budget for the memory governor; `None` (the
     /// default) disables governance entirely. When set, every hosted
@@ -291,16 +290,22 @@ pub(crate) enum ModelSlot {
     Spilled(SpilledStub),
 }
 
-/// The lightweight registry residue of a spilled model.
+/// The lightweight registry residue of a spilled model, whose state is
+/// its own file ([`ModelEntry::persist`]).
 pub(crate) struct SpilledStub {
     /// The learner's clock at spill time (0 for a lazily-recovered
     /// checkpoint that has never been read).
     pub(crate) clock: u64,
     /// The learner's §7.1 memory figure at spill time (0 when unknown).
     pub(crate) memory_bytes: u64,
-    /// The sealed WMS1 spill record (also the model's checkpoint path).
-    pub(crate) path: PathBuf,
 }
+
+/// A version of a model's state: its `(installs, clock)` pair.
+type Version = (u64, u64);
+
+/// The version a model's file holds until this process writes it. No
+/// model reaches it, so the first persist always writes.
+const UNWRITTEN: Version = (u64::MAX, u64::MAX);
 
 /// One hosted model: identity, label contract, the untrained template it
 /// is rebuilt from, and the live learner (or its spill stub) behind its
@@ -318,24 +323,22 @@ pub(crate) struct ModelEntry {
     /// recovery rebuild the model from.
     template: Vec<u8>,
     pub(crate) slot: Mutex<ModelSlot>,
-    /// How many times the learner has been replaced wholesale (RESET,
-    /// RESTORE, recovery, gossip adoption). Bumped under the slot lock.
-    /// The checkpointer keys its dirty check on `(installs, clock)`: a
-    /// replaced learner can reach the clock of the last checkpoint with
-    /// different state, and a clock-only check would skip it.
+    /// How many times the learner's state has changed other than by
+    /// training: replaced wholesale (RESET, RESTORE, recovery, gossip
+    /// adoption) or merged with a peer (MERGE, whose fold can rewrite
+    /// the stored floats without moving the clock). Bumped under the
+    /// slot lock. With the clock it makes the model's [`Version`]: a
+    /// replaced or merged learner can sit at the clock its file holds
+    /// with different state, and a clock-only check would skip it.
     pub(crate) installs: AtomicU64,
-    /// Serializes writes of this model's checkpoint file. The
-    /// checkpointer and OP_CHECKPOINT snapshot under `slot` but write
-    /// outside it (slow disks must not stall ingest); on a governed
-    /// node the governor's spill writes the *same* path, so every
-    /// snapshot-then-write sequence holds this mutex end to end —
-    /// otherwise a spill landing between a checkpoint's snapshot and
-    /// its deferred write would be overwritten by older state, losing
-    /// acknowledged updates when the stub is revived. Taken *before*
-    /// `slot` (the spill path only ever `try_lock`s it, so a checkpoint
-    /// in flight just disqualifies the victim — no blocking, no
-    /// deadlock).
-    pub(crate) ckpt_io: Mutex<()>,
+    /// The version the model's own file holds ([`UNWRITTEN`] until this
+    /// process has written it). Only [`ModelEntry::persist`] writes that
+    /// file, and the checkpointer and the governor's spill both call it
+    /// with this mutex held, so one can never land between the other's
+    /// snapshot and write. Taken *before* `slot`; the spill only
+    /// `try_lock`s it, so a write in flight just disqualifies the
+    /// victim. Revival holds only the slot and never takes it.
+    pub(crate) ckpt_io: Mutex<Version>,
     /// Replication state; empty (and never locked on the hot path beyond
     /// a map-emptiness check) for models no peer has gossiped about.
     pub(crate) repl: Mutex<ReplState>,
@@ -373,7 +376,7 @@ pub(crate) struct LearnerGuard<'a> {
     state: &'a ServerState,
     /// `Some` until drop; taken there so the slot unlocks before any
     /// deferred eviction runs.
-    guard: Option<std::sync::MutexGuard<'a, ModelSlot>>,
+    guard: Option<MutexGuard<'a, ModelSlot>>,
     /// Set when this acquisition revived the model from its spill
     /// record and the node may now be over budget.
     evict_on_release: bool,
@@ -424,7 +427,7 @@ impl Drop for LearnerGuard<'_> {
             // is exempt from its own pressure resolution.
             drop(self.guard.take());
             if let Some(gov) = &self.state.governor {
-                gov.evict_to_budget(&self.state.registry, self.entry.id);
+                gov.evict_to_budget(self.state, self.entry.id);
             }
         }
     }
@@ -451,7 +454,7 @@ impl ModelEntry {
             template,
             slot: Mutex::new(ModelSlot::Resident(learner)),
             installs: AtomicU64::new(0),
-            ckpt_io: Mutex::new(()),
+            ckpt_io: Mutex::new(UNWRITTEN),
             repl: Mutex::new(ReplState::default()),
             merged: Mutex::new(MergedCache::default()),
             telemetry: metrics::ModelTelemetry::new(),
@@ -483,13 +486,12 @@ impl ModelEntry {
     ) -> Result<LearnerGuard<'a>, ServeError> {
         let mut slot = self.slot.lock().expect("slot mutex");
         let mut revived_now = false;
-        if let ModelSlot::Spilled(stub) = &*slot {
+        if let ModelSlot::Spilled(_) = &*slot {
             let started = std::time::Instant::now();
-            let gov = state
-                .governor
-                .as_ref()
-                .expect("spilled slot on an ungoverned node");
-            match self.load(&stub.path) {
+            let (Some(gov), Some(dir)) = (&state.governor, &state.data_dir) else {
+                unreachable!("spilled slot on an ungoverned node");
+            };
+            match self.load(&self.file(dir)) {
                 Ok(fresh) => {
                     self.set_slot(&mut slot, ModelSlot::Resident(fresh), false, Some(gov));
                     gov.count_revival(started);
@@ -534,9 +536,9 @@ impl ModelEntry {
     /// what `new` holds (the learner's `resident_bytes()`, or 0 for a
     /// stub) and passes the change to the governor, when there is one.
     /// `install` marks a wholesale replacement (RESET, RESTORE,
-    /// recovery, gossip adoption), which the checkpointer's dirty check
-    /// must see; a revival brings back the state that was spilled and a
-    /// stub holds no learner, so neither is one.
+    /// recovery, gossip adoption), which moves the model's [`Version`];
+    /// a revival brings back the state its file holds and a stub holds
+    /// no learner, so neither is one.
     pub(crate) fn set_slot(
         &self,
         slot: &mut ModelSlot,
@@ -567,17 +569,56 @@ impl ModelEntry {
         Ok(fresh)
     }
 
-    /// Startup-recovery twin of the governor's spill: registers an
-    /// existing checkpoint as this entry's lazy stub without reading
-    /// it. The fresh (untrained) learner the entry was registered with
-    /// is discarded and its charge released.
-    fn adopt_lazy_stub(&self, gov: &crate::governor::MemoryGovernor, path: PathBuf) {
+    /// The model's own file in the data dir `dir`: its checkpoint, which
+    /// is also its spill record.
+    fn file(&self, dir: &Path) -> PathBuf {
+        durability::record_path(dir, &self.name, durability::CKPT_EXT)
+    }
+
+    /// The one writer of the model's own file, for the checkpointer and
+    /// the governor's spill: both hold `ckpt_io` (`file` is the version
+    /// it guards) and pass the locked `slot`. A stub, or a learner whose
+    /// version the file holds, costs no I/O; otherwise the snapshot is
+    /// written atomically and its version recorded only on success, so a
+    /// failed or torn write leaves the model dirty. With `hold` the slot
+    /// stays locked across the write and comes back (the spill swaps its
+    /// stub in under it); without, it is released before the write, so a
+    /// slow disk never stalls ingest. Returns whether it wrote.
+    pub(crate) fn persist<'a>(
+        &self,
+        dir: &Path,
+        file: &mut Version,
+        slot: MutexGuard<'a, ModelSlot>,
+        hold: bool,
+    ) -> Result<(bool, Option<MutexGuard<'a, ModelSlot>>), ServeError> {
+        let ModelSlot::Resident(learner) = &*slot else {
+            return Ok((false, hold.then_some(slot)));
+        };
+        let version = (
+            self.installs.load(Ordering::Relaxed),
+            learner.examples_seen(),
+        );
+        if *file == version {
+            return Ok((false, hold.then_some(slot)));
+        }
+        let bytes = learner.snapshot()?;
+        let slot = hold.then_some(slot);
+        durability::write_atomic(&self.file(dir), &bytes)?;
+        *file = version;
+        Ok((true, slot))
+    }
+
+    /// Startup-recovery twin of the governor's spill: makes the model's
+    /// existing file its lazy stub without reading it. The fresh
+    /// (untrained) learner the entry was registered with is discarded
+    /// and its charge released; the file's version stays unknown, so the
+    /// model's first persist after a revival writes it again.
+    fn adopt_lazy_stub(&self, gov: &crate::governor::MemoryGovernor) {
         let mut slot = self.slot.lock().expect("slot mutex");
         if matches!(&*slot, ModelSlot::Resident(_)) {
             let stub = SpilledStub {
                 clock: 0,
                 memory_bytes: 0,
-                path,
             };
             self.set_slot(&mut slot, ModelSlot::Spilled(stub), false, Some(gov));
         }
@@ -665,9 +706,7 @@ impl ServerState {
     pub(crate) fn new(cfg: &ServeConfig, addr: SocketAddr) -> std::io::Result<Self> {
         let invalid = |msg| std::io::Error::new(std::io::ErrorKind::InvalidInput, msg);
         let governor = match (cfg.memory_budget, &cfg.data_dir) {
-            (Some(budget), Some(dir)) => {
-                Some(crate::governor::MemoryGovernor::new(budget, dir.clone()))
-            }
+            (Some(budget), Some(_)) => Some(crate::governor::MemoryGovernor::new(budget)),
             (Some(_), None) => {
                 return Err(invalid(
                     "memory_budget requires a data_dir (spills need somewhere to live)",
@@ -744,7 +783,7 @@ impl ServerState {
             Ok(id)
         };
         match &self.governor {
-            Some(gov) => gov.admit(cost, strict, &self.registry, join),
+            Some(gov) => gov.admit(cost, strict, self, join),
             None => join(),
         }
     }
@@ -934,84 +973,39 @@ impl Drop for ServerHandle {
 }
 
 /// The background checkpointer: every interval it sweeps the registry
-/// and persists each model whose `(installs, clock)` pair moved since
-/// its last successful checkpoint (**dirty tracking** — a clean model
-/// costs one lock acquisition and two counter reads, no encode, no
-/// I/O). A graceful
-/// shutdown takes one final pass so the durable state is current;
-/// [`ServerHandle::kill`] (simulated crash) suppresses it.
+/// and persists each model whose file is behind it (**dirty tracking**
+/// — a clean model costs two lock acquisitions and two counter reads,
+/// no encode, no I/O). A graceful shutdown takes one final pass so the
+/// durable state is current; [`ServerHandle::kill`] (simulated crash)
+/// suppresses it.
 pub(crate) fn checkpoint_loop(state: &Arc<ServerState>) {
     let interval = Duration::from_millis(state.checkpoint_interval_ms.max(1));
-    let mut last_persisted: HashMap<u32, (u64, u64)> = HashMap::new();
     while !state.shutdown.load(Ordering::SeqCst) {
         crate::gossip::sleep_interruptible(state, interval);
         if state.shutdown.load(Ordering::SeqCst) {
             break;
         }
-        checkpoint_pass(state, &mut last_persisted);
+        checkpoint_pass(state);
     }
     if !state.crashed.load(Ordering::SeqCst) {
-        checkpoint_pass(state, &mut last_persisted);
+        checkpoint_pass(state);
     }
 }
 
-/// One checkpointer sweep over the registry.
-fn checkpoint_pass(state: &ServerState, last_persisted: &mut HashMap<u32, (u64, u64)>) {
-    let Some(dir) = state.data_dir.clone() else {
+/// One checkpointer sweep over the registry, every model through
+/// [`ModelEntry::persist`] with its slot released before the write.
+fn checkpoint_pass(state: &ServerState) {
+    let Some(dir) = &state.data_dir else {
         return;
     };
     for entry in state.entries() {
-        // Hold the slot lock only to clock-check and encode; the
-        // (faultable, possibly slow) file I/O runs outside it so a slow
-        // disk never stalls ingest. A spilled model is skipped outright:
-        // its spill record *is* its durable state (written atomically at
-        // eviction time), and checkpointing must never revive it.
-        //
-        // The checkpoint-I/O mutex spans snapshot *and* write: on a
-        // governed node the spill path writes the same file, and
-        // without this a spill landing between our snapshot and our
-        // deferred write would be clobbered by the older state while
-        // the in-memory learner is already gone — silently losing
-        // acknowledged updates. (The governor only `try_lock`s this
-        // mutex, so holding it across the write just shields the model
-        // from eviction for the duration.)
-        let _ckpt_io = entry.ckpt_io.lock().expect("checkpoint io mutex");
-        let snapshot = {
-            let slot = entry.slot.lock().expect("slot mutex");
-            let learner = match &*slot {
-                ModelSlot::Resident(l) => l,
-                ModelSlot::Spilled(_) => {
-                    state.metrics.checkpoints_skipped.inc();
-                    continue;
-                }
-            };
-            // Installs are bumped under the slot lock held here, so the
-            // pair is read consistently.
-            let version = (
-                entry.installs.load(Ordering::Relaxed),
-                learner.examples_seen(),
-            );
-            if last_persisted.get(&entry.id) == Some(&version) {
-                state.metrics.checkpoints_skipped.inc();
-                continue;
-            }
-            learner.snapshot().map(|bytes| (version, bytes))
-        };
-        let written = snapshot
-            .map_err(ServeError::from)
-            .and_then(|(version, bytes)| {
-                let path = durability::record_path(&dir, entry.name(), durability::CKPT_EXT);
-                durability::write_atomic(&path, &bytes)?;
-                Ok(version)
-            });
-        match written {
-            Ok(version) => {
-                last_persisted.insert(entry.id, version);
-                state.metrics.checkpoints_written.inc();
-            }
-            // Failed writes (injected or real) leave the previous
-            // checkpoint intact and the model marked dirty, so the next
-            // pass retries.
+        let mut file = entry.ckpt_io.lock().expect("checkpoint io mutex");
+        let slot = entry.slot.lock().expect("slot mutex");
+        match entry.persist(dir, &mut file, slot, false) {
+            Ok((true, _)) => state.metrics.checkpoints_written.inc(),
+            Ok((false, _)) => state.metrics.checkpoints_skipped.inc(),
+            // A failed write leaves the previous file intact and the
+            // model dirty, so the next pass retries.
             Err(_) => state.metrics.checkpoint_failures.inc(),
         }
     }
@@ -1076,7 +1070,7 @@ fn recover_registry(state: &ServerState) -> std::io::Result<()> {
                 .ok_or(ServeError::Protocol("checkpoint for a model with no spec"))?;
             drop(registry);
             if let Some(gov) = &state.governor {
-                entry.adopt_lazy_stub(gov, path);
+                entry.adopt_lazy_stub(gov);
                 return Ok(());
             }
             entry.install(state, entry.load(&path)?);
@@ -1437,23 +1431,24 @@ fn dispatch(
             // concurrent UPDATE/PREDICT traffic on the same model.
             let peer = wmsketch_core::decode_any_learner(bytes)?;
             let mut learner = entry.learner(state)?;
+            // Even a zero-example peer rewrites the stored floats (the
+            // scale fold, AWM's re-promotion) without moving the clock,
+            // so the merge moves the model's version.
+            entry.installs.fetch_add(1, Ordering::Relaxed);
             learner.absorb_peer(&*peer)?;
             out.put_u64(learner.examples_seen());
         }
         OP_CHECKPOINT => {
+            // An export to a client-named file, never one of the node's
+            // own records: the model's file and its version stay as is.
             let path = durability::resolve_client_path(state.data_dir.as_deref(), &take_path(r)?)?;
-            // Hold the slot lock only to sync and encode; the disk
-            // write (to a possibly slow filesystem) must not stall
-            // ingest on other connections. The checkpoint-I/O mutex,
-            // though, spans both: the governor's spill path writes the
-            // same file, and a spill landing between snapshot and write
-            // must not be clobbered by this older state (lock order
-            // ckpt_io → slot, same as the background checkpointer).
-            let _ckpt_io = entry.ckpt_io.lock().expect("checkpoint io mutex");
+            if durability::is_node_record(&path) {
+                return Err(ServeError::Protocol(
+                    "checkpoint path names one of the node's own durable records",
+                ));
+            }
+            // Encoded under the slot, written (atomically) outside it.
             let bytes = entry.learner(state)?.snapshot()?;
-            // Atomic replace-on-rename: a crash mid-write leaves the
-            // previous checkpoint intact plus a stale `.tmp`, never a
-            // torn file under the final name.
             out.put_u64(durability::write_atomic(&path, &bytes)?);
         }
         OP_RESTORE => {
@@ -1679,6 +1674,51 @@ mod tests {
         drop(state);
         assert!(weak_state.upgrade().is_none());
         assert!(weak_entries.iter().all(|e| e.upgrade().is_none()));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A MERGE that leaves the clock where it was still moves the
+    /// model's version: absorbing the model's own untrained template
+    /// rewrites its stored floats (the scale fold), and the next
+    /// checkpointer pass must persist that state, not skip it as clean.
+    #[test]
+    fn merge_of_a_zero_example_peer_is_checkpointed() {
+        let dir = std::env::temp_dir().join(format!("wmsketch-merge-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let wm = WmSketchConfig::new(64, 3).lambda(1e-3).seed(5);
+        let cfg = ServeConfig::new(wm, 1).data_dir(&dir);
+        let state = ServerState::new(&cfg, "127.0.0.1:0".parse().unwrap()).unwrap();
+
+        let batch: Vec<(SparseVector, Label)> = (0..600u32)
+            .map(|t| {
+                let x = SparseVector::from_pairs(&[(t % 11, 1.0), (50 + t % 97, 0.5)]);
+                (x, if t % 3 == 0 { 1 } else { -1 })
+            })
+            .collect();
+        let mut update = Writer::new();
+        put_examples(&mut update, &batch);
+        call(&state, 0, OP_UPDATE, update).unwrap();
+        checkpoint_pass(&state);
+        let before = call(&state, 0, OP_SNAPSHOT, Writer::new()).unwrap();
+
+        let mut merge = Writer::new();
+        merge.put_bytes(&WmSketch::new(wm).to_snapshot_bytes());
+        let clock = call(&state, 0, OP_MERGE, merge).unwrap();
+        assert_eq!(Reader::new(&clock).take_u64().unwrap(), 600);
+        let after = call(&state, 0, OP_SNAPSHOT, Writer::new()).unwrap();
+        assert_ne!(before, after, "the merge rewrote the model's state");
+
+        checkpoint_pass(&state);
+        let file = std::fs::read(durability::record_path(
+            &dir,
+            "default",
+            durability::CKPT_EXT,
+        ));
+        assert_eq!(
+            file.unwrap(),
+            after,
+            "the checkpoint holds the merged state"
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -26,7 +26,7 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use wmsketch_core::WmSketchConfig;
+use wmsketch_core::{AwmSketch, AwmSketchConfig, SnapshotCodec, WmSketch, WmSketchConfig};
 use wmsketch_faults::FaultPlan;
 use wmsketch_learn::{Label, SparseVector};
 use wmsketch_serve::{
@@ -314,7 +314,39 @@ fn checkpoint_paths_are_confined_to_the_data_dir() {
     );
     let clock = c.restore("sub/model.ckpt").expect("confined restore");
     assert_eq!(clock, 50);
+
+    // A CHECKPOINT export may not name a file the node writes itself: a
+    // model's `.spec` or `.ckpt` record (or its `.tmp`), wherever it sits.
+    let template = WmSketch::new(wm_cfg()).to_snapshot_bytes();
+    c.create_model("b", &template, 0).expect("create b");
+    for own in [
+        "m-62.spec",
+        "m-62.ckpt",
+        "m-62.ckpt.tmp",
+        DEFAULT_CKPT,
+        "sub/m-62.ckpt",
+    ] {
+        let err = c.checkpoint(own).expect_err("own record must be refused");
+        assert!(
+            err.to_string().contains("own durable records"),
+            "{own}: unexpected error {err}"
+        );
+    }
     server.shutdown();
+    // The refused writes left model b's spec intact: it survives a restart.
+    let restarted = start(ServeConfig::new(wm_cfg(), 1).data_dir(&dir));
+    let mut c = ServeClient::connect(restarted.addr()).expect("connect");
+    let models = c.list_models().expect("list");
+    assert!(
+        models.iter().any(|m| m.name == "b"),
+        "b survives: {models:?}"
+    );
+    let metrics = c.metrics_text().expect("metrics");
+    assert!(
+        metrics.contains("recovery_rejected_total 0"),
+        "no durable record was clobbered:\n{metrics}"
+    );
+    restarted.shutdown();
 
     // Legacy mode (no data dir): verbatim paths still work — the
     // pre-durability contract the existing round-trip suite relies on.
@@ -529,5 +561,200 @@ fn graceful_shutdown_persists_a_restored_model_at_its_checkpoint_clock() {
         "the restart must serve the restored state"
     );
     restarted.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The untrained template of the small AWM models the governed tests
+/// below host.
+fn awm_template() -> Vec<u8> {
+    AwmSketch::new(AwmSketchConfig::new(8, 64).lambda(1e-5).seed(5)).to_snapshot_bytes()
+}
+
+/// A governed node in `dir` whose budget holds its default model and
+/// one of the small AWM models, but not two: every revival spills the
+/// coldest other model. The charges are read off a node with room for
+/// everything. `checkpoint_ms` 0 runs no checkpointer.
+fn governed_node(dir: &std::path::Path, checkpoint_ms: u64) -> ServerHandle {
+    let probe_dir = scratch_dir("probe");
+    let probe = start(
+        ServeConfig::new(wm_cfg(), 1)
+            .data_dir(&probe_dir)
+            .memory_budget_bytes(1 << 30),
+    );
+    let mut c = ServeClient::connect(probe.addr()).expect("connect probe");
+    let base = c.stats().expect("stats").resident_bytes;
+    c.create_model("probe", &awm_template(), 0).expect("create");
+    let one = c.stats().expect("stats").resident_bytes - base;
+    probe.shutdown();
+    let _ = std::fs::remove_dir_all(&probe_dir);
+    start(
+        ServeConfig::new(wm_cfg(), 1)
+            .data_dir(dir)
+            .memory_budget_bytes(base + one * 3 / 2)
+            .checkpoint_every_ms(checkpoint_ms),
+    )
+}
+
+/// Addresses the default model with a read, so it is hotter than every
+/// model touched before.
+fn touch_default(c: &mut ServeClient) {
+    c.set_model(0).expect("address default");
+    c.estimate(3).expect("estimate");
+}
+
+/// CREATEs and trains `v`, then `w`: admitting `w` spills `v`. Returns
+/// their ids; the default model is left the hottest.
+fn spill_v_for_w(c: &mut ServeClient) -> (u32, u32) {
+    let v = c.create_model("v", &awm_template(), 0).expect("create v");
+    c.set_model(v).expect("address v");
+    c.update_batch(&planted_stream(300)).expect("train v");
+    touch_default(c);
+    let w = c.create_model("w", &awm_template(), 0).expect("create w");
+    c.set_model(w).expect("address w");
+    c.update_batch(&planted_stream(200)).expect("train w");
+    touch_default(c);
+    (v, w)
+}
+
+/// The node's `io.write` checks so far (counted only while a plan is
+/// armed).
+fn io_write_checks(c: &mut ServeClient) -> f64 {
+    let report = c.metrics().expect("metrics");
+    report
+        .value("fault_checks_total", &[("site", "io.write")])
+        .expect("io.write is armed")
+}
+
+/// A model revived by a read and not updated since is clean: its file
+/// already holds its state, so spilling it again attempts no write. An
+/// armed `io.write` plan that never fires counts every write attempt.
+#[test]
+fn a_model_revived_by_a_read_spills_again_without_a_write() {
+    let _guard = faults_lock();
+    wmsketch_faults::install(None);
+    let dir = scratch_dir("clean-spill");
+    let server = governed_node(&dir, 0);
+    let mut c = ServeClient::connect(server.addr()).expect("connect");
+    let (v, w) = spill_v_for_w(&mut c);
+    // Reading v revives it and spills w; v is then the coldest.
+    c.set_model(v).expect("address v");
+    c.estimate(3).expect("read v");
+    touch_default(&mut c);
+
+    wmsketch_faults::install(Some(FaultPlan::parse("io.write=err@0.0").expect("plan")));
+    let before = c.stats().expect("stats");
+    let checks = io_write_checks(&mut c);
+    // Reading w revives it and spills v, which was only read.
+    c.set_model(w).expect("address w");
+    c.estimate(3).expect("read w");
+    let after = c.stats().expect("stats");
+    assert_eq!(after.revivals_total, before.revivals_total + 1);
+    assert_eq!(after.evictions_total, before.evictions_total + 1);
+    assert_eq!(
+        io_write_checks(&mut c),
+        checks,
+        "a clean spill writes nothing"
+    );
+    // It was v that went: reading it revives it again.
+    c.set_model(v).expect("address v");
+    c.estimate(3).expect("read v");
+    let revived = c.stats().expect("stats").revivals_total;
+    assert_eq!(revived, after.revivals_total + 1, "v had been spilled");
+    wmsketch_faults::install(None);
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A torn spill write leaves the victim resident and dirty: its file
+/// keeps the older state, and once the fault is gone its next spill
+/// writes the current state, which a revival brings back bit for bit.
+#[test]
+fn a_torn_spill_leaves_the_victim_resident_and_dirty() {
+    let _guard = faults_lock();
+    wmsketch_faults::install(None);
+    let dir = scratch_dir("torn-spill");
+    let server = governed_node(&dir, 0);
+    let mut c = ServeClient::connect(server.addr()).expect("connect");
+    let (v, w) = spill_v_for_w(&mut c);
+    let v_file = dir.join("m-76.ckpt"); // hex("v")
+    let spilled = std::fs::read(&v_file).expect("v's spill record");
+    // Reading v revives it (spilling w); training it makes it dirty.
+    c.set_model(v).expect("address v");
+    c.update_batch(&planted_stream(50)).expect("train v");
+    let current = c.snapshot().expect("snapshot v");
+    assert_ne!(current, spilled);
+    touch_default(&mut c);
+
+    wmsketch_faults::install(Some(FaultPlan::parse("io.write=torn@1.0").expect("plan")));
+    let before = c.stats().expect("stats");
+    // Reading w revives it; spilling v (and the default model) is torn.
+    c.set_model(w).expect("address w");
+    c.estimate(3).expect("read w");
+    let after = c.stats().expect("stats");
+    assert_eq!(
+        after.evictions_total, before.evictions_total,
+        "nothing spilled"
+    );
+    let failures = c
+        .metrics()
+        .expect("metrics")
+        .value("governor_spill_failures_total", &[])
+        .expect("governed node");
+    assert!(failures >= 1.0, "the torn spill is counted");
+    assert_eq!(std::fs::read(&v_file).expect("read"), spilled, "file kept");
+    c.set_model(v).expect("address v");
+    assert_eq!(c.snapshot().expect("snapshot v"), current);
+    let stats = c.stats().expect("stats");
+    assert_eq!(
+        stats.revivals_total, after.revivals_total,
+        "v stayed resident"
+    );
+
+    // Without the fault, v's next spill writes its current state.
+    wmsketch_faults::install(None);
+    c.set_model(w).expect("address w");
+    c.estimate(3).expect("read w");
+    touch_default(&mut c);
+    c.create_model("x", &awm_template(), 0).expect("create x");
+    assert_eq!(std::fs::read(&v_file).expect("read"), current, "v written");
+    c.set_model(v).expect("address v");
+    assert_eq!(c.snapshot().expect("revived v"), current, "bit-identical");
+    let revived = c.stats().expect("stats").revivals_total;
+    assert_eq!(revived, stats.revivals_total + 1, "v had been spilled");
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The checkpointer and the spill share one record of what each file
+/// holds: a model the governor spilled and a read revived, unchanged, is
+/// skipped by the checkpointer's next pass instead of rewritten.
+#[test]
+fn the_checkpointer_skips_a_model_revived_unchanged_after_a_spill() {
+    let _guard = faults_lock();
+    wmsketch_faults::install(None);
+    let dir = scratch_dir("spill-ckpt");
+    let server = governed_node(&dir, 100);
+    let mut c = ServeClient::connect(server.addr()).expect("connect");
+    let (v, _) = spill_v_for_w(&mut c);
+    let counters = |c: &mut ServeClient| {
+        let report = c.metrics().expect("metrics");
+        let get = |name| report.value(name, &[]).expect("durability counter");
+        (
+            get("checkpoints_written_total"),
+            get("checkpoints_skipped_total"),
+        )
+    };
+    // Two passes in which every model (three) was skipped: all clean.
+    let (_, skipped) = counters(&mut c);
+    assert!(wait_for(10, || counters(&mut c).1 >= skipped + 6.0));
+    let (written, skipped) = counters(&mut c);
+
+    c.set_model(v).expect("address v");
+    c.estimate(3).expect("read v");
+    let stats = c.stats().expect("stats");
+    assert!(stats.revivals_total >= 1, "v was revived");
+    assert!(wait_for(10, || counters(&mut c).1 >= skipped + 6.0));
+    assert_eq!(counters(&mut c).0, written, "nothing was rewritten");
+    server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
