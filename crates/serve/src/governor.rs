@@ -35,11 +35,11 @@
 //! routine (`ModelEntry::persist`, shared with the checkpointer) writes.
 //! That routine knows which version the file holds, so a model that is
 //! clean, such as one revived by a read and not updated since, spills
-//! with no I/O at all. The governor keeps no model index
-//! of its own: it picks each victim from the registry's entries, which
-//! carry the LRU stamp and the charged cost, and entries hold no
-//! reference back to the governor. The next request for a spilled
-//! model revives it transparently — decode and
+//! with no I/O at all. The governor keeps no model index of its own: it
+//! picks each victim from the registry's entries, which carry the LRU
+//! stamp and the charged cost, and entries hold no reference back to
+//! the governor. The next request for a spilled model revives it
+//! transparently — decode and
 //! [`wmsketch_learn::DynLearner::restore_snapshot`], bit-identical by
 //! the codec's twin guarantee — under the model's own slot mutex, so
 //! concurrent requests for the same cold model pay exactly one decode
